@@ -28,6 +28,7 @@ from .executors import (
 from .experiment import (
     Experiment,
     FeaturizedSplits,
+    FittedLearner,
     PreparedData,
     TrainedCandidates,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "Experiment",
     "Featurizer",
     "FeaturizedSplits",
+    "FittedLearner",
     "FunctionSelector",
     "GermanCreditExperiment",
     "GridSpec",

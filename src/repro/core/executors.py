@@ -10,7 +10,8 @@ executors here decide scheduling and reuse:
   picklable), falling back to serial execution where fork is
   unavailable.
 
-Both share two caches keyed by the plan's fingerprints:
+Every backend runs a preparation group through :func:`iter_config_group`,
+which shares three cache levels keyed by the plan's fingerprints:
 
 * a **preparation cache**: every combination with the same ``prep_key``
   (seed, resampler, missing-value handler, scaler) reuses one
@@ -20,7 +21,17 @@ Both share two caches keyed by the plan's fingerprints:
   the fairness pre-processor reuse the fitted/applied
   :class:`~repro.core.experiment.PreparedData`, so e.g. a DI-remover
   repair is computed once per (seed, repair level) and shared by every
-  learner.
+  learner;
+* a **fitted-learner cache** on top of that: combinations that also share
+  the learner — and so differ only in the post-processor — reuse one
+  :class:`~repro.core.experiment.FittedLearner` record per learner (the
+  fitted model, its ``best_params``, its raw validation labels and scores,
+  its train metrics), so e.g. the no-intervention, reject-option and
+  calibrated-equalized-odds runs of a learner train it once. Each run
+  still fits and applies its own post-processor clone. The group's
+  consumers of each key are counted up front: an entry is stored only
+  while a later config in the group will use it and is dropped after its
+  last consumer, so a key used once is never stored.
 
 Results are identical to uncached serial execution because every stage is
 deterministic in (inputs, seed) and never mutates shared artifacts.
@@ -35,14 +46,15 @@ from __future__ import annotations
 import abc
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import parallel, telemetry
 from ..datasets import DatasetSpec
 from ..frame import DataFrame
 from .components import component_fingerprint
-from .experiment import Experiment, FeaturizedSplits
+from .experiment import Experiment, FeaturizedSplits, FittedLearner
 from .plan import GridSpec, RunConfig, route_intervention
 from .results import ResultsStore, RunResult
 
@@ -105,6 +117,42 @@ def build_experiment(plan: ExecutionPlan, config: RunConfig) -> Experiment:
     )
 
 
+class FittedLearnerCache:
+    """The fitted-learner level of one group's shared-preparation cache.
+
+    Keyed on the ``pre_processor`` and ``learners`` fingerprints that
+    ``run_key`` is built from. Each key's consumers in the group are
+    counted up front; :meth:`put` stores an entry only if a later config
+    will :meth:`take` it, and the last :meth:`take` drops it, so peak
+    memory grows by at most one fitted learner per live key.
+    """
+
+    def __init__(self, group: Sequence[RunConfig]):
+        self._pending = Counter(self._key(config) for config in group)
+        self._entries: Dict[Tuple[str, str], Tuple[FittedLearner, ...]] = {}
+
+    @staticmethod
+    def _key(config: RunConfig) -> Tuple[str, str]:
+        return config.components["pre_processor"], config.components["learners"]
+
+    def take(self, config: RunConfig) -> Optional[Tuple[FittedLearner, ...]]:
+        """Count ``config`` as consumed; its cached fit, if any."""
+        key = self._key(config)
+        self._pending[key] -= 1
+        if self._pending[key] > 0:
+            return self._entries.get(key)
+        return self._entries.pop(key, None)
+
+    def put(self, config: RunConfig, fitted: Tuple[FittedLearner, ...]) -> None:
+        """Keep ``fitted`` for the configs still to come with this key."""
+        key = self._key(config)
+        if self._pending[key] > 0:
+            self._entries[key] = fitted
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 def iter_config_group(
     plan: ExecutionPlan,
     group: Sequence[RunConfig],
@@ -113,11 +161,13 @@ def iter_config_group(
     """Execute one preparation group, yielding each result as it completes.
 
     All configs in ``group`` must share a ``prep_key`` (enforced by the
-    grouping in :class:`Executor`); the featurized splits are computed once
-    and each distinct pre-processor is fitted/applied once.
+    grouping in :class:`Executor`); the featurized splits are computed once,
+    each distinct pre-processor is fitted/applied once, and each distinct
+    (pre-processor, learners) pair is fitted once.
     """
     splits: Optional[FeaturizedSplits] = None
     prepared_cache: Dict[str, object] = {}
+    fitted_cache = FittedLearnerCache(group)
     for config in group:
         experiment = build_experiment(plan, config)
         if share_preparation:
@@ -141,8 +191,12 @@ def iter_config_group(
                 prepared_cache[pre_fingerprint] = prepared
             else:
                 telemetry.counter("executor.prepared_cache_hits").inc()
+            fitted = fitted_cache.take(config)
+            if fitted is not None:
+                telemetry.counter("executor.fitted_cache_hits").inc()
             with telemetry.span("stage.train", run_key=config.run_key):
-                trained = experiment.train_candidates(prepared)
+                trained = experiment.train_candidates(prepared, fitted=fitted)
+            fitted_cache.put(config, trained.fitted)
             with telemetry.span("stage.evaluate", run_key=config.run_key):
                 result = experiment.evaluate(prepared, trained)
         else:

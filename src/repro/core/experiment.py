@@ -98,11 +98,44 @@ class PreparedData:
 
 
 @dataclass(frozen=True)
+class FittedLearner:
+    """Immutable output of fitting one learner on :class:`PreparedData`.
+
+    Everything about a candidate that does not depend on the
+    post-processing intervention: the fitted model, its grid-search
+    ``best_params``, its raw validation predictions (labels and scores
+    before any post-processor touches them) and its train-set metrics.
+    Executor backends share it across all grid combinations with the
+    same pre-processor and learner, which differ only in the
+    post-processor fitted on those validation predictions. The prediction
+    arrays are read-only; consumers must never mutate the model in place.
+    """
+
+    learner: str
+    model: object
+    best_params: Optional[Dict]
+    validation_labels: np.ndarray
+    validation_scores: Optional[np.ndarray]
+    train_metrics: Dict[str, float]
+
+
+@dataclass(frozen=True)
 class TrainedCandidates:
     """All fitted candidate models with their validation-set outcomes."""
 
     candidates: List[CandidateResult]
     models: List[Tuple[object, PostProcessor]]
+    # the post-processor-independent part, one record per learner
+    fitted: Tuple[FittedLearner, ...]
+
+
+def _read_only(values) -> Optional[np.ndarray]:
+    """A flat float64 array that raises on in-place writes (None passes)."""
+    if values is None:
+        return None
+    array = np.asarray(values, dtype=np.float64).ravel()
+    array.setflags(write=False)
+    return array
 
 
 class Experiment:
@@ -264,17 +297,60 @@ class Experiment:
             pre_processor=self.pre_processor,
         )
 
-    def train_candidates(self, prepared: PreparedData) -> TrainedCandidates:
-        """Train every candidate learner and score it on the validation set."""
+    def fit_learners(self, prepared: PreparedData) -> Tuple[FittedLearner, ...]:
+        """Fit every candidate learner and predict its validation/train sets.
+
+        The returned records are independent of the post-processor, so
+        executors share them across all grid combinations with the same
+        ``(pre-processor, learners)`` on the same :class:`PreparedData`.
+        """
+        seed = prepared.seed
+        fitted: List[FittedLearner] = []
+        for learner in self.learners:
+            model = learner.fit_model(prepared.train_data, seed)
+            features = prepared.validation_data_eval.features
+            train_pred = self._predict(model, prepared.train_data, prepared.train_data)
+            fitted.append(
+                FittedLearner(
+                    learner=learner.name(),
+                    model=model,
+                    best_params=self._best_params(learner),
+                    validation_labels=_read_only(model.predict(features)),
+                    validation_scores=_read_only(model.predict_scores(features)),
+                    train_metrics=self._metrics(prepared.train_data, train_pred),
+                )
+            )
+        return tuple(fitted)
+
+    def train_candidates(
+        self,
+        prepared: PreparedData,
+        fitted: Optional[Sequence[FittedLearner]] = None,
+    ) -> TrainedCandidates:
+        """Train every candidate learner and score it on the validation set.
+
+        Pass cached :class:`FittedLearner` records (from :meth:`fit_learners`
+        of any experiment with the same pre-processor and learners on the
+        same ``prepared``) to skip re-fitting; only the post-processor is
+        then fitted and applied here.
+        """
+        if fitted is None:
+            fitted = self.fit_learners(prepared)
         seed = prepared.seed
         candidates: List[CandidateResult] = []
         models: List[Tuple[object, PostProcessor]] = []
-        for learner in self.learners:
-            model = learner.fit_model(prepared.train_data, seed)
-            post = self.post_processor.clone()
-            validation_pred = self._predict(
-                model, prepared.validation_data_eval, prepared.validation_data
+        needs_scores = not isinstance(self.post_processor, NoIntervention)
+        for learner_fit in fitted:
+            if needs_scores and learner_fit.validation_scores is None:
+                raise ValueError(
+                    f"post-processor {self.post_processor.name()} requires "
+                    "prediction scores but the learner provides none"
+                )
+            validation_pred = prepared.validation_data.with_predictions(
+                labels=learner_fit.validation_labels,
+                scores=learner_fit.validation_scores,
             )
+            post = self.post_processor.clone()
             post.fit(
                 prepared.validation_data,
                 validation_pred,
@@ -283,19 +359,21 @@ class Experiment:
                 seed,
             )
             validation_pred = post.apply(validation_pred)
-            train_pred = self._predict(model, prepared.train_data, prepared.train_data)
+            best_params = learner_fit.best_params
             candidates.append(
                 CandidateResult(
-                    learner=learner.name(),
+                    learner=learner_fit.learner,
                     validation_metrics=self._metrics(
                         prepared.validation_data, validation_pred
                     ),
-                    train_metrics=self._metrics(prepared.train_data, train_pred),
-                    best_params=self._best_params(learner),
+                    train_metrics=dict(learner_fit.train_metrics),
+                    best_params=None if best_params is None else dict(best_params),
                 )
             )
-            models.append((model, post))
-        return TrainedCandidates(candidates=candidates, models=models)
+            models.append((learner_fit.model, post))
+        return TrainedCandidates(
+            candidates=candidates, models=models, fitted=tuple(fitted)
+        )
 
     def evaluate(
         self, prepared: PreparedData, trained: TrainedCandidates
@@ -453,12 +531,6 @@ class Experiment:
         """Prediction dataset aligned to the *unrepaired* annotations."""
         labels = model.predict(eval_data.features)
         scores = model.predict_scores(eval_data.features)
-        needs_scores = not isinstance(self.post_processor, NoIntervention)
-        if needs_scores and scores is None:
-            raise ValueError(
-                f"post-processor {self.post_processor.name()} requires prediction "
-                "scores but the learner provides none"
-            )
         return annotation_source.with_predictions(labels=labels, scores=scores)
 
     def _metrics(

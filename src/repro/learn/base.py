@@ -27,14 +27,21 @@ class BaseEstimator:
 
     @classmethod
     def _param_names(cls) -> List[str]:
-        signature = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, parameter in signature.parameters.items()
-            if name != "self"
-            and parameter.kind
-            not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
-        ]
+        # memoized per class: clone/get_params/set_params run this on every
+        # call. Looked up in the class's own __dict__, never through
+        # inheritance, so a subclass with its own __init__ computes its own.
+        names = cls.__dict__.get("_param_names_memo")
+        if names is None:
+            signature = inspect.signature(cls.__init__)
+            names = tuple(
+                name
+                for name, parameter in signature.parameters.items()
+                if name != "self"
+                and parameter.kind
+                not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+            )
+            cls._param_names_memo = names
+        return list(names)
 
     def get_params(self) -> Dict[str, Any]:
         """Hyperparameters as a dict, mirroring the constructor signature."""

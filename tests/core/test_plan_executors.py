@@ -1,10 +1,15 @@
 """Tests for the staged execution engine: plan layer + executor backends."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import (
     CalibratedEqOddsPostProcessor,
+    DecisionTree,
     DIRemover,
     GridSpec,
     LogisticRegression,
@@ -13,11 +18,13 @@ from repro.core import (
     PostProcessor,
     RejectOptionPostProcessor,
     ResultsStore,
+    ReweighingPreProcessor,
     SerialExecutor,
     component_fingerprint,
     run_grid,
 )
-from repro.core.executors import ExecutionPlan, build_experiment
+from repro.core import executors
+from repro.core.executors import ExecutionPlan, build_experiment, iter_config_group
 from repro.core.experiment import Experiment
 from repro.datasets import load_dataset
 
@@ -198,7 +205,7 @@ class TestResumeAndStore:
         store = ResultsStore(str(tmp_path / "complete.jsonl"))
         store.extend(serial_results)
 
-        def explode(self, prepared):
+        def explode(self, prepared, **kwargs):
             raise AssertionError("resume must not retrain completed runs")
 
         monkeypatch.setattr(Experiment, "train_candidates", explode)
@@ -218,9 +225,9 @@ class TestResumeAndStore:
         trained = []
         original = Experiment.train_candidates
 
-        def counting(self, prepared):
+        def counting(self, prepared, **kwargs):
             trained.append(self.random_seed)
-            return original(self, prepared)
+            return original(self, prepared, **kwargs)
 
         monkeypatch.setattr(Experiment, "train_candidates", counting)
         resumed = run_grid(german, small_grid(), results_store=store, resume=True)
@@ -237,11 +244,11 @@ class TestResumeAndStore:
         original = Experiment.train_candidates
         executed = []
 
-        def crash_on_third(self, prepared):
+        def crash_on_third(self, prepared, **kwargs):
             if len(executed) == 2:
                 raise KeyboardInterrupt
             executed.append(self.random_seed)
-            return original(self, prepared)
+            return original(self, prepared, **kwargs)
 
         monkeypatch.setattr(Experiment, "train_candidates", crash_on_third)
         with pytest.raises(KeyboardInterrupt):
@@ -277,7 +284,7 @@ class TestResumeAndStore:
         store = ResultsStore(str(tmp_path / "shared.jsonl"))
         store.extend(serial_results)
 
-        def explode(self, prepared):
+        def explode(self, prepared, **kwargs):
             raise AssertionError("entry points must share run fingerprints")
 
         monkeypatch.setattr(Experiment, "train_candidates", explode)
@@ -444,3 +451,190 @@ class TestStoreBackedGrids:
         store_dir = self._spill(frame, tmp_path / "store")
         with pytest.raises(ValueError, match="registered dataset name"):
             run_grid((frame, spec), small_grid(), frame_store=store_dir)
+
+
+# ----------------------------------------------------------------------
+# fitted-learner cache: post-processing runs reuse the baseline's fit
+# ----------------------------------------------------------------------
+FIT_CALLS = []
+
+
+def _train_digest(train_data) -> str:
+    digest = hashlib.sha256(train_data.features.tobytes())
+    digest.update(train_data.instance_weights.tobytes())
+    return digest.hexdigest()
+
+
+class _CountingLR(LogisticRegression):
+    def fit_model(self, train_data, seed):
+        FIT_CALLS.append((seed, self.name(), _train_digest(train_data)))
+        return super().fit_model(train_data, seed)
+
+
+class _CountingDT(DecisionTree):
+    def fit_model(self, train_data, seed):
+        FIT_CALLS.append((seed, self.name(), _train_digest(train_data)))
+        return super().fit_model(train_data, seed)
+
+
+def post_processing_grid():
+    return GridSpec(
+        seeds=[1, 2],
+        learners=[
+            lambda: _CountingLR(tuned=True, param_grid={"alpha": [0.0001, 0.001]}),
+            lambda: _CountingDT(tuned=True, param_grid={"max_depth": [3, 5]}),
+        ],
+        interventions=[
+            NoIntervention,
+            lambda: DIRemover(0.5),
+            RejectOptionPostProcessor,
+            CalibratedEqOddsPostProcessor,
+        ],
+    )
+
+
+def figure2_shaped_grid():
+    return GridSpec(
+        seeds=[1],
+        learners=[
+            lambda: LogisticRegression(tuned=False),
+            lambda: DecisionTree(tuned=False),
+        ],
+        interventions=[
+            NoIntervention,
+            lambda: DIRemover(0.5),
+            lambda: DIRemover(1.0),
+            ReweighingPreProcessor,
+            lambda: RejectOptionPostProcessor(num_class_thresh=20, num_ROC_margin=15),
+            CalibratedEqOddsPostProcessor,
+        ],
+    )
+
+
+class _ScorelessModel:
+    def __init__(self, model):
+        self._model = model
+
+    def predict(self, features):
+        return self._model.predict(features)
+
+    def predict_scores(self, features):
+        return None
+
+
+class _ScorelessLearner(LogisticRegression):
+    def __init__(self):
+        super().__init__(tuned=False)
+
+    def fit_model(self, train_data, seed):
+        FIT_CALLS.append((seed, self.name(), _train_digest(train_data)))
+        return _ScorelessModel(super().fit_model(train_data, seed))
+
+
+class _RecordingCache(executors.FittedLearnerCache):
+    """Records the number of stored entries after every put."""
+
+    instances = []
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.sizes = []
+        _RecordingCache.instances.append(self)
+
+    def put(self, config, fitted):
+        super().put(config, fitted)
+        self.sizes.append(len(self))
+
+
+@pytest.fixture
+def fit_calls():
+    FIT_CALLS.clear()
+    yield FIT_CALLS
+    FIT_CALLS.clear()
+
+
+class TestFittedLearnerCache:
+    def test_byte_identical_and_one_fit_per_learner(self, german, fit_calls):
+        grid = post_processing_grid()
+        cached = run_grid(german, grid, executor=SerialExecutor())
+        configs = ExecutionPlan.for_grid(*german, grid).configs
+        distinct = {
+            (c.random_seed, c.components["pre_processor"], c.components["learners"])
+            for c in configs
+        }
+        assert len(distinct) == 8 and len(configs) == 16
+        assert len(fit_calls) == len(distinct)
+        assert set(Counter(fit_calls).values()) == {1}
+
+        fit_calls.clear()
+        uncached = run_grid(
+            german, grid, executor=SerialExecutor(share_preparation=False)
+        )
+        assert len(fit_calls) == len(configs)
+        parallel = run_grid(german, grid, executor=ParallelExecutor(jobs=2))
+        expected = [r.to_json() for r in uncached]
+        assert [r.to_json() for r in cached] == expected
+        assert [r.to_json() for r in parallel] == expected
+
+    def test_figure2_group_counts_two_hits_per_learner(self, german, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        telemetry.reset_for_tests()
+        try:
+            run_grid(german, figure2_shaped_grid(), executor=SerialExecutor())
+            counters = telemetry.metrics_state()["counters"]
+        finally:
+            telemetry.reset_for_tests()
+        # reject option and calibrated equalized odds reuse each learner's
+        # no-intervention fit
+        assert counters["executor.fitted_cache_hits"] == 2 * 2
+        # 12 runs over 4 distinct pre-processors
+        assert counters["executor.prepared_cache_hits"] == 12 - 4
+
+    def test_scores_check_runs_on_cache_hit(self, german, fit_calls):
+        grid = GridSpec(
+            seeds=[1],
+            learners=[_ScorelessLearner],
+            interventions=[NoIntervention, RejectOptionPostProcessor],
+        )
+        with pytest.raises(ValueError) as uncached:
+            run_grid(german, grid, executor=SerialExecutor(share_preparation=False))
+        fit_calls.clear()
+
+        plan = ExecutionPlan.for_grid(*german, grid)
+        runs = iter_config_group(plan, plan.configs)
+        config, result = next(runs)
+        assert config.intervention_index == 0 and result.run_key == config.run_key
+        with pytest.raises(ValueError) as cached:
+            next(runs)
+        # the reject-option run was served the cached fit, and still refused it
+        assert len(fit_calls) == 1
+        assert str(cached.value) == str(uncached.value)
+        assert "requires prediction scores" in str(cached.value)
+
+    def test_entries_evicted_after_last_consumer(self, german, monkeypatch):
+        monkeypatch.setattr(executors, "FittedLearnerCache", _RecordingCache)
+        _RecordingCache.instances.clear()
+        grid = GridSpec(
+            seeds=[1],
+            learners=[lambda: LogisticRegression(tuned=False)],
+            interventions=[
+                NoIntervention,
+                lambda: DIRemover(0.5),
+                RejectOptionPostProcessor,
+                CalibratedEqOddsPostProcessor,
+            ],
+        )
+        run_grid(german, grid, executor=SerialExecutor())
+        (cache,) = _RecordingCache.instances
+        # stored for the two post-processing runs, DIRemover's single-use
+        # fit never stored, dropped after its last consumer
+        assert cache.sizes == [1, 1, 1, 0]
+        assert len(cache) == 0
+
+    def test_single_use_keys_are_never_stored(self, german, monkeypatch):
+        monkeypatch.setattr(executors, "FittedLearnerCache", _RecordingCache)
+        _RecordingCache.instances.clear()
+        run_grid(german, small_grid(), executor=SerialExecutor())
+        assert len(_RecordingCache.instances) == 2  # one group per seed
+        for cache in _RecordingCache.instances:
+            assert cache.sizes == [0, 0]

@@ -39,6 +39,31 @@ class TestParams:
     def test_repr_contains_params(self):
         assert "a=3" in repr(_Toy(a=3))
 
+    def test_param_names_memo_is_per_class(self):
+        class _Wider(_Toy):
+            def __init__(self, a=1, b="x", nested=None, c=0.5):
+                super().__init__(a=a, b=b, nested=nested)
+                self.c = c
+
+        class _Inheriting(_Toy):
+            pass
+
+        # warm the parent's memo first: a subclass with its own __init__
+        # must not see it, one without must see the same names
+        assert _Toy._param_names() == ["a", "b", "nested"]
+        assert _Wider._param_names() == ["a", "b", "nested", "c"]
+        assert _Inheriting._param_names() == ["a", "b", "nested"]
+        assert _Wider(c=2.0).get_params() == {"a": 1, "b": "x", "nested": None, "c": 2.0}
+        assert clone(_Wider(c=3.0)).c == 3.0
+        with pytest.raises(ValueError, match="invalid parameter"):
+            _Toy().set_params(c=1)
+
+    def test_param_names_returns_a_fresh_list(self):
+        names = _Toy._param_names()
+        names.append("mutated")
+        assert _Toy._param_names() == ["a", "b", "nested"]
+        assert _Toy._param_names() is not _Toy._param_names()
+
 
 class TestClone:
     def test_clone_copies_hyperparameters(self):
