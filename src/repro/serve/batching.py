@@ -33,14 +33,16 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .. import telemetry
+from ..telemetry.metrics import SIZE_BOUNDS, Histogram
 from .scoring import DROPPED_RECORD_ERROR, ScoringEngine, records_to_frame
+
+BATCH_SIZE = "serve.batch_size"
+QUEUE_DEPTH = "serve.batch_queue_depth"
 
 
 class ServiceOverloaded(RuntimeError):
@@ -55,6 +57,19 @@ class BatcherClosed(RuntimeError):
     expired — a typed signal (the HTTP layer maps it to 503 + connection
     close) that the caller should retry against another worker.
     """
+
+
+def batching_stats(state: Dict[str, Any]) -> Dict[str, float]:
+    """The ``/metrics`` ``batching`` block of a registry state holding one
+    or more batchers' instruments (see :meth:`MicroBatcher.state`)."""
+    sizes = state["histograms"][BATCH_SIZE]
+    dispatched = sizes["count"]
+    return {
+        "batches_dispatched": float(dispatched),
+        "records_batched": float(sizes["sum"]),
+        "mean_batch_size": sizes["sum"] / dispatched if dispatched else 0.0,
+        "queue_depth": float(state["gauges"].get(QUEUE_DEPTH, 0.0)),
+    }
 
 
 class _Request:
@@ -88,16 +103,7 @@ class MicroBatcher:
         self._queue: List[_Request] = []  # guarded-by: _cond
         self._cond = threading.Condition()
         self._closed = False  # guarded-by: _cond
-        self._batches_dispatched = 0
-        self._coalesced_records = 0
-        # live queue-depth gauge, weakly bound: the registry entry must
-        # never keep a replaced batcher (its thread, its engine) alive
-        ref = weakref.ref(self)
-        telemetry.gauge("serve.batch_queue_depth").set_fn(
-            lambda: float(len(batcher._queue))
-            if (batcher := ref()) is not None
-            else 0.0
-        )
+        self._batch_sizes = Histogram(SIZE_BOUNDS)
         self._thread = threading.Thread(
             target=self._run, name="repro-microbatcher", daemon=True
         )
@@ -124,19 +130,19 @@ class MicroBatcher:
         """Submit and wait: the blocking call handler threads use."""
         return self.submit(record).result()
 
-    def stats(self) -> Dict[str, float]:
+    def state(self) -> Dict[str, Any]:
+        """This batcher's instruments as a registry state: the batch-size
+        histogram and the queue depth at the moment of the call."""
         with self._cond:
-            dispatched = self._batches_dispatched
-            coalesced = self._coalesced_records
             depth = len(self._queue)
         return {
-            "batches_dispatched": float(dispatched),
-            "records_batched": float(coalesced),
-            "mean_batch_size": (
-                coalesced / dispatched if dispatched else 0.0
-            ),
-            "queue_depth": float(depth),
+            "counters": {},
+            "gauges": {QUEUE_DEPTH: float(depth)},
+            "histograms": {BATCH_SIZE: self._batch_sizes.state()},
         }
+
+    def stats(self) -> Dict[str, float]:
+        return batching_stats(self.state())
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop the dispatcher; drain, then fail anything left with a type.
@@ -217,12 +223,7 @@ class MicroBatcher:
         return taken
 
     def _dispatch(self, batch: List[_Request]) -> None:
-        with self._cond:
-            self._batches_dispatched += 1
-            self._coalesced_records += len(batch)
-        telemetry.histogram(
-            "serve.batch_size", telemetry.SIZE_BOUNDS
-        ).observe(len(batch))
+        self._batch_sizes.observe(len(batch))
         if len(batch) == 1:
             self._score_individually(batch)
             return

@@ -22,13 +22,14 @@ Port sharing has two modes, picked automatically:
 The fleet stays *observable as one server*. Each worker exposes its raw
 :meth:`~repro.serve.service.ScoringService.state` on a per-worker unix
 control socket; hitting ``/metrics`` (or ``/healthz``) on **any** worker
-makes that worker collect every sibling's state and answer fleet-wide:
-counters are summed (each worker's sample is internally consistent, so
-``requests == successes + errors`` survives the sum), per-worker
-liveness (pid, uptime, queue depth) is listed, and the per-worker
-FairnessMonitor windows are combined with
+makes that worker collect every sibling's state and answer fleet-wide
+through the same :func:`~repro.serve.service.metrics_payload` a single
+worker uses: the workers' registry states are merged (``requests`` is
+derived as ``successes + errors``, so the invariant holds in any merge),
+the per-worker FairnessMonitor windows are combined with
 :meth:`~repro.serve.monitor.FairnessMonitor.from_states` into one merged
-fairness view with alerts evaluated at the fleet level.
+fairness view with alerts evaluated at the fleet level, and per-worker
+liveness (pid, uptime, queue depth) is listed.
 
 Lifecycle: the supervisor polls its children and respawns any that die;
 ``SIGTERM``/``SIGINT`` trigger a graceful drain — workers stop accepting,
@@ -49,8 +50,13 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from .monitor import FairnessMonitor
-from .service import ScoringService, dumps_strict, make_server
+from .service import (
+    ScoringService,
+    dumps_strict,
+    make_server,
+    metrics_payload,
+    request_summary,
+)
 
 SO_REUSEPORT_AVAILABLE = hasattr(socket, "SO_REUSEPORT")
 FORK_AVAILABLE = hasattr(os, "fork")
@@ -159,84 +165,38 @@ class FleetView:
         ]
 
     def health(self, service: ScoringService) -> Dict[str, Any]:
+        return self._overview(self.states(service))
+
+    def metrics(self, service: ScoringService) -> Dict[str, Any]:
         states = self.states(service)
-        workers = [self._liveness(i, s) for i, s in enumerate(states)]
-        alive = sum(1 for s in states if s is not None)
+        out = metrics_payload([s for s in states if s is not None])
+        out.update(self._overview(states))
+        return out
+
+    def _overview(self, states: List[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
+        """The ``fleet`` and ``workers`` blocks of /healthz and /metrics."""
         return {
             "fleet": {
                 "size": self.size,
                 "worker_index": self.index,
-                "workers_alive": alive,
+                "workers_alive": sum(1 for s in states if s is not None),
             },
-            "workers": workers,
-        }
-
-    def metrics(self, service: ScoringService) -> Dict[str, Any]:
-        states = self.states(service)
-        reachable = [s for s in states if s is not None]
-        out: Dict[str, Any] = {
-            "fleet": {
-                "size": self.size,
-                "worker_index": self.index,
-                "workers_alive": len(reachable),
-            },
-            "requests": sum(s["requests"] for s in reachable),
-            "successes": sum(s["successes"] for s in reachable),
-            "errors": sum(s["errors"] for s in reachable),
-            "records_scored": sum(s["records_scored"] for s in reachable),
             "workers": [self._liveness(i, s) for i, s in enumerate(states)],
         }
-        batching = [s["batching"] for s in reachable if "batching" in s]
-        if batching:
-            dispatched = sum(b["batches_dispatched"] for b in batching)
-            coalesced = sum(b["records_batched"] for b in batching)
-            out["batching"] = {
-                "batches_dispatched": dispatched,
-                "records_batched": coalesced,
-                "mean_batch_size": (
-                    coalesced / dispatched if dispatched else 0.0
-                ),
-                "queue_depth": sum(b["queue_depth"] for b in batching),
-            }
-        monitor_states = [s["monitor"] for s in reachable if "monitor" in s]
-        if monitor_states:
-            merged = FairnessMonitor.from_states(monitor_states)
-            snapshot = merged.snapshot()
-            out["monitor"] = snapshot
-            out["alerts"] = [
-                alert.describe() for alert in merged.check(snapshot)
-            ]
-        out["handler_errors"] = sum(
-            s.get("handler_errors", 0) for s in reachable
-        )
-        telemetry_states = [
-            s["telemetry"]
-            for s in reachable
-            if isinstance(s.get("telemetry"), dict)
-        ]
-        if telemetry_states:
-            out["telemetry"] = telemetry.merge_states(telemetry_states)
-        return out
 
     @staticmethod
     def _liveness(index: int, state: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         if state is None:
             return {"index": index, "status": "unreachable"}
-        summary = {
+        return {
             "index": index,
             "status": "ok",
             "pid": state["pid"],
             "uptime_seconds": state["uptime_seconds"],
             "queue_depth": state["queue_depth"],
             "inflight": state["inflight"],
-            "requests": state["requests"],
-            "successes": state["successes"],
-            "errors": state["errors"],
-            "records_scored": state["records_scored"],
+            **request_summary(state["telemetry"]),
         }
-        if "latency_ms" in state:
-            summary["latency_ms"] = state["latency_ms"]
-        return summary
 
 
 # ----------------------------------------------------------------------

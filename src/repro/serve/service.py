@@ -37,7 +37,15 @@ from socketserver import StreamRequestHandler
 from typing import Any, Dict, List, Optional
 
 from .. import telemetry
-from .batching import BatcherClosed, MicroBatcher, ServiceOverloaded
+from ..telemetry.metrics import MetricsRegistry, bucket_quantile
+from .batching import (
+    BATCH_SIZE,
+    QUEUE_DEPTH,
+    BatcherClosed,
+    MicroBatcher,
+    ServiceOverloaded,
+    batching_stats,
+)
 from .monitor import FairnessMonitor
 from .scoring import ScoringEngine, records_to_frame
 
@@ -88,6 +96,11 @@ class ScoringService:
     :class:`MicroBatcher` (bounded queue + dispatcher thread) so concurrent
     point queries are scored in one vectorized pass; ``max_batch=1``
     preserves the inline thread-per-request behavior.
+
+    Every serving number lives in the service's own
+    :class:`~repro.telemetry.metrics.MetricsRegistry` (``instruments``),
+    never in the process-global one, so services sharing a process keep
+    separate counts and ``REPRO_TELEMETRY=0`` leaves ``/metrics`` intact.
     """
 
     def __init__(
@@ -112,12 +125,15 @@ class ScoringService:
                 max_wait_ms=max_wait_ms,
                 max_queue=max_queue,
             )
+        self.instruments = MetricsRegistry()
+        self._succeeded = self.instruments.counter("serve.successes")
+        self._failed = self.instruments.counter("serve.errors")
+        self._scored = self.instruments.counter("serve.records_scored")
+        self._latency_ms = self.instruments.histogram(
+            "serve.request_latency_ms", telemetry.LATENCY_BOUNDS_MS
+        )
         self._lock = threading.Lock()
-        self._requests = 0  # guarded-by: _lock
-        self._records_scored = 0  # guarded-by: _lock
-        self._errors = 0  # guarded-by: _lock
         self._inflight = 0  # guarded-by: _lock
-        self._latencies: List[float] = []  # guarded-by: _lock
         self._started_at = time.time()
         # set by the fleet layer: a FleetView makes /healthz and /metrics
         # aggregate across workers; draining=True closes keep-alive
@@ -169,67 +185,30 @@ class ScoringService:
     def metrics(self) -> Dict[str, Any]:
         if self.fleet is not None:
             return self.fleet.metrics(self)
-        return self.local_metrics()
-
-    def local_metrics(self) -> Dict[str, Any]:
-        with self._lock:
-            latencies = sorted(self._latencies[-1000:])
-            out: Dict[str, Any] = {
-                "requests": self._requests,
-                "records_scored": self._records_scored,
-                "errors": self._errors,
-            }
-        if latencies:
-            out["latency_ms"] = {
-                "p50": _percentile(latencies, 0.50),
-                "p95": _percentile(latencies, 0.95),
-                "max": latencies[-1],
-            }
-        if self._batcher is not None:
-            out["batching"] = self._batcher.stats()
-        if self.monitor is not None:
-            snapshot = self.monitor.snapshot()
-            out["monitor"] = snapshot
-            out["alerts"] = [
-                alert.describe() for alert in self.monitor.check(snapshot)
-            ]
-        out["handler_errors"] = telemetry.counter("serve.handler_errors").value
-        out["telemetry"] = telemetry.metrics_state()
-        return out
+        return metrics_payload([self.state()])
 
     def state(self) -> Dict[str, Any]:
-        """Raw per-worker state for fleet aggregation (control socket).
-
-        Counters are sampled under one lock acquisition, so the invariant
-        ``requests == successes + errors`` holds within every sample — and
-        therefore in any sum of samples across workers.
-        """
+        """This worker's raw state: liveness, monitor window, and one
+        ``telemetry`` registry state (the service's instruments, the
+        batcher's, and the process registry, merged). :func:`metrics_payload`
+        turns a list of these into ``/metrics``; the fleet ships them over
+        its control sockets."""
         with self._lock:
-            latencies = sorted(self._latencies[-1000:])
-            out: Dict[str, Any] = {
-                "pid": os.getpid(),
-                "requests": self._requests,
-                "successes": self._requests - self._errors,
-                "errors": self._errors,
-                "records_scored": self._records_scored,
-                "inflight": self._inflight,
-                "uptime_seconds": time.time() - self._started_at,
-            }
-        if latencies:
-            out["latency_ms"] = {
-                "p50": _percentile(latencies, 0.50),
-                "p95": _percentile(latencies, 0.95),
-                "max": latencies[-1],
-            }
-        out["queue_depth"] = 0.0
+            inflight = self._inflight
+        registries = [self.instruments.state(), telemetry.metrics_state()]
+        out: Dict[str, Any] = {
+            "pid": os.getpid(),
+            "uptime_seconds": time.time() - self._started_at,
+            "inflight": inflight,
+            "queue_depth": 0.0,
+        }
         if self._batcher is not None:
-            stats = self._batcher.stats()
-            out["batching"] = stats
-            out["queue_depth"] = stats["queue_depth"]
+            batcher = self._batcher.state()
+            registries.append(batcher)
+            out["queue_depth"] = batcher["gauges"][QUEUE_DEPTH]
         if self.monitor is not None:
             out["monitor"] = self.monitor.state()
-        out["handler_errors"] = telemetry.counter("serve.handler_errors").value
-        out["telemetry"] = telemetry.metrics_state()
+        out["telemetry"] = telemetry.merge_states(registries)
         return out
 
     def score(self, payload: Any) -> Dict[str, Any]:
@@ -256,25 +235,16 @@ class ScoringService:
                 )
             return result
         finally:
-            # one locked update per request keeps the /metrics counters
-            # mutually consistent: requests == successes + errors always,
-            # and records_scored never counts a failed request
-            elapsed = (time.time() - started) * 1000.0
-            telemetry.histogram(
-                "serve.request_latency_ms", telemetry.LATENCY_BOUNDS_MS
-            ).observe(elapsed)
+            # an error is an exception out of this call; records_scored
+            # never counts a failed request
+            self._latency_ms.observe((time.time() - started) * 1000.0)
             if result is None:
-                telemetry.counter("serve.request_errors").inc()
+                self._failed.inc()
+            else:
+                self._scored.inc(result.get("records_scored", 0))
+                self._succeeded.inc()
             with self._lock:
                 self._inflight -= 1
-                self._requests += 1
-                if result is None:
-                    self._errors += 1
-                else:
-                    self._records_scored += result.get("records_scored", 0)
-                self._latencies.append(elapsed)
-                if len(self._latencies) > 10000:
-                    del self._latencies[: len(self._latencies) - 1000]
 
     def _score_batch(self, records: List[Dict[str, Any]]) -> Dict[str, Any]:
         if not records:
@@ -291,6 +261,57 @@ class ScoringService:
         if not batch.row_mask.all():
             out["scored_rows"] = [int(i) for i in batch.row_mask.nonzero()[0]]
         return out
+
+
+def request_summary(state: Dict[str, Any]) -> Dict[str, Any]:
+    """Request counts and latency read from one (merged) registry state.
+
+    ``requests`` is derived, never stored, so ``requests == successes +
+    errors`` holds by construction in every worker's state and in any sum
+    of them. Latency quantiles are the upper bounds of the histogram
+    buckets that hold them (``None`` in the overflow bucket).
+    """
+    counters = state["counters"]
+    successes = counters.get("serve.successes", 0)
+    errors = counters.get("serve.errors", 0)
+    out: Dict[str, Any] = {
+        "requests": successes + errors,
+        "successes": successes,
+        "errors": errors,
+        "records_scored": counters.get("serve.records_scored", 0),
+    }
+    latency = state["histograms"].get("serve.request_latency_ms")
+    if latency is not None and latency["count"]:
+        out["latency_ms"] = {
+            name: bucket_quantile(latency, q)
+            for name, q in (("p50", 0.50), ("p95", 0.95), ("max", 1.0))
+        }
+    return out
+
+
+def metrics_payload(states: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``/metrics`` document of one or more workers' states.
+
+    ``states`` are :meth:`ScoringService.state` dicts: one for a single
+    process, every reachable worker's for a fleet. Their ``telemetry``
+    blocks are merged once and every count is read from the merge; the
+    monitor windows are combined by
+    :meth:`~repro.serve.monitor.FairnessMonitor.from_states`, so alerts
+    are evaluated over the whole window.
+    """
+    merged = telemetry.merge_states(state["telemetry"] for state in states)
+    out = request_summary(merged)
+    if BATCH_SIZE in merged["histograms"]:
+        out["batching"] = batching_stats(merged)
+    monitors = [state["monitor"] for state in states if "monitor" in state]
+    if monitors:
+        monitor = FairnessMonitor.from_states(monitors)
+        snapshot = monitor.snapshot()
+        out["monitor"] = snapshot
+        out["alerts"] = [alert.describe() for alert in monitor.check(snapshot)]
+    out["handler_errors"] = merged["counters"].get("serve.handler_errors", 0)
+    out["telemetry"] = merged
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +344,9 @@ def make_server(
     serves many requests, no per-request TCP setup), single-write buffered
     responses with ``TCP_NODELAY`` (the stdlib handler's unbuffered header
     writes interact with Nagle + delayed ACKs into ~40ms stalls per
-    keep-alive response), and a two-field header scan — this endpoint only
-    ever needs ``Content-Length`` and ``Connection``, so the stdlib's
-    email-module header parsing is pure per-request overhead.
+    keep-alive response), and a scan of only the few headers this endpoint
+    acts on — the stdlib's email-module header parsing is pure per-request
+    overhead here.
 
     Fleet hooks: pass an already-listening ``sock`` to adopt it instead of
     binding (the pre-fork fallback, where every worker accepts on one
@@ -354,11 +375,11 @@ def make_server(
         def _one_request(self) -> bool:
             """Serve one request; return True to keep the connection."""
             line = self.rfile.readline(_MAX_LINE + 1)
-            if not line:
-                return False
             if len(line) > _MAX_LINE:
                 self._respond(431, {"error": "request line too long"}, False)
                 return False
+            if not line.endswith(b"\n"):
+                return False  # EOF, possibly mid-line: no request to answer
             try:
                 method, path, version = line.split()
             except ValueError:
@@ -366,7 +387,7 @@ def make_server(
                 return False
             keep_alive_default = version != b"HTTP/1.0"
             keep_alive = keep_alive_default
-            content_length = 0
+            content_length: Optional[int] = None
             while True:
                 header = self.rfile.readline(_MAX_LINE + 1)
                 if not header or len(header) > _MAX_LINE:
@@ -378,14 +399,29 @@ def make_server(
                 if not colon:
                     continue
                 name = name.strip().lower()
+                value = value.strip()
                 if name == b"content-length":
-                    try:
-                        content_length = int(value)
-                    except ValueError:
+                    # plain ASCII digits only (int() would also take "+5"
+                    # and "1_0", and refuse 5000 digits by raising), and
+                    # repeats must agree: framing that two parsers could
+                    # read differently is a smuggling vector
+                    if (
+                        not value.isdigit()
+                        or len(value) > 18
+                        or content_length not in (None, int(value))
+                    ):
                         self._respond(400, {"error": "bad Content-Length"}, False)
                         return False
+                    content_length = int(value)
+                elif name == b"transfer-encoding":
+                    # a proxy honouring it would frame the body differently
+                    # from a Content-Length reading; refuse, never guess
+                    self._respond(
+                        501, {"error": "Transfer-Encoding is not supported"}, False
+                    )
+                    return False
                 elif name == b"connection":
-                    token = value.strip().lower()
+                    token = value.lower()
                     keep_alive = (
                         token != b"close"
                         if keep_alive_default
@@ -395,52 +431,49 @@ def make_server(
                     self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
                     self.wfile.flush()
             return self._dispatch(
-                method, path.decode("latin-1"), content_length, keep_alive
+                method, path.decode("latin-1"), content_length or 0, keep_alive
             )
 
         def _dispatch(
             self, method: bytes, path: str, length: int, keep_alive: bool
         ) -> bool:
-            if method == b"GET":
-                route, _, query = path.partition("?")
+            if method not in (b"GET", b"POST"):
+                route = method.decode("latin-1")
+                return self._respond(
+                    501, {"error": f"unsupported method {route}"}, False
+                )
+            # every route consumes its body, so body bytes are never parsed
+            # as the next keep-alive request; one too large to read is left
+            # unread and the connection closes after the answer
+            body = b""
+            if length > MAX_BODY_BYTES:
+                keep_alive = False
+            elif length:
+                body = self.rfile.read(length)
+            route, _, query = path.partition("?")
+            if method == b"GET" and route in ("/healthz", "/metrics"):
                 try:
                     if route == "/healthz":
                         return self._respond(200, service.health(), keep_alive)
-                    if route == "/metrics":
-                        if "format=prometheus" in query:
-                            return self._respond_text(
-                                200,
-                                render_exposition(service.metrics()),
-                                keep_alive,
-                            )
-                        return self._respond(200, service.metrics(), keep_alive)
+                    if "format=prometheus" in query:
+                        return self._respond_text(
+                            200, render_exposition(service.metrics()), keep_alive
+                        )
+                    return self._respond(200, service.metrics(), keep_alive)
                 except Exception as error:  # pragma: no cover - defensive
                     return self._respond(
                         500,
                         {"error": f"{type(error).__name__}: {error}"},
                         keep_alive,
                     )
+            if method == b"GET" or path != "/score":
                 return self._respond(404, {"error": f"no route {path}"}, keep_alive)
-            if method != b"POST":
-                route = method.decode("latin-1")
-                return self._respond(
-                    501, {"error": f"unsupported method {route}"}, False
-                )
-            if path != "/score":
-                if 0 < length <= MAX_BODY_BYTES:
-                    self.rfile.read(length)  # keep the connection in sync
-                    return self._respond(
-                        404, {"error": f"no route {path}"}, keep_alive
-                    )
-                return self._respond(404, {"error": f"no route {path}"}, False)
-            if length <= 0 or length > MAX_BODY_BYTES:
-                # the body was never read; drop the connection so leftover
-                # bytes cannot be parsed as the next keep-alive request
+            if not body:
                 return self._respond(
                     400, {"error": "missing or oversized request body"}, False
                 )
             try:
-                payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                payload = json.loads(body.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as error:
                 return self._respond(
                     400, {"error": f"invalid JSON: {error}"}, keep_alive
@@ -561,33 +594,19 @@ def handle_connection_error(client_address: Any) -> None:
 
 
 def render_exposition(metrics: Dict[str, Any]) -> str:
-    """Prometheus text form of a ``/metrics`` payload (local or fleet).
-
-    The service's own locked counters map onto ``serve_*`` series; the
-    embedded telemetry registry state (already fleet-merged when the
-    payload came through a FleetView) renders as-is. The two never share
-    a name, so the overlay cannot double-count.
-    """
-    base = {
-        "counters": {
-            "serve.requests": int(metrics.get("requests", 0)),
-            "serve.errors": int(metrics.get("errors", 0)),
-            "serve.records_scored": int(metrics.get("records_scored", 0)),
-        },
+    """Prometheus text form of a :func:`metrics_payload` (local or fleet):
+    its merged registry state plus the derived ``serve.requests`` series
+    and, for a fleet, its size and live-worker gauges."""
+    derived: Dict[str, Any] = {
+        "counters": {"serve.requests": metrics["requests"]},
         "gauges": {},
-        "histograms": {},
     }
     fleet = metrics.get("fleet")
     if isinstance(fleet, dict):
-        base["gauges"]["serve.fleet_size"] = float(fleet.get("size", 0))
-        base["gauges"]["serve.workers_alive"] = float(
-            fleet.get("workers_alive", 0)
-        )
-    state = metrics.get("telemetry")
-    merged = telemetry.merge_states([base, state]) if state else base
-    return telemetry.render_prometheus(merged)
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
+        derived["gauges"] = {
+            "serve.fleet_size": float(fleet["size"]),
+            "serve.workers_alive": float(fleet["workers_alive"]),
+        }
+    return telemetry.render_prometheus(
+        telemetry.merge_states([derived, metrics.get("telemetry")])
+    )

@@ -1,18 +1,21 @@
 """Process-local metrics: counters, gauges, and fixed-bucket histograms.
 
-The instruments live in a process-global :class:`MetricsRegistry` and are
-deliberately simple — a counter is one attribute add, a gauge one store —
-so leaving metrics enabled by default costs nanoseconds per event. Only
-histograms take a lock (their observation updates three fields that must
-stay mutually consistent); every lock in the registry is re-armed after
+The instruments live in a :class:`MetricsRegistry`: the process-global
+one behind :func:`repro.telemetry.counter` and friends, or one owned by
+an object such as a scoring service. They are deliberately simple — a
+counter is one attribute add, a gauge one store — so leaving metrics
+enabled by default costs nanoseconds per event. Only histograms take a
+lock (their observation updates three fields that must stay mutually
+consistent); every lock in the process registry is re-armed after
 ``fork()`` so a child process never inherits a lock a coordinator thread
 happened to hold mid-increment.
 
-Two pure functions turn registry snapshots into transportable/renderable
-form: :func:`merge_states` sums the state dicts of many processes (the
-serving fleet's per-worker registries) into one, and
-:func:`render_prometheus` emits the Prometheus text exposition format
-(``# TYPE`` headers, cumulative ``_bucket{le=...}`` counts).
+Pure functions turn registry snapshots into transportable/renderable
+form: :func:`merge_states` sums the state dicts of many registries (the
+serving fleet's per-worker ones) into one, :func:`bucket_quantile` reads
+a quantile off a histogram state, and :func:`render_prometheus` emits
+the Prometheus text exposition format (``# TYPE`` headers, cumulative
+``_bucket{le=...}`` counts).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import bisect
 import re
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: request-latency style bounds, in milliseconds
 LATENCY_BOUNDS_MS: Tuple[float, ...] = (
@@ -32,8 +35,9 @@ SIZE_BOUNDS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 class Counter:
     """A monotonically increasing count. ``inc`` is a single attribute
-    add — racy under free threading in the worst case (a lost increment),
-    never a deadlock — which keeps it safe to call around ``fork()``."""
+    add with no lock, which keeps it safe to call around ``fork()``. Under
+    the GIL no increment is lost (a stress test pins this); a
+    free-threaded build could lose one, never deadlock."""
 
     __slots__ = ("_value",)
 
@@ -49,29 +53,17 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value: either set explicitly or computed on read
-    by a callback (e.g. a queue-depth probe)."""
+    """A point-in-time value, set explicitly."""
 
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_value",)
 
     def __init__(self):
         self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
-        self._fn = None
         self._value = float(value)
 
-    def set_fn(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
     def value(self) -> float:
-        fn = self._fn
-        if fn is not None:
-            try:
-                return float(fn())
-            except Exception:
-                return float("nan")
         return self._value
 
 
@@ -113,7 +105,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name → instrument map for one process."""
+    """Name → instrument map (one per process, or one per owner)."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -169,7 +161,7 @@ class MetricsRegistry:
 # pure state transforms
 # ----------------------------------------------------------------------
 def merge_states(states: Iterable[dict]) -> dict:
-    """Sum many registry snapshots (one per process) into one.
+    """Sum many registry snapshots (one per registry) into one.
 
     Counters and gauges add; histograms add bucket-wise when their bounds
     agree (they always do for same-name instruments created by this
@@ -207,6 +199,22 @@ def merge_states(states: Iterable[dict]) -> dict:
         "gauges": dict(sorted(gauges.items())),
         "histograms": dict(sorted(histograms.items())),
     }
+
+
+def bucket_quantile(hist: dict, q: float) -> Optional[float]:
+    """Upper bound of the bucket holding the ``q``-quantile of a histogram
+    state, or ``None`` when that bucket is the overflow one.
+
+    The quantile is the observation a sorted list would hold at index
+    ``round(q * (count - 1))``, so ``q=1.0`` reads the maximum's bucket.
+    """
+    target = int(round(q * (hist["count"] - 1))) + 1
+    cumulative = 0
+    for bound, count in zip(hist["bounds"], hist["counts"]):
+        cumulative += count
+        if cumulative >= target:
+            return float(bound)
+    return None
 
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -270,9 +278,6 @@ class NoopGauge:
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        pass
-
-    def set_fn(self, fn) -> None:
         pass
 
     def value(self) -> float:

@@ -1,6 +1,6 @@
 """Serving-side telemetry: fleet /metrics aggregation when workers die
-mid-scrape, connection-handler error accounting, and the Prometheus
-exposition of a metrics payload."""
+mid-scrape, connection-handler error accounting, the /metrics payload
+derived from registry states, and its Prometheus exposition."""
 
 import json
 import socket
@@ -10,7 +10,12 @@ import pytest
 
 from repro import telemetry
 from repro.serve.fleet import FleetView, _ControlServer, _read_control_state
-from repro.serve.service import handle_connection_error, render_exposition
+from repro.serve.service import (
+    ScoringService,
+    handle_connection_error,
+    metrics_payload,
+    render_exposition,
+)
 import repro.serve.service as service_module
 
 
@@ -21,20 +26,23 @@ def clean_telemetry():
     telemetry.reset_for_tests()
 
 
-def _worker_state(requests, errors, records=None, pid=1000):
-    """A consistent worker state dict: requests == successes + errors."""
+def _worker_state(requests, errors, records=None, pid=1000, handler_errors=0):
+    """A worker state dict in ScoringService.state() form: the request
+    counts live only in its telemetry registry state."""
     return {
         "pid": pid,
-        "requests": requests,
-        "successes": requests - errors,
-        "errors": errors,
-        "records_scored": records if records is not None else requests,
         "inflight": 0,
         "uptime_seconds": 1.0,
         "queue_depth": 0.0,
-        "handler_errors": 0,
         "telemetry": {
-            "counters": {"serve.request_errors": errors},
+            "counters": {
+                "serve.successes": requests - errors,
+                "serve.errors": errors,
+                "serve.records_scored": (
+                    records if records is not None else requests
+                ),
+                "serve.handler_errors": handler_errors,
+            },
             "gauges": {},
             "histograms": {},
         },
@@ -126,10 +134,8 @@ class TestFleetViewDeadWorkers:
         assert out["requests"] == out["errors"] + out["successes"] == 3
 
     def test_telemetry_and_handler_errors_merge_fleet_wide(self, tmp_path):
-        own = _worker_state(4, 1, pid=1)
-        own["handler_errors"] = 2
-        sibling = _worker_state(6, 2, pid=2)
-        sibling["handler_errors"] = 3
+        own = _worker_state(4, 1, pid=1, handler_errors=2)
+        sibling = _worker_state(6, 2, pid=2, handler_errors=3)
         view, _, servers = self._fleet(tmp_path, [sibling])
         try:
             out = view.metrics(_FakeService(own))
@@ -137,7 +143,9 @@ class TestFleetViewDeadWorkers:
             for server in servers:
                 server.stop()
         assert out["handler_errors"] == 5
-        assert out["telemetry"]["counters"]["serve.request_errors"] == 3
+        assert out["telemetry"]["counters"]["serve.errors"] == 3
+        # per-worker summaries come from each worker's own registry state
+        assert [w["requests"] for w in out["workers"]] == [4, 6]
 
 
 class TestHandleConnectionError:
@@ -185,9 +193,10 @@ class TestHandleConnectionError:
 class TestRenderExposition:
     def test_local_payload_renders_service_counters(self):
         text = render_exposition(
-            {"requests": 12, "errors": 2, "records_scored": 40}
+            metrics_payload([_worker_state(12, 2, records=40)])
         )
         assert "repro_serve_requests_total 12" in text
+        assert "repro_serve_successes_total 10" in text
         assert "repro_serve_errors_total 2" in text
         assert "repro_serve_records_scored_total 40" in text
 
@@ -218,17 +227,77 @@ class TestRenderExposition:
         assert "repro_serve_batch_queue_depth 2" in text
         assert 'repro_serve_request_latency_ms_bucket{le="+Inf"} 4' in text
 
-    def test_service_counters_never_double_count_telemetry(self):
-        # the request counters come only from the service overlay: the
-        # telemetry registry deliberately uses different names
-        telemetry.counter("serve.request_errors").inc(3)
-        text = render_exposition(
-            {
-                "requests": 5,
-                "errors": 3,
-                "records_scored": 2,
-                "telemetry": telemetry.metrics_state(),
-            }
-        )
-        assert "repro_serve_errors_total 3" in text
-        assert "repro_serve_request_errors_total 3" in text
+    def test_requests_series_is_derived_from_successes_and_errors(self):
+        # two workers merged: the requests series is their summed
+        # successes + errors, and no second error counter exists
+        payload = metrics_payload([_worker_state(5, 3), _worker_state(4, 1)])
+        text = render_exposition(payload)
+        assert "repro_serve_requests_total 9" in text
+        assert "repro_serve_successes_total 5" in text
+        assert "repro_serve_errors_total 4" in text
+        assert "request_errors" not in text
+        assert "serve.requests" not in payload["telemetry"]["counters"]
+
+
+class _EchoEngine:
+    """Just enough of a ScoringEngine for ScoringService.score()."""
+
+    monitor = None
+
+    def score_record(self, record):
+        return {"label": 1.0}
+
+
+class TestMetricsPayload:
+    def test_counts_are_per_service_and_survive_the_kill_switch(self, monkeypatch):
+        # the serving counters live in each service's own registry: a
+        # second service in the process and REPRO_TELEMETRY=0 change nothing
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        telemetry.reset_for_tests()
+        first, second = ScoringService(_EchoEngine()), ScoringService(_EchoEngine())
+        first.score({"x": 1})
+        with pytest.raises(ValueError):
+            first.score([1])
+        second.score({"x": 1})
+        metrics = first.metrics()
+        assert (metrics["requests"], metrics["successes"], metrics["errors"]) == (2, 1, 1)
+        assert metrics["records_scored"] == 1
+        assert metrics["latency_ms"]["max"] is not None
+        assert second.metrics()["requests"] == 1
+
+    def test_latency_is_read_from_bucket_bounds(self):
+        state = _worker_state(4, 0)
+        state["telemetry"]["histograms"]["serve.request_latency_ms"] = {
+            "bounds": [1.0, 5.0, 10.0],
+            "counts": [2, 1, 0, 1],
+            "sum": 120.0,
+            "count": 4,
+        }
+        latency = metrics_payload([state])["latency_ms"]
+        # nearest rank round(q * (n - 1)): p50 is the 3rd of 4 samples
+        assert latency["p50"] == 5.0
+        # p95 and max sit in the overflow bucket: no upper bound to report
+        assert latency["p95"] is None
+        assert latency["max"] is None
+
+    def test_no_latency_before_the_first_request(self):
+        assert "latency_ms" not in metrics_payload([_worker_state(0, 0)])
+
+    def test_batching_block_is_read_from_the_batch_size_histogram(self):
+        state = _worker_state(6, 0)
+        state["telemetry"]["gauges"]["serve.batch_queue_depth"] = 3.0
+        state["telemetry"]["histograms"]["serve.batch_size"] = {
+            "bounds": [1.0, 2.0, 4.0],
+            "counts": [1, 0, 1, 0],
+            "sum": 5.0,
+            "count": 2,
+        }
+        assert metrics_payload([state])["batching"] == {
+            "batches_dispatched": 2.0,
+            "records_batched": 5.0,
+            "mean_batch_size": 2.5,
+            "queue_depth": 3.0,
+        }
+
+    def test_inline_worker_has_no_batching_block(self):
+        assert "batching" not in metrics_payload([_worker_state(1, 0)])

@@ -1,7 +1,8 @@
 """Metric primitives: counters, gauges, histograms, registry state,
-cross-process merging, and Prometheus text exposition."""
+cross-process merging, bucket quantiles, and Prometheus text exposition."""
 
-import math
+import sys
+import threading
 
 import pytest
 
@@ -22,24 +23,46 @@ class TestCounter:
         assert m.NOOP_COUNTER.value == 0
 
 
+class TestConcurrentExactness:
+    def test_counters_and_histograms_lose_nothing_under_threads(self):
+        """Serving counts rely on ``Counter.inc`` without a lock: 8 threads
+        x 200k increments, racing histogram observers, must sum exactly."""
+        counter = m.Counter()
+        hist = m.Histogram(bounds=(1.0, 2.0, 4.0))
+        n_threads, per_thread, observations = 8, 200_000, 20_000
+
+        def increment():
+            for _ in range(per_thread):
+                counter.inc()
+
+        def observe():
+            for k in range(observations):
+                hist.observe(k % 5)
+
+        threads = [threading.Thread(target=increment) for _ in range(n_threads)]
+        threads += [threading.Thread(target=observe) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter.value == n_threads * per_thread
+        state = hist.state()
+        assert state["count"] == sum(state["counts"]) == 4 * observations
+        assert state["counts"] == [32_000, 16_000, 32_000, 0]
+        assert state["sum"] == 4 * sum(k % 5 for k in range(observations))
+
+
 class TestGauge:
     def test_set_and_read(self):
         g = m.Gauge()
         g.set(3.5)
         assert g.value() == 3.5
-
-    def test_set_fn_is_sampled_lazily(self):
-        g = m.Gauge()
-        box = [1.0]
-        g.set_fn(lambda: box[0])
-        assert g.value() == 1.0
-        box[0] = 7.0
-        assert g.value() == 7.0
-
-    def test_failing_set_fn_reads_as_nan(self):
-        g = m.Gauge()
-        g.set_fn(lambda: 1 / 0)
-        assert math.isnan(g.value())
 
     def test_noop_gauge(self):
         m.NOOP_GAUGE.set(5.0)
@@ -125,6 +148,21 @@ class TestMergeStates:
     def test_empty_input(self):
         merged = m.merge_states([])
         assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+class TestBucketQuantile:
+    HIST = {"bounds": [1.0, 5.0, 10.0], "counts": [2, 1, 1, 0], "sum": 9.0, "count": 4}
+
+    @pytest.mark.parametrize(
+        "q, bound", [(0.0, 1.0), (0.25, 1.0), (0.5, 5.0), (0.95, 10.0), (1.0, 10.0)]
+    )
+    def test_upper_bound_of_the_bucket_holding_the_rank(self, q, bound):
+        assert m.bucket_quantile(self.HIST, q) == bound
+
+    def test_overflow_bucket_has_no_bound(self):
+        hist = dict(self.HIST, counts=[2, 1, 0, 1])
+        assert m.bucket_quantile(hist, 0.5) == 5.0
+        assert m.bucket_quantile(hist, 1.0) is None
 
 
 class TestPrometheusRendering:
