@@ -38,6 +38,8 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# the repository root, for the frozen reference implementations in tests/
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from repro.core.featurization import Featurizer
 from repro.core.learners import DECISION_TREE_GRID
@@ -50,6 +52,7 @@ from repro.learn import (
     SGDClassifier,
     confusion_matrix,
 )
+from tests.learn.reference_impl import fit_ovr_per_class
 
 # committed next to the benchmark (benchmarks/results/ is gitignored) so
 # the perf trajectory is recorded in-repo
@@ -296,15 +299,13 @@ def check_invariants(n_rows: int) -> None:
     ).fit(X, y)
     assert serial.cv_results_ == fanned.cv_results_, "n_jobs changed grid scores"
 
-    # 3. vectorized one-vs-rest == the per-class loop, byte for byte
+    # 3. vectorized one-vs-rest == the frozen per-class binary loop
     Xm, ym = _multiclass(400, 12, 4)
     model = SGDClassifier(loss="log", max_iter=5, batch_size=32, random_state=3)
     model.fit(Xm, ym)
-    for index, klass in enumerate(model.classes_):
-        signs = np.where(ym == klass, 1.0, -1.0)
-        w, b = model._fit_binary(Xm, signs, np.ones(len(ym)))
-        assert np.array_equal(model.coef_[index], w), "OvR coefficients drifted"
-        assert model.intercept_[index] == b, "OvR intercepts drifted"
+    coef, intercept = fit_ovr_per_class(model, Xm, ym)
+    assert np.array_equal(model.coef_, coef), "OvR coefficients drifted"
+    assert np.array_equal(model.intercept_, intercept), "OvR intercepts drifted"
 
     # 4. coded confusion matrix == the dict-lookup accumulation
     rng = np.random.default_rng(1)

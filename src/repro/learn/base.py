@@ -161,6 +161,8 @@ def check_sample_weight(sample_weight, n_rows: int) -> np.ndarray:
         raise ValueError(
             f"sample_weight shape {sample_weight.shape} does not match {n_rows} rows"
         )
+    if not np.isfinite(sample_weight).all():
+        raise ValueError("sample_weight entries must be finite")
     if (sample_weight < 0).any():
         raise ValueError("sample_weight entries must be non-negative")
     if sample_weight.sum() == 0:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import telemetry
 from ..serialize import labels_from_state, labels_to_state, serializable
 from .base import (
     BaseEstimator,
@@ -21,30 +22,30 @@ from .base import (
     check_labels,
     check_matrix,
     check_sample_weight,
+    clone,
 )
 
 _LOSSES = ("log", "hinge")
 _PENALTIES = ("l2", "l1", "elasticnet", "none")
+
+# hyperparameters in which the candidates of one stacked SGD fit may
+# differ; every other parameter is shared by the whole stack
+_STACKED = ("penalty", "alpha", "l1_ratio", "tol")
 
 # full-batch one-vs-rest: stack targets into one (targets × samples)
 # problem only while the intermediates stay cache-sized; beyond this the
 # per-target loop is faster (both paths are byte-identical)
 _OVR_STACK_LIMIT = 16384
 
-# minibatch one-vs-rest keeps its per-batch working set small, so its
-# stacked signs matrix is capped only by memory (128 MB of float64),
-# past which the per-class loop bounds allocation at O(n)
-_OVR_SIGNS_LIMIT = 1 << 24
+_SCHEDULE_BLOCK = 1024  # batches per block of the SGD schedule built at once
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    expz = np.exp(z[~positive])
-    out[~positive] = expz / (1.0 + expz)
-    return out
+    """Numerically stable logistic function: ``1 / (1 + exp(-z))`` for
+    ``z >= 0`` and ``exp(z) / (1 + exp(z))`` below, one ``exp(-|z|)``."""
+    expz = np.exp(-np.abs(z))
+    denominator = 1.0 + expz
+    return np.where(z >= 0, 1.0 / denominator, expz / denominator)
 
 
 @serializable
@@ -96,6 +97,33 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
     # fitting
     # ------------------------------------------------------------------
     def fit(self, X, y, sample_weight=None) -> "SGDClassifier":
+        self._check_params()
+        _train([self], *_check_data(X, y, sample_weight))
+        return self
+
+    def fit_candidates(self, candidates, X, y, sample_weight=None):
+        """Fit one model per parameter dict, stacking compatible candidates.
+
+        Grid-search hook: candidates that differ only in ``penalty``,
+        ``alpha``, ``l1_ratio`` or ``tol`` share one epoch loop, because
+        with a common ``random_state`` every one of them draws the same
+        permutation each epoch. Candidates that differ in anything else
+        form separate stacks. Every returned estimator is byte-identical
+        to an individual ``fit``.
+        """
+        models = [clone(self).set_params(**params) for params in candidates]
+        for model in models:
+            model._check_params()
+        data = _check_data(X, y, sample_weight)
+        stacks: dict = {}
+        for model in models:
+            shared = [(k, v) for k, v in model.get_params().items() if k not in _STACKED]
+            stacks.setdefault(tuple(shared), []).append(model)
+        for members in stacks.values():
+            _train(members, *data)
+        return models
+
+    def _check_params(self) -> None:
         if self.loss not in _LOSSES:
             raise ValueError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
         if self.penalty not in _PENALTIES:
@@ -104,178 +132,6 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
             )
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        X = check_matrix(X)
-        y = check_labels(y, X.shape[0])
-        sample_weight = check_sample_weight(sample_weight, X.shape[0])
-        self.classes_ = np.unique(y)
-        if len(self.classes_) < 2:
-            raise ValueError("need at least two classes to fit a classifier")
-        if len(self.classes_) == 2:
-            signs = np.where(y == self.classes_[1], 1.0, -1.0)
-            w, b = self._fit_binary(X, signs, sample_weight)
-            self.coef_ = w.reshape(1, -1)
-            self.intercept_ = np.asarray([b])
-        elif len(self.classes_) * X.shape[0] <= _OVR_SIGNS_LIMIT:
-            # one-vs-rest for multi-class targets, all classes trained
-            # through a single epoch loop (byte-identical to the
-            # per-class loop; see _fit_ovr)
-            signs = np.where(y[None, :] == self.classes_[:, None], 1.0, -1.0)
-            self.coef_, self.intercept_ = self._fit_ovr(X, signs, sample_weight)
-        else:
-            # stacked signs would not fit comfortably in memory; the
-            # per-class loop produces byte-identical coefficients
-            coefs, intercepts = [], []
-            for klass in self.classes_:
-                signs = np.where(y == klass, 1.0, -1.0)
-                w, b = self._fit_binary(X, signs, sample_weight)
-                coefs.append(w)
-                intercepts.append(b)
-            self.coef_ = np.vstack(coefs)
-            self.intercept_ = np.asarray(intercepts)
-        return self
-
-    def _fit_ovr(self, X, signs, sample_weight):
-        """Train every one-vs-rest problem through one shared epoch loop.
-
-        The per-class loop seeds an identical RNG stream for every class,
-        so all classes see the same permutation at the same epoch — one
-        shared draw per epoch reproduces it. All elementwise work
-        (activations, penalties, updates, divergence guards) runs on a
-        (classes × ...) weight matrix at once; only the two projections
-        per batch stay per-class matrix-vector products, because BLAS
-        matrix-matrix products round differently and the coefficients are
-        required to be byte-identical to independent binary fits.
-        """
-        n_samples, n_features = X.shape
-        n_classes = signs.shape[0]
-        rng = np.random.default_rng(self.random_state)
-        coef = np.zeros((n_classes, n_features))
-        intercept = np.zeros(n_classes)
-        t = self._optimal_init()
-        previous = np.full(n_classes, np.inf)
-        active = np.arange(n_classes)
-        batch = max(1, int(self.batch_size))
-        for _ in range(int(self.max_iter)):
-            if active.size == 0:
-                break
-            order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
-            w = coef[active]
-            b = intercept[active]
-            active_signs = signs[active]
-            k = active.size
-            for start in range(0, n_samples, batch):
-                idx = order[start : start + batch]
-                xb, sb, wb = X[idx], active_signs[:, idx], sample_weight[idx]
-                eta = self._eta(t)
-                t += len(idx)
-                grad_w, grad_b = self._ovr_gradient(xb, sb, wb, w, b, k)
-                w = self._apply_penalty(w, eta)
-                w -= eta * grad_w
-                b = b - eta * grad_b
-                finite = np.isfinite(w).all(axis=1)
-                if not finite.all():
-                    # diverged (typically unscaled features): freeze the
-                    # affected classes at the last finite state
-                    bad = ~finite
-                    w[bad] = np.nan_to_num(w[bad], nan=0.0, posinf=1e12, neginf=-1e12)
-                    b[bad] = np.nan_to_num(b[bad], nan=0.0, posinf=1e12, neginf=-1e12)
-            epoch_loss = np.empty(k)
-            for row in range(k):
-                epoch_loss[row] = self._mean_loss(
-                    X, active_signs[row], sample_weight, w[row], b[row]
-                )
-            done = np.isfinite(epoch_loss) & (previous[active] - epoch_loss < self.tol)
-            coef[active] = w
-            intercept[active] = b
-            previous[active] = epoch_loss
-            active = active[~done]
-        return coef, intercept
-
-    def _ovr_gradient(self, xb, sb, wb, w, b, k):
-        """Per-class loss gradients; the per-class matvec mirrors
-        :meth:`_loss_gradient` operand for operand."""
-        margins = np.empty((k, len(xb)))
-        for row in range(k):
-            margins[row] = xb @ w[row]
-        margins += b[:, None]
-        if self.loss == "log":
-            coeff = -sb * _sigmoid(-sb * margins) * wb
-        else:  # hinge
-            active = (sb * margins) < 1.0
-            coeff = np.where(active, -sb, 0.0) * wb
-        total = wb.sum()
-        if total == 0:
-            return np.zeros_like(w), np.zeros(k)
-        grad_w = np.empty_like(w)
-        for row in range(k):
-            grad_w[row] = xb.T @ coeff[row]
-        grad_w /= total
-        grad_b = coeff.sum(axis=1) / total
-        return grad_w, grad_b
-
-    def _fit_binary(self, X, signs, sample_weight):
-        n_samples, n_features = X.shape
-        rng = np.random.default_rng(self.random_state)
-        w = np.zeros(n_features)
-        b = 0.0
-        t = self._optimal_init()
-        previous_loss = np.inf
-        batch = max(1, int(self.batch_size))
-        for _ in range(int(self.max_iter)):
-            order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
-            for start in range(0, n_samples, batch):
-                idx = order[start : start + batch]
-                xb, sb, wb = X[idx], signs[idx], sample_weight[idx]
-                eta = self._eta(t)
-                t += len(idx)
-                grad_w, grad_b = self._loss_gradient(xb, sb, wb, w, b)
-                w = self._apply_penalty(w, eta)
-                w -= eta * grad_w
-                b -= eta * grad_b
-                if not np.all(np.isfinite(w)):
-                    # diverged (typically unscaled features): freeze at the
-                    # last finite state, mirroring a failed real-world run
-                    w = np.nan_to_num(w, nan=0.0, posinf=1e12, neginf=-1e12)
-                    b = float(np.nan_to_num(b, nan=0.0, posinf=1e12, neginf=-1e12))
-            epoch_loss = self._mean_loss(X, signs, sample_weight, w, b)
-            if np.isfinite(epoch_loss) and previous_loss - epoch_loss < self.tol:
-                break
-            previous_loss = epoch_loss
-        return w, b
-
-    def _loss_gradient(self, xb, sb, wb, w, b):
-        margin = xb @ w + b
-        if self.loss == "log":
-            # d/dz log(1 + exp(-s z)) = -s * sigmoid(-s z)
-            coeff = -sb * _sigmoid(-sb * margin) * wb
-        else:  # hinge
-            active = (sb * margin) < 1.0
-            coeff = np.where(active, -sb, 0.0) * wb
-        total = wb.sum()
-        if total == 0:
-            return np.zeros_like(w), 0.0
-        grad_w = xb.T @ coeff / total
-        grad_b = coeff.sum() / total
-        return grad_w, grad_b
-
-    def _apply_penalty(self, w, eta):
-        if self.penalty == "none" or self.alpha == 0.0:
-            return w
-        if self.penalty == "l2":
-            return w * (1.0 - eta * self.alpha)
-        if self.penalty == "l1":
-            return _soft_threshold(w, eta * self.alpha)
-        # elasticnet
-        w = w * (1.0 - eta * self.alpha * (1.0 - self.l1_ratio))
-        return _soft_threshold(w, eta * self.alpha * self.l1_ratio)
-
-    def _mean_loss(self, X, signs, sample_weight, w, b):
-        margin = signs * (X @ w + b)
-        if self.loss == "log":
-            losses = np.logaddexp(0.0, -margin)
-        else:
-            losses = np.maximum(0.0, 1.0 - margin)
-        return float(np.average(losses, weights=sample_weight))
 
     def _optimal_init(self) -> float:
         """Bottou's t0 heuristic used by scikit-learn's 'optimal' schedule."""
@@ -286,9 +142,6 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
         else:
             initial_eta0 = typw / max(1.0, 1.0 + typw)
         return 1.0 / (initial_eta0 * alpha)
-
-    def _eta(self, t: float) -> float:
-        return 1.0 / (max(self.alpha, 1e-10) * t)
 
     # ------------------------------------------------------------------
     # prediction
@@ -501,6 +354,152 @@ class LogisticRegressionGD(BaseEstimator, ClassifierMixin):
         model.coef_ = np.asarray(state["coef_"], dtype=np.float64)
         model.intercept_ = np.asarray(state["intercept_"], dtype=np.float64)
         return model
+
+
+def _check_data(X, y, sample_weight):
+    """Validated ``(X, classes, label codes, sample weights)`` for SGD."""
+    X = check_matrix(X)
+    y = check_labels(y, X.shape[0])
+    sample_weight = check_sample_weight(sample_weight, X.shape[0])
+    classes, codes = np.unique(y, return_inverse=True)
+    if len(classes) < 2:
+        raise ValueError("need at least two classes to fit a classifier")
+    return X, classes, codes, sample_weight
+
+
+def _train(models, X, classes, codes, sample_weight) -> None:
+    """The SGD epoch engine: fit ``models`` together, in place.
+
+    Each row is one binary problem, a (candidate × class) pair: the
+    positive class of a binary target, else every class one-vs-rest. The
+    models share ``loss``, ``max_iter``, ``batch_size``, ``shuffle`` and
+    ``random_state``, so all rows see the same permutation each epoch and
+    one gather per batch. Each row keeps its own learning-rate clock (from
+    its alpha-dependent t0), penalty, ``tol`` early stop and divergence
+    freeze, and ends byte-identical to a one-row fit."""
+    lead = models[0]
+    n_samples, n_features = X.shape
+    targets = np.arange(1, 2) if len(classes) == 2 else np.arange(len(classes))
+
+    def penalty(model, penalties, elasticnet_mix):
+        on = model.penalty in penalties and model.alpha != 0.0
+        mix = elasticnet_mix if model.penalty == "elasticnet" else 1.0
+        return [model.alpha if on else 0.0, mix]
+
+    # per-row constants: the schedule's alpha, tol, and the penalty in the
+    # seed's operand order -- scale by 1 - eta*alpha*mix, then soft-threshold
+    # at eta*alpha*mix (alpha 0: the row has no such step)
+    constants = np.repeat(np.array([
+        [max(m.alpha, 1e-10), m.tol]
+        + penalty(m, ("l2", "elasticnet"), 1.0 - m.l1_ratio)
+        + penalty(m, ("l1", "elasticnet"), m.l1_ratio)
+        for m in models
+    ], dtype=np.float64), len(targets), axis=0)
+    t = np.repeat(np.array([m._optimal_init() for m in models]), len(targets))
+    positive = np.tile(targets, len(models))
+    rows = len(positive)
+    coef = np.zeros((rows, n_features))
+    intercept = np.zeros(rows)
+    previous = np.full(rows, np.inf)
+    diverged = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)
+    rng = np.random.default_rng(lead.random_state)
+    batch = max(1, int(lead.batch_size))
+    starts = range(0, n_samples, batch)
+    sizes = np.minimum(batch, n_samples - np.arange(0, n_samples, batch))
+
+    def schedule():
+        # the epoch's batch starts with the active rows' (eta, scale,
+        # shrink) columns, built a bounded block of batches at a time: each
+        # clock t advances by every batch length in turn (as cumsum adds)
+        for first in range(0, len(starts), _SCHEDULE_BLOCK):
+            block = slice(first, first + _SCHEDULE_BLOCK)
+            steps = np.repeat(sizes[block, None], active.size, axis=1)
+            clocks = np.cumsum(np.vstack([t[active], steps]), axis=0)
+            t[active] = clocks[-1]
+            eta = 1.0 / (rate * clocks[:-1])
+            scale = 1.0 - eta * scale_alpha * scale_mix
+            shrink = eta * shrink_alpha * shrink_mix
+            columns = (v[:, :, None, None] for v in (eta, scale, shrink))
+            yield from zip(starts[block], *columns)
+
+    attrs = {"rows": rows, "samples": n_samples, "candidates": len(models)}
+    with telemetry.span("learn.sgd_fit", **attrs):
+        for _ in range(int(lead.max_iter)):
+            if active.size == 0:
+                break
+            order = rng.permutation(n_samples) if lead.shuffle else np.arange(n_samples)
+            ordered_codes, ordered_weight = codes[order], sample_weight[order]
+            rate, tol, scale_alpha, scale_mix, shrink_alpha, shrink_mix = constants[active].T
+            # per-row state as (rows, ..., 1) stacks, see _gradient
+            w, b = coef[active][:, :, None], intercept[active][:, None, None]
+            # -s for each row and class code
+            negated_signs = np.where(
+                np.arange(len(classes)) == positive[active][:, None], -1.0, 1.0
+            )[:, :, None]
+            shrinks = shrink_alpha[:, None, None] > 0
+            scaling, shrinking, shrink_all = scale_alpha.any(), shrinks.any(), shrinks.all()
+            for start, eta, scale, shrink in schedule():
+                stop = start + batch
+                total = np.add.reduce(ordered_weight[start:stop])
+                if total != 0:
+                    grad_w, grad_b = _gradient(
+                        lead.loss, X.take(order[start:stop], axis=0),
+                        negated_signs.take(ordered_codes[start:stop], axis=1),
+                        ordered_weight[start:stop, None], total, w, b,
+                    )
+                if scaling:
+                    w = w * scale
+                if shrinking:
+                    shrunk = _soft_threshold(w, shrink)
+                    w = shrunk if shrink_all else np.where(shrinks, shrunk, w)
+                if total != 0:
+                    # a zero-weight batch has a zero gradient: no step
+                    w -= eta * grad_w
+                    b = b - eta * grad_b
+                if not np.isfinite(w).all():
+                    # diverged (typically unscaled features): freeze the
+                    # affected rows at the last finite state
+                    bad = ~np.isfinite(w).all(axis=(1, 2))
+                    w[bad] = np.nan_to_num(w[bad], nan=0.0, posinf=1e12, neginf=-1e12)
+                    b[bad] = np.nan_to_num(b[bad], nan=0.0, posinf=1e12, neginf=-1e12)
+                    diverged[active[bad]] = True
+            w, b = w[:, :, 0], b[:, 0, 0]
+            epoch_loss = np.empty(active.size)
+            for row, target in enumerate(positive[active]):
+                if row == 0 or target != positive[active[row - 1]]:
+                    signs = np.where(codes == target, 1.0, -1.0)
+                margin = signs * (X @ w[row] + b[row])
+                if lead.loss == "log":
+                    losses = np.logaddexp(0.0, -margin)
+                else:
+                    losses = np.maximum(0.0, 1.0 - margin)
+                epoch_loss[row] = np.average(losses, weights=sample_weight)
+            with np.errstate(invalid="ignore"):
+                done = np.isfinite(epoch_loss) & (previous[active] - epoch_loss < tol)
+            coef[active], intercept[active], previous[active] = w, b, epoch_loss
+            active = active[~done]
+    # one count per (candidate × class) row ever frozen at ±1e12
+    telemetry.counter("learn.sgd.diverged").inc(int(diverged.sum()))
+    for model, model_coef, model_intercept in zip(
+        models, np.split(coef, len(models)), np.split(intercept, len(models))
+    ):
+        model.classes_, model.coef_, model.intercept_ = classes, model_coef, model_intercept
+
+
+def _gradient(loss, xb, negated_signs, wb, total, w, b):
+    """Every row's loss gradients on one batch of weight ``total``. ``w``,
+    ``b`` and ``negated_signs`` (``-s``) are (rows, ..., 1) stacks, so both
+    projections run one matrix-vector product per row as a one-row fit
+    does (a matrix-matrix product would round differently)."""
+    margins = xb @ w + b
+    if loss == "log":
+        # d/dz log(1 + exp(-s z)) = -s * sigmoid(-s z)
+        coeff = negated_signs * _sigmoid(negated_signs * margins) * wb
+    else:  # hinge: active where s * z < 1
+        coeff = np.where(negated_signs * margins > -1.0, negated_signs, 0.0) * wb
+    grad_w = xb.T @ coeff / total
+    return grad_w, np.add.reduce(coeff, axis=1, keepdims=True) / total
 
 
 def _soft_threshold(w: np.ndarray, threshold: float) -> np.ndarray:

@@ -137,7 +137,8 @@ def _score_fold_chunk(context: _SearchContext, task) -> List[float]:
     once, its presort is computed once (when the estimator accepts the
     ``presort`` fit-context hint), and both are shared by every candidate
     in the chunk. Estimators exposing ``fit_candidates`` additionally
-    share induction work across the whole parameter family.
+    share work across each parameter family (one tree induction per
+    family, one stacked SGD epoch loop per compatible set of candidates).
     """
     fold_index, candidate_ids = task
     train_idx, valid_idx = context.folds[fold_index]

@@ -237,49 +237,37 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     ):
         """Fit one tree per parameter dict, sharing work across the family.
 
-        Grid-search hook: candidates that differ only in ``max_depth``
-        share a single deep induction, because a split decision depends
-        only on the node's samples — ``max_depth`` merely stops the
-        recursion, so a depth-limited tree is exactly the depth-truncation
-        of the deeper tree fit with the same remaining parameters (node
-        distributions are recorded on internal nodes during the deep fit).
-        The deepest member of each family is fit once and the shallower
-        members are materialized by truncating copies; every returned
-        estimator is node-for-node identical to an individual ``fit``.
+        Grid-search hook: candidates that differ only in ``max_depth`` and
+        ``min_samples_split`` share one induction. Both merely stop the
+        recursion (at a depth, or at a node with fewer samples) and never
+        change the split a node gets, so each member is exactly a truncation
+        of the tree fit at the family's deepest ``max_depth`` and smallest
+        ``min_samples_split`` (internal nodes record their distributions).
+        Every returned estimator is node-for-node identical to its ``fit``.
         """
-        families: list = []  # [(params-minus-depth, [candidate indices])]
-        for index, params in enumerate(candidates):
-            rest = {k: v for k, v in params.items() if k != "max_depth"}
-            for key, members in families:
-                if key == rest:
-                    members.append(index)
-                    break
-            else:
-                families.append((rest, [index]))
-
-        fitted = [None] * len(candidates)
-        for _, members in families:
-            depths = [
-                candidates[i].get("max_depth", self.max_depth) for i in members
+        models = [clone(self).set_params(**params) for params in candidates]
+        families: dict = {}
+        for model in models:
+            rest = [
+                (k, v) for k, v in model.get_params().items()
+                if k not in ("max_depth", "min_samples_split")
             ]
-            deepest = None if any(d is None for d in depths) else max(depths)
-            deep_model = clone(self).set_params(**candidates[members[0]])
-            deep_model.set_params(max_depth=deepest)
-            deep_model.fit(X, y, sample_weight=sample_weight, presort=presort)
-            for index, depth in zip(members, depths):
-                model = clone(self).set_params(**candidates[index])
-                model.classes_ = deep_model.classes_
-                model.n_features_ = deep_model.n_features_
-                if depth == deepest:
-                    model.tree_ = deep_model.tree_
-                    model.depth_ = deep_model.depth_
-                    model.n_leaves_ = deep_model.n_leaves_
+            families.setdefault(tuple(rest), []).append(model)
+        for members in families.values():
+            depths = [model.max_depth for model in members]
+            deepest = None if None in depths else max(depths)
+            smallest = min(model.min_samples_split for model in members)
+            deep = clone(members[0]).set_params(max_depth=deepest, min_samples_split=smallest)
+            deep.fit(X, y, sample_weight=sample_weight, presort=presort)
+            for model in members:
+                model.classes_, model.n_features_ = deep.classes_, deep.n_features_
+                if (model.max_depth, model.min_samples_split) == (deepest, smallest):
+                    model.tree_ = deep.tree_
                 else:
-                    model.tree_ = _truncate(deep_model.tree_, depth)
-                    model.depth_ = _tree_depth(model.tree_)
-                    model.n_leaves_ = _count_leaves(model.tree_)
-                fitted[index] = model
-        return fitted
+                    model.tree_ = _truncate(deep.tree_, model.max_depth, model.min_samples_split)
+                model.depth_ = _tree_depth(model.tree_)
+                model.n_leaves_ = _count_leaves(model.tree_)
+        return models
 
     # ------------------------------------------------------------------
     # prediction
@@ -384,17 +372,22 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         return model
 
 
-def _truncate(node: _Node, max_depth: int) -> _Node:
-    """Copy of the tree cut at ``max_depth``; cut nodes become leaves.
+def _truncate(node: _Node, max_depth: Optional[int], min_samples_split: int) -> _Node:
+    """Copy of the tree cut at ``max_depth`` and at every node with fewer
+    than ``min_samples_split`` samples; cut nodes become leaves.
 
     Internal nodes already carry their class distribution, so the
-    truncated copy is exactly the tree a depth-limited fit would build.
+    truncated copy is exactly the tree a fit with these limits would build.
     """
     root = _Node(node.distribution, node.n_samples)
     stack = [(node, root, 0)]
     while stack:
         source, copy, depth = stack.pop()
-        if source.is_leaf or depth >= max_depth:
+        if (
+            source.is_leaf
+            or (max_depth is not None and depth >= max_depth)
+            or source.n_samples < min_samples_split
+        ):
             continue
         copy.feature = source.feature
         copy.threshold = source.threshold

@@ -1,9 +1,10 @@
 """Frozen reference implementations for the presort/vectorization goldens.
 
 These are verbatim copies of the pre-presort (per-node argsort) decision
-tree splitter and of the per-class one-vs-rest training loops, kept only
-so the golden tests can assert that the optimized backends reproduce the
-seed behaviour node-for-node and byte-for-byte. Do not "fix" or optimize
+tree splitter, of the seed's per-candidate binary SGD fit, and of the
+per-class / per-target one-vs-rest training loops, kept only so the golden
+tests can assert that the optimized backends reproduce the seed behaviour
+node-for-node and byte-for-byte. Do not "fix" or optimize
 this module — its value is that it does the work the slow way.
 """
 
@@ -20,6 +21,7 @@ from repro.learn.base import (
     check_matrix,
     check_sample_weight,
 )
+from repro.learn.linear import SGDClassifier
 
 _CRITERIA = ("gini", "entropy")
 
@@ -248,23 +250,128 @@ class ReferenceDecisionTree(BaseEstimator, ClassifierMixin):
         return self.classes_[np.argmax(proba, axis=1)]
 
 
-def fit_ovr_per_class(model, X, y):
+def fit_ovr_per_class(model, X, y, sample_weight=None):
     """The seed multi-class path: one independent binary fit per class.
 
-    ``model`` must be an (unfitted) SGDClassifier clone; returns the
+    ``model`` carries the SGDClassifier hyperparameters; returns the
     stacked coefficients and intercepts the per-class loop produces.
     """
     X = check_matrix(X)
     y = check_labels(y, X.shape[0])
-    sample_weight = check_sample_weight(None, X.shape[0])
+    sample_weight = check_sample_weight(sample_weight, X.shape[0])
     classes = np.unique(y)
     coefs, intercepts = [], []
     for klass in classes:
         signs = np.where(y == klass, 1.0, -1.0)
-        w, b = model._fit_binary(X, signs, sample_weight)
+        w, b = reference_fit_binary(model, X, signs, sample_weight)
         coefs.append(w)
         intercepts.append(b)
     return np.vstack(coefs), np.asarray(intercepts)
+
+
+def reference_sgd_fit(model, X, y, sample_weight=None):
+    """The seed ``SGDClassifier.fit``: one binary fit, or one per class."""
+    classes = np.unique(check_labels(y, np.asarray(X).shape[0]))
+    if len(classes) > 2:
+        return fit_ovr_per_class(model, X, y, sample_weight)
+    X = check_matrix(X)
+    sample_weight = check_sample_weight(sample_weight, X.shape[0])
+    signs = np.where(np.asarray(y) == classes[1], 1.0, -1.0)
+    w, b = reference_fit_binary(model, X, signs, sample_weight)
+    return w.reshape(1, -1), np.asarray([b])
+
+
+class ReferenceSGDClassifier(SGDClassifier):
+    """SGDClassifier whose ``fit`` is the seed's per-candidate binary path."""
+
+    def fit(self, X, y, sample_weight=None) -> "ReferenceSGDClassifier":
+        self.classes_ = np.unique(np.asarray(y))
+        self.coef_, self.intercept_ = reference_sgd_fit(self, X, y, sample_weight)
+        return self
+
+
+def reference_fit_binary(model, X, signs, sample_weight):
+    """The seed ``SGDClassifier._fit_binary``: one minibatch SGD problem."""
+    n_samples, n_features = X.shape
+    rng = np.random.default_rng(model.random_state)
+    w = np.zeros(n_features)
+    b = 0.0
+    t = _reference_optimal_init(model)
+    previous_loss = np.inf
+    batch = max(1, int(model.batch_size))
+    for _ in range(int(model.max_iter)):
+        order = rng.permutation(n_samples) if model.shuffle else np.arange(n_samples)
+        for start in range(0, n_samples, batch):
+            idx = order[start : start + batch]
+            xb, sb, wb = X[idx], signs[idx], sample_weight[idx]
+            eta = 1.0 / (max(model.alpha, 1e-10) * t)
+            t += len(idx)
+            grad_w, grad_b = _reference_loss_gradient(model, xb, sb, wb, w, b)
+            w = _reference_apply_penalty(model, w, eta)
+            w -= eta * grad_w
+            b -= eta * grad_b
+            if not np.all(np.isfinite(w)):
+                w = np.nan_to_num(w, nan=0.0, posinf=1e12, neginf=-1e12)
+                b = float(np.nan_to_num(b, nan=0.0, posinf=1e12, neginf=-1e12))
+        margin = signs * (X @ w + b)
+        if model.loss == "log":
+            losses = np.logaddexp(0.0, -margin)
+        else:
+            losses = np.maximum(0.0, 1.0 - margin)
+        epoch_loss = float(np.average(losses, weights=sample_weight))
+        if np.isfinite(epoch_loss) and previous_loss - epoch_loss < model.tol:
+            break
+        previous_loss = epoch_loss
+    return w, b
+
+
+def _reference_loss_gradient(model, xb, sb, wb, w, b):
+    margin = xb @ w + b
+    if model.loss == "log":
+        coeff = -sb * _sigmoid(-sb * margin) * wb
+    else:  # hinge
+        active = (sb * margin) < 1.0
+        coeff = np.where(active, -sb, 0.0) * wb
+    total = wb.sum()
+    if total == 0:
+        return np.zeros_like(w), 0.0
+    grad_w = xb.T @ coeff / total
+    grad_b = coeff.sum() / total
+    return grad_w, grad_b
+
+
+def _reference_apply_penalty(model, w, eta):
+    if model.penalty == "none" or model.alpha == 0.0:
+        return w
+    if model.penalty == "l2":
+        return w * (1.0 - eta * model.alpha)
+    if model.penalty == "l1":
+        return _soft_threshold(w, eta * model.alpha)
+    w = w * (1.0 - eta * model.alpha * (1.0 - model.l1_ratio))
+    return _soft_threshold(w, eta * model.alpha * model.l1_ratio)
+
+
+def _reference_optimal_init(model) -> float:
+    alpha = max(model.alpha, 1e-10)
+    typw = np.sqrt(1.0 / np.sqrt(alpha))
+    if model.loss == "log":
+        initial_eta0 = typw / max(1.0, _sigmoid(typw))
+    else:
+        initial_eta0 = typw / max(1.0, 1.0 + typw)
+    return 1.0 / (initial_eta0 * alpha)
+
+
+def _soft_threshold(w, threshold):
+    return np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
+
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    expz = np.exp(z[~positive])
+    out[~positive] = expz / (1.0 + expz)
+    return out
 
 
 def fit_gd_per_target(model, X, y, sample_weight=None):
@@ -284,8 +391,6 @@ def fit_gd_per_target(model, X, y, sample_weight=None):
 
 
 def _reference_fit_one(model, X, t, sample_weight):
-    from repro.learn.linear import _sigmoid
-
     n_samples, n_features = X.shape
     w = np.zeros(n_features)
     b = 0.0

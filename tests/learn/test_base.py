@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.learn import (
+    DecisionTreeClassifier,
     NotFittedError,
     SGDClassifier,
     StandardScaler,
@@ -121,6 +122,25 @@ class TestValidation:
     def test_check_sample_weight_rejects_all_zero(self):
         with pytest.raises(ValueError, match="zero"):
             check_sample_weight(np.zeros(3), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: SGDClassifier(random_state=0, max_iter=3),
+            lambda: DecisionTreeClassifier(max_depth=2),
+        ],
+        ids=["sgd", "tree"],
+    )
+    def test_learners_reject_non_finite_sample_weight(self, make_model, value):
+        # unchecked, a NaN weight trains an SGD model silently and gives a
+        # tree that predicts [0.5, 0.5] for every row
+        X = np.random.default_rng(0).normal(size=(60, 3))
+        y = X[:, 0] > 0
+        weights = np.ones(60)
+        weights[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            make_model().fit(X, y, sample_weight=weights)
 
     def test_check_sample_weight_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

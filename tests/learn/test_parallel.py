@@ -5,7 +5,6 @@ import pytest
 
 from repro import parallel
 from repro.learn import SGDClassifier
-from repro.learn.linear import _OVR_SIGNS_LIMIT
 
 from .reference_impl import fit_ovr_per_class
 
@@ -70,19 +69,14 @@ class TestRunGroups:
 
 
 class TestSGDSignsCap:
-    def test_loop_fallback_beyond_signs_limit(self, monkeypatch):
-        import repro.learn.linear as linear
-
+    def test_four_class_fit_matches_per_class_reference(self):
+        # signs are built per batch from the label codes: no
+        # (classes × samples) matrix is allocated at any size
         X = np.random.default_rng(0).normal(size=(120, 6))
         y = np.random.default_rng(1).integers(0, 4, 120)
         spec = dict(loss="log", max_iter=4, batch_size=16, random_state=2)
         stacked = SGDClassifier(**spec).fit(X, y)
-        monkeypatch.setattr(linear, "_OVR_SIGNS_LIMIT", 1)
-        looped = SGDClassifier(**spec).fit(X, y)
-        assert np.array_equal(stacked.coef_, looped.coef_)
-        assert np.array_equal(stacked.intercept_, looped.intercept_)
-        reference = fit_ovr_per_class(SGDClassifier(**spec), X, y)
-        assert np.array_equal(looped.coef_, reference[0])
-
-    def test_limit_is_memory_scaled(self):
-        assert _OVR_SIGNS_LIMIT >= 2**24
+        coef, intercept = fit_ovr_per_class(SGDClassifier(**spec), X, y)
+        assert stacked.coef_.shape == (4, 6)
+        assert np.array_equal(stacked.coef_, coef)
+        assert np.array_equal(stacked.intercept_, intercept)

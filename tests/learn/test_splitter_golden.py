@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.featurization import Featurizer
+from repro.core.learners import DECISION_TREE_GRID, LOGISTIC_REGRESSION_GRID
 from repro.core.missing_values import ModeImputer
 from repro.datasets import load_dataset
 from repro.learn import (
@@ -20,12 +21,13 @@ from repro.learn import (
     GridSearchCV,
     KFold,
     Presort,
+    SGDClassifier,
     accuracy_score,
     clone,
 )
 from repro.learn.model_selection import ParameterGrid
 
-from .reference_impl import ReferenceDecisionTree
+from .reference_impl import ReferenceDecisionTree, ReferenceSGDClassifier
 
 # the paper's tree grid, thinned to keep the slow reference fits tractable
 TUNING_GRID = {
@@ -162,6 +164,44 @@ class TestFitCandidates:
         for params, model in zip(candidates, family):
             assert_same_tree(model, DecisionTreeClassifier(**params).fit(X, y))
 
+    # the paper's full tree grid: one induction per (criterion,
+    # min_samples_leaf) family, every other member a truncation
+    @pytest.mark.parametrize("backend", ["exact", "histogram"])
+    @pytest.mark.parametrize("dataset,n_rows", DATASETS)
+    def test_full_grid_family_fit_equals_individual_fits(self, dataset, n_rows, backend):
+        X, y, weights = featurized(dataset, n_rows)
+        # a min_samples_split above the root's sample count: a single leaf
+        splits = DECISION_TREE_GRID["min_samples_split"] + [len(y) + 1]
+        candidates = list(ParameterGrid(dict(DECISION_TREE_GRID, min_samples_split=splits)))
+        family = DecisionTreeClassifier().fit_candidates(
+            candidates, X, y, sample_weight=weights, presort=backend
+        )
+        for params, model in zip(candidates, family):
+            individual = DecisionTreeClassifier(**params).fit(
+                X, y, sample_weight=weights, presort=backend
+            )
+            assert model.get_params() == individual.get_params()
+            assert_same_tree(model, individual)
+            assert model.depth_ == individual.depth_
+            assert model.n_leaves_ == individual.n_leaves_
+            if params["min_samples_split"] > len(y):
+                assert model.n_leaves_ == 1
+
+    def test_one_induction_per_criterion_and_leaf(self, monkeypatch):
+        X, y, _ = featurized("ricci", None)
+        inductions = []
+        grow = DecisionTreeClassifier._grow
+
+        def counting(self, *args):
+            inductions.append((self.max_depth, self.min_samples_split))
+            return grow(self, *args)
+
+        monkeypatch.setattr(DecisionTreeClassifier, "_grow", counting)
+        DecisionTreeClassifier().fit_candidates(
+            list(ParameterGrid(DECISION_TREE_GRID)), X, y
+        )
+        assert inductions == [(10, 2)] * 8
+
 
 class TestGridSearchIdentity:
     """The fold-major, presort-sharing, family-fitting search must score
@@ -229,6 +269,20 @@ class TestGridSearchIdentity:
             DecisionTreeClassifier(), grid, cv=2, random_state=0, n_jobs=4
         )
         assert serial.fit(X, y).cv_results_ == fanned.fit(X, y).cv_results_
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sgd_cv_results_byte_identical_to_seed_loop(self, weighted):
+        X, y, _ = featurized("germancredit", 500)
+        weights = np.random.default_rng(3).random(len(y)) + 0.5 if weighted else None
+        spec = dict(loss="log", max_iter=20, batch_size=32, random_state=7)
+        search = GridSearchCV(
+            SGDClassifier(**spec), LOGISTIC_REGRESSION_GRID, cv=5, random_state=7
+        )
+        search.fit(X, y, sample_weight=weights)
+        assert search.cv_results_ == self.seed_results(
+            lambda: ReferenceSGDClassifier(**spec),
+            LOGISTIC_REGRESSION_GRID, X, y, 5, 7, sample_weight=weights,
+        )
 
 
 class TestDeepTrees:
