@@ -410,15 +410,22 @@ def check_invariants(n_rows: int) -> None:
 
 
 def _tree_signature(model):
+    """Every node's (feature, threshold, size, distribution), read off the
+    tree's node arrays by following child links from the root."""
+    tree = model.tree_
     nodes = []
-    stack = [model.tree_]
+    stack = [0]
     while stack:
-        node = stack.pop()
-        nodes.append(
-            (node.feature, node.threshold, node.n_samples, tuple(node.distribution))
-        )
-        if not node.is_leaf:
-            stack.extend((node.left, node.right))
+        i = stack.pop()
+        split = tree["feature"][i] >= 0
+        nodes.append((
+            int(tree["feature"][i]) if split else None,
+            float(tree["threshold"][i]) if split else None,
+            int(tree["n_samples"][i]),
+            tuple(tree["distribution"][i]),
+        ))
+        if split:
+            stack.extend((tree["left"][i], tree["right"][i]))
     return nodes
 
 

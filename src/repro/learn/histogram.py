@@ -40,6 +40,7 @@ import numpy as np
 
 from .. import telemetry
 from .splitter import (
+    SplitterBase,
     _children_gain,
     _impurity,
     _impurity_binary,
@@ -128,7 +129,7 @@ class HistogramBinning:
         return self.matrix.shape[1]
 
 
-class HistogramSplitter:
+class HistogramSplitter(SplitterBase):
     """Best-split search over per-node class-count histograms.
 
     Drop-in peer of :class:`~repro.learn.splitter.PresortSplitter` for
@@ -139,26 +140,10 @@ class HistogramSplitter:
     """
 
     def __init__(self, X, onehot, criterion, min_samples_leaf, binning=None):
-        self.X = X
-        self.onehot = onehot
-        self.criterion = criterion
-        self.min_leaf = int(min_samples_leaf)
-        self.n_samples, self.n_features = X.shape
-        self.binary = onehot.shape[1] == 2
-        if binning is None or not binning.is_for(X):
-            binning = HistogramBinning(X)
-        self._binning = binning
-        self._codes = binning.codes
-        self._max_bins = int(binning.n_bins.max()) if self.n_features else 1
-        weight = onehot.sum(axis=1)
-        self.unit_weight = bool(np.all(weight == 1.0))
-        self._weight = None if self.unit_weight else weight
-        if self.binary:
-            positive = np.ascontiguousarray(onehot[:, 1])
-            if self.unit_weight:
-                self._positive = positive.astype(np.int8)
-            else:
-                self._positive = positive
+        super().__init__(X, onehot, criterion, min_samples_leaf)
+        self._binning = self._fit_hint(binning, HistogramBinning)
+        self._codes = self._binning.codes
+        self._max_bins = int(self._binning.n_bins.max()) if self.n_features else 1
 
     # ------------------------------------------------------------------
     # node context: histograms
@@ -228,15 +213,6 @@ class HistogramSplitter:
             for parent, part in zip(context, small)
         )
         return (small, big) if left_small else (big, small)
-
-    def node_distribution(self, indices):
-        """Class-weight vector of a node; mirrors the presort backend
-        operand for operand (same summation orders)."""
-        if self.binary and self.unit_weight:
-            node_positive = float(self._positive[indices].sum())
-            return np.asarray([len(indices) - node_positive, node_positive]), None
-        sub = self.onehot[indices]
-        return sub.sum(axis=0), sub
 
     # ------------------------------------------------------------------
     # split search

@@ -34,6 +34,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .. import telemetry
+
 
 class Presort:
     """Per-feature sort order and value ranks of a matrix, built once.
@@ -81,51 +83,38 @@ class Presort:
         return self.matrix.shape[1]
 
 
-class PresortSplitter:
-    """Best-split search over presorted per-feature orders.
+class SplitterBase:
+    """Configuration and per-sample class payload shared by both split
+    backends, and the one node-distribution routine they both use."""
 
-    One instance serves one ``fit``: it owns the presort tables, the
-    membership scratch buffer used by :meth:`partition`, and the
-    criterion/minimum-leaf configuration shared by every node.
-    """
-
-    def __init__(self, X, onehot, criterion, min_samples_leaf, presort=None):
+    def __init__(self, X, onehot, criterion, min_samples_leaf):
         self.X = X
         self.onehot = onehot
         self.criterion = criterion
         self.min_leaf = int(min_samples_leaf)
         self.n_samples, self.n_features = X.shape
         self.binary = onehot.shape[1] == 2
-        if presort is None or not presort.is_for(X):
-            presort = Presort(X)
-        self._ranks = presort.ranks
-        self._root_order = presort.order
         # per-sample total weight; rows equal onehot[indices].sum(axis=1)
         weight = onehot.sum(axis=1)
         self.unit_weight = bool(np.all(weight == 1.0))
+        self._weight = None if self.unit_weight else weight
         if self.binary:
             positive = np.ascontiguousarray(onehot[:, 1])
-            if self.unit_weight:
-                # exact 0/1 payload: int8 keeps the per-node gather and
-                # cumsum traffic small; the partial sums are exact
-                # integers in any dtype
-                self._positive = positive.astype(np.int8)
-            else:
-                self._positive = positive
-                self._weight = weight
-        self._member = np.zeros(self.n_samples, dtype=bool)
+            # exact 0/1 payload: int8 keeps the per-node gather and cumsum
+            # traffic small; the partial sums are exact integers in any dtype
+            self._positive = positive.astype(np.int8) if self.unit_weight else positive
 
-    def root_order(self) -> np.ndarray:
-        return self._root_order
+    def _fit_hint(self, hint, build):
+        """``hint`` when it was built for this ``X``, else ``build(X)``.
 
-    def root_context(self) -> np.ndarray:
-        """Recursion state of the root node (the full order matrix).
-
-        Both split backends expose ``root_context``/``partition`` with
-        an opaque per-node context; here the context is the presorted
-        ``(d, n)`` order matrix.
+        A hint that was passed but fails ``is_for`` is counted as stale:
+        the fit stays correct, it only loses the shared preparation.
         """
-        return self._root_order
+        if hint is not None and hint.is_for(self.X):
+            return hint
+        if hint is not None:
+            telemetry.counter("learn.tree.stale_hint").inc()
+        return build(self.X)
 
     def node_distribution(self, indices):
         """Class-weight vector of a node (the leaf distribution).
@@ -140,6 +129,31 @@ class PresortSplitter:
             return np.asarray([len(indices) - node_positive, node_positive]), None
         sub = self.onehot[indices]
         return sub.sum(axis=0), sub
+
+
+class PresortSplitter(SplitterBase):
+    """Best-split search over presorted per-feature orders.
+
+    One instance serves one ``fit``: it owns the presort tables, the
+    membership scratch buffer used by :meth:`partition`, and the
+    criterion/minimum-leaf configuration shared by every node.
+    """
+
+    def __init__(self, X, onehot, criterion, min_samples_leaf, presort=None):
+        super().__init__(X, onehot, criterion, min_samples_leaf)
+        presort = self._fit_hint(presort, Presort)
+        self._ranks = presort.ranks
+        self._root_order = presort.order
+        self._member = np.zeros(self.n_samples, dtype=bool)
+
+    def root_context(self) -> np.ndarray:
+        """Recursion state of the root node (the full order matrix).
+
+        Both split backends expose ``root_context``/``partition`` with
+        an opaque per-node context; here the context is the presorted
+        ``(d, n)`` order matrix.
+        """
+        return self._root_order
 
     # ------------------------------------------------------------------
     # split search

@@ -22,6 +22,12 @@ Split search runs on one of two interchangeable backends selected by the
 :data:`HISTOGRAM_AUTO_THRESHOLD` rows and exact presort below it, so
 paper-scale fits stay byte-identical to the seed implementation while
 million-row fits get the bounded-work path.
+
+A fitted tree is six parallel node arrays (:data:`TREE_DTYPES`), the same
+ones ``to_state`` writes into an artifact, laid out in preorder: node,
+left subtree, right subtree, so a left child is always its parent's
+index + 1. Prediction is a level walk: all rows step down one level at a
+time, a leaf routing to itself.
 """
 
 from __future__ import annotations
@@ -50,6 +56,18 @@ _CRITERIA = ("gini", "entropy")
 #: sit far below it, so default fits on them are unchanged node-for-node.
 HISTOGRAM_AUTO_THRESHOLD = 65536
 
+#: The node arrays of a fitted tree (``tree_``) and their dtypes, in
+#: state order. ``feature`` is -1 and ``threshold`` NaN at a leaf, whose
+#: ``left``/``right`` are -1; ``distribution`` is ``(n_nodes, n_classes)``.
+TREE_DTYPES = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "n_samples": np.int64,
+    "distribution": np.float64,
+}
+
 
 def presort_hint(X):
     """Shareable fit-context hint matching what ``presort="auto"`` picks.
@@ -62,24 +80,6 @@ def presort_hint(X):
     if X.shape[0] >= HISTOGRAM_AUTO_THRESHOLD:
         return HistogramBinning(X)
     return Presort(X)
-
-
-class _Node:
-    """Internal tree node; leaves carry a class distribution."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "distribution", "n_samples")
-
-    def __init__(self, distribution, n_samples):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.distribution = distribution
-        self.n_samples = n_samples
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 @serializable
@@ -116,7 +116,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
 
         Accepted values:
 
-        * ``"auto"`` (default) or ``None`` — exact presort below
+        * ``"auto"`` (default) — exact presort below
           :data:`HISTOGRAM_AUTO_THRESHOLD` rows, histogram at or above;
         * ``"exact"`` / ``"histogram"`` — force a backend;
         * a :class:`~repro.learn.splitter.Presort` built for this exact
@@ -146,9 +146,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         with telemetry.span(
             "learn.tree_fit", backend=self.fit_backend_, rows=int(X.shape[0])
         ):
-            self.tree_ = self._grow(X, onehot, splitter)
-        self.depth_ = _tree_depth(self.tree_)
-        self.n_leaves_ = _count_leaves(self.tree_)
+            tree, depth = self._grow(X, onehot, splitter)
+        self._set_tree(tree, depth)
         return self
 
     def _make_splitter(self, X, onehot, presort):
@@ -158,48 +157,46 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             mode, hint = "exact", presort
         elif isinstance(presort, HistogramBinning):
             mode, hint = "histogram", presort
-        elif presort is None:
-            mode = "auto"
         if mode == "auto":
             mode = (
                 "histogram" if X.shape[0] >= HISTOGRAM_AUTO_THRESHOLD else "exact"
             )
-        if mode in ("exact", "histogram"):
-            # the resolved backend, recorded for benches and manifests
-            self.fit_backend_ = mode
-            telemetry.counter(f"learn.tree_fit.{mode}").inc()
-        if mode == "exact":
-            return PresortSplitter(
-                X, onehot, self.criterion, self.min_samples_leaf, presort=hint
+        backends = {"exact": PresortSplitter, "histogram": HistogramSplitter}
+        if mode not in backends:
+            raise ValueError(
+                "presort must be 'auto', 'exact', 'histogram', a Presort, or a "
+                f"HistogramBinning, got {presort!r}"
             )
-        if mode == "histogram":
-            return HistogramSplitter(
-                X, onehot, self.criterion, self.min_samples_leaf, binning=hint
-            )
-        raise ValueError(
-            "presort must be 'auto', 'exact', 'histogram', a Presort, or a "
-            f"HistogramBinning, got {presort!r}"
-        )
+        # the resolved backend, recorded for benches and manifests
+        self.fit_backend_ = mode
+        telemetry.counter(f"learn.tree_fit.{mode}").inc()
+        return backends[mode](X, onehot, self.criterion, self.min_samples_leaf, hint)
 
-    def _grow(self, X, onehot, splitter) -> _Node:
-        """Build the tree with an explicit stack (deep trees can exceed
-        the interpreter recursion limit on larger resamples).
+    def _grow(self, X, onehot, splitter):
+        """Build the node arrays with an explicit stack (deep trees can
+        exceed the interpreter recursion limit on larger resamples).
+
+        The stack pops nodes in preorder, so each popped node is appended
+        to the arrays; a left child is its parent's index + 1 and a right
+        child records itself in its parent's ``right`` when popped.
+        Returns the tree and every node's depth.
 
         ``splitter`` is either backend; the per-node recursion state
         (``context``) is opaque — the presorted order matrix for the
         exact backend, class-count histograms for the histogram one.
         """
         binary = onehot.shape[1] == 2
-        root: Optional[_Node] = None
-        stack = [(np.arange(X.shape[0]), splitter.root_context(), 0, None, "")]
+        nodes, depths = [], []  # nodes[i]: node i's values in TREE_DTYPES order
+        # entries: (rows, context, depth, parent it is the right child of)
+        stack = [(np.arange(X.shape[0]), splitter.root_context(), 0, -1)]
         while stack:
-            indices, context, depth, parent, side = stack.pop()
+            indices, context, depth, right_of = stack.pop()
+            node = len(nodes)
+            if right_of >= 0:
+                nodes[right_of][3] = node  # right
             class_weights, sub = splitter.node_distribution(indices)
-            node = _Node(distribution=class_weights, n_samples=len(indices))
-            if parent is None:
-                root = node
-            else:
-                setattr(parent, side, node)
+            nodes.append([-1, np.nan, -1, -1, len(indices), class_weights])
+            depths.append(depth)
             if (
                 len(indices) < self.min_samples_split
                 or (self.max_depth is not None and depth >= self.max_depth)
@@ -221,11 +218,39 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             left_context, right_context = splitter.partition(
                 context, left_indices, right_indices
             )
-            node.feature = feature
-            node.threshold = threshold
-            stack.append((right_indices, right_context, depth + 1, node, "right"))
-            stack.append((left_indices, left_context, depth + 1, node, "left"))
-        return root
+            nodes[node][:3] = feature, threshold, node + 1  # feature, threshold, left
+            stack.append((right_indices, right_context, depth + 1, node))
+            stack.append((left_indices, left_context, depth + 1, -1))
+        tree = {
+            key: np.asarray(column, dtype=dtype)
+            for (key, dtype), column in zip(TREE_DTYPES.items(), zip(*nodes))
+        }
+        return tree, np.asarray(depths, dtype=np.int64)
+
+    def _set_tree(self, tree: dict, depth=None) -> None:
+        """Install node arrays as the fitted tree, with the tables
+        prediction reads. ``depth`` (every node's depth) is computed one
+        level at a time when the caller does not already have it."""
+        if depth is None:
+            depth = _node_depths(tree)
+        feature = tree["feature"]
+        leaf = feature < 0
+        self.tree_ = tree
+        self._node_depth = depth
+        self.depth_ = int(depth.max())
+        self.n_leaves_ = int(np.count_nonzero(leaf))
+        # a leaf routes to itself: X is finite, so X <= +inf always holds
+        node = np.arange(len(feature))
+        self._route = (
+            np.where(leaf, 0, feature),
+            np.where(leaf, np.inf, tree["threshold"]),
+            np.where(leaf, node, tree["left"]),
+            np.where(leaf, node, tree["right"]),
+        )
+        distribution = tree["distribution"]
+        totals = distribution.sum(axis=1, keepdims=True)
+        uniform = np.full_like(distribution, 1.0 / distribution.shape[1])
+        self._proba = np.divide(distribution, totals, out=uniform, where=totals > 0)
 
     def fit_candidates(
         self,
@@ -261,12 +286,12 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             deep.fit(X, y, sample_weight=sample_weight, presort=presort)
             for model in members:
                 model.classes_, model.n_features_ = deep.classes_, deep.n_features_
-                if (model.max_depth, model.min_samples_split) == (deepest, smallest):
-                    model.tree_ = deep.tree_
-                else:
-                    model.tree_ = _truncate(deep.tree_, model.max_depth, model.min_samples_split)
-                model.depth_ = _tree_depth(model.tree_)
-                model.n_leaves_ = _count_leaves(model.tree_)
+                tree, depth = deep.tree_, deep._node_depth
+                if (model.max_depth, model.min_samples_split) != (deepest, smallest):
+                    tree, depth = _truncate(
+                        tree, depth, model.max_depth, model.min_samples_split
+                    )
+                model._set_tree(tree, depth)
         return models
 
     # ------------------------------------------------------------------
@@ -279,150 +304,122 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fit on {self.n_features_}"
             )
-        out = np.empty((X.shape[0], len(self.classes_)))
-        # batch traversal: route index blocks through the tree together
-        stack = [(self.tree_, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if node.is_leaf:
-                total = node.distribution.sum()
-                leaf = (
-                    node.distribution / total
-                    if total > 0
-                    else np.full(len(self.classes_), 1.0 / len(self.classes_))
-                )
-                out[rows] = leaf
-                continue
-            go_left = X[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
-        return out
+        feature, threshold, left, right = self._route
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(self.depth_):
+            node = np.where(
+                X[rows, feature[node]] <= threshold[node], left[node], right[node]
+            )
+        return self._proba[node]
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
 
     # ------------------------------------------------------------------
-    # serialization: the node graph flattened into parallel arrays
+    # serialization: the node arrays as they are
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
         self._check_fitted("tree_")
-        order: list = []
-        stack = [self.tree_]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        position = {id(node): i for i, node in enumerate(order)}
-        n = len(order)
-        feature = np.full(n, -1, dtype=np.int64)
-        threshold = np.full(n, np.nan, dtype=np.float64)
-        left = np.full(n, -1, dtype=np.int64)
-        right = np.full(n, -1, dtype=np.int64)
-        n_samples = np.zeros(n, dtype=np.int64)
-        distribution = np.zeros((n, len(self.classes_)), dtype=np.float64)
-        for i, node in enumerate(order):
-            n_samples[i] = node.n_samples
-            distribution[i] = node.distribution
-            if not node.is_leaf:
-                feature[i] = node.feature
-                threshold[i] = node.threshold
-                left[i] = position[id(node.left)]
-                right[i] = position[id(node.right)]
-        return {
+        state = {
             "params": self.get_params(),
             "classes_": labels_to_state(self.classes_),
             "n_features_": int(self.n_features_),
-            "feature": feature,
-            "threshold": threshold,
-            "left": left,
-            "right": right,
-            "n_samples": n_samples,
-            "distribution": distribution,
         }
+        state.update((key, self.tree_[key].copy()) for key in TREE_DTYPES)
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "DecisionTreeClassifier":
         model = cls(**state["params"])
         model.classes_ = labels_from_state(state["classes_"])
         model.n_features_ = int(state["n_features_"])
-        feature = np.asarray(state["feature"], dtype=np.int64)
-        threshold = np.asarray(state["threshold"], dtype=np.float64)
-        left = np.asarray(state["left"], dtype=np.int64)
-        right = np.asarray(state["right"], dtype=np.int64)
-        n_samples = np.asarray(state["n_samples"], dtype=np.int64)
-        distribution = np.asarray(state["distribution"], dtype=np.float64)
-        nodes = [
-            _Node(distribution=distribution[i], n_samples=int(n_samples[i]))
-            for i in range(len(feature))
-        ]
-        for i, node in enumerate(nodes):
-            if feature[i] >= 0:
-                node.feature = int(feature[i])
-                node.threshold = float(threshold[i])
-                node.left = nodes[left[i]]
-                node.right = nodes[right[i]]
-        model.tree_ = nodes[0]
-        model.depth_ = _tree_depth(model.tree_)
-        model.n_leaves_ = _count_leaves(model.tree_)
+        tree = {
+            key: np.asarray(state[key], dtype=dtype)
+            for key, dtype in TREE_DTYPES.items()
+        }
+        _check_tree(tree, model.n_features_, len(model.classes_))
+        model._set_tree(tree)
         return model
 
 
-def _truncate(node: _Node, max_depth: Optional[int], min_samples_split: int) -> _Node:
-    """Copy of the tree cut at ``max_depth`` and at every node with fewer
-    than ``min_samples_split`` samples; cut nodes become leaves.
+def _check_tree(tree: dict, n_features: int, n_classes: int) -> None:
+    """Raise ``ValueError`` unless the node arrays form one tree.
 
-    Internal nodes already carry their class distribution, so the
-    truncated copy is exactly the tree a fit with these limits would build.
+    Both children lie past their parent and every node but the root is a
+    child exactly once, so the arrays are a tree rooted at node 0 by
+    construction and every level walk over them ends.
     """
-    root = _Node(node.distribution, node.n_samples)
-    stack = [(node, root, 0)]
-    while stack:
-        source, copy, depth = stack.pop()
-        if (
-            source.is_leaf
-            or (max_depth is not None and depth >= max_depth)
-            or source.n_samples < min_samples_split
-        ):
-            continue
-        copy.feature = source.feature
-        copy.threshold = source.threshold
-        copy.left = _Node(source.left.distribution, source.left.n_samples)
-        copy.right = _Node(source.right.distribution, source.right.n_samples)
-        stack.append((source.left, copy.left, depth + 1))
-        stack.append((source.right, copy.right, depth + 1))
-    return root
+    n = tree["feature"].size
+    shapes = {key: (n,) for key in TREE_DTYPES}
+    shapes["distribution"] = (n, n_classes)
+    if n == 0 or any(tree[key].shape != shape for key, shape in shapes.items()):
+        raise ValueError(
+            f"tree state needs n >= 1 nodes and an (n, {n_classes}) distribution"
+        )
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    node = np.arange(n)
+    internal = feature >= 0
+    if not np.where(
+        internal,
+        (left == node + 1) & (node + 1 < right) & (right < n),
+        (left == -1) & (right == -1),
+    ).all():
+        raise ValueError("tree state has a child index out of place")
+    children = np.sort(np.concatenate((left[internal], right[internal])))
+    if not np.array_equal(children, node[1:]):
+        raise ValueError("tree state has a node that is not a child exactly once")
+    threshold = tree["threshold"][internal]
+    if (feature >= n_features).any() or not np.isfinite(threshold).all():
+        raise ValueError(
+            f"tree state has a split feature outside [0, {n_features}) "
+            "or a non-finite split threshold"
+        )
 
 
-def _tree_depth(node: _Node) -> int:
-    """Depth via explicit stack — safe for trees deeper than the
-    interpreter recursion limit."""
-    depth = 0
-    stack = [(node, 0)]
-    while stack:
-        current, level = stack.pop()
-        if current.is_leaf:
-            if level > depth:
-                depth = level
-        else:
-            stack.append((current.left, level + 1))
-            stack.append((current.right, level + 1))
+def _node_depths(tree: dict) -> np.ndarray:
+    """Every node's depth, one level at a time (the walk ends on any tree
+    :func:`_check_tree` accepts)."""
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    depth = np.zeros(len(feature), dtype=np.int64)
+    level, d = np.zeros(1, dtype=np.int64), 0
+    while level.size:
+        depth[level] = d
+        internal = level[feature[level] >= 0]
+        level = np.concatenate((left[internal], right[internal]))
+        d += 1
     return depth
 
 
-def _count_leaves(node: _Node) -> int:
-    """Leaf count via explicit stack (see :func:`_tree_depth`)."""
-    leaves = 0
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            leaves += 1
-        else:
-            stack.append(current.left)
-            stack.append(current.right)
-    return leaves
+def _truncate(tree: dict, depth, max_depth: Optional[int], min_samples_split: int):
+    """The tree cut at ``max_depth`` and at every node with fewer than
+    ``min_samples_split`` samples; cut nodes become leaves. Returns the
+    cut tree and its node depths.
+
+    Internal nodes already carry their class distribution, so the cut
+    tree is exactly the tree a fit with these limits would build. A child
+    is one level deeper than its parent and holds no more samples, so if
+    a parent is not cut, neither is any further ancestor: a node survives
+    iff its parent is not cut. Dropping whole subtrees keeps the preorder,
+    so the survivors are renumbered by a cumsum.
+    """
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    cut = tree["n_samples"] < min_samples_split
+    if max_depth is not None:
+        cut |= depth >= max_depth
+    internal = np.flatnonzero(feature >= 0)
+    keep = np.ones(len(feature), dtype=bool)
+    keep[left[internal]] = ~cut[internal]
+    keep[right[internal]] = ~cut[internal]
+    split = (feature >= 0) & ~cut
+    renumbered = np.cumsum(keep) - 1
+    cut_tree = {
+        "feature": np.where(split, feature, -1),
+        "threshold": np.where(split, tree["threshold"], np.nan),
+        "left": np.where(split, renumbered[left], -1),
+        "right": np.where(split, renumbered[right], -1),
+        "n_samples": tree["n_samples"],
+        "distribution": tree["distribution"],
+    }
+    return {key: column[keep] for key, column in cut_tree.items()}, depth[keep]

@@ -199,4 +199,4 @@ class TestStoreAccess:
         from repro.learn import DecisionTreeClassifier
 
         model = DecisionTreeClassifier(max_depth=4).fit(X, y, presort="histogram")
-        assert model.tree_.n_samples == n
+        assert model.tree_["n_samples"][0] == n

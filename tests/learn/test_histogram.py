@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.learn import (
     DecisionTreeClassifier,
     HistogramBinning,
@@ -148,9 +149,9 @@ class TestDispatch:
         assert isinstance(
             model._make_splitter(X, onehot, "auto"), PresortSplitter
         )
-        assert isinstance(
-            model._make_splitter(X, onehot, None), PresortSplitter
-        )
+        # None is no longer an alias of "auto"
+        with pytest.raises(ValueError, match="presort must be"):
+            model._make_splitter(X, onehot, None)
 
     def test_auto_picks_histogram_above_threshold(self, monkeypatch):
         monkeypatch.setattr("repro.learn.tree.HISTOGRAM_AUTO_THRESHOLD", 100)
@@ -177,9 +178,12 @@ class TestDispatch:
     def test_stale_binning_hint_degrades_to_fresh_binning(self):
         X, y = small_problem()
         stale = HistogramBinning(np.ascontiguousarray(X[:100]))
+        counter = telemetry.counter("learn.tree.stale_hint")
+        before = counter.value
         model = DecisionTreeClassifier(max_depth=4).fit(X, y, presort=stale)
         fresh = DecisionTreeClassifier(max_depth=4).fit(X, y, presort="histogram")
         assert tree_signature(model) == tree_signature(fresh)
+        assert counter.value - before == 1
 
     def test_invalid_presort_value_rejected(self):
         X, y = small_problem()
@@ -235,7 +239,7 @@ class TestSketchRegime:
         )
         assert model.depth_ <= 6
         # node sample counts are real row counts, independent of weights
-        assert model.tree_.n_samples == len(y)
+        assert model.tree_["n_samples"][0] == len(y)
 
     def test_multiclass_weighted_histogram(self):
         rng = np.random.default_rng(11)

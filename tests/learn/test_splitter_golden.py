@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.featurization import Featurizer
 from repro.core.learners import DECISION_TREE_GRID, LOGISTIC_REGRESSION_GRID
 from repro.core.missing_values import ModeImputer
@@ -49,17 +50,38 @@ def featurized(name, n):
 
 
 def tree_signature(model):
-    """Every node's (feature, threshold, size, distribution), preorder."""
+    """Every node's (feature, threshold, size, distribution), preorder,
+    read by following child links; a leaf's feature and threshold are None.
+
+    Reads the node arrays of a :class:`DecisionTreeClassifier` and the
+    node graph of the frozen :class:`ReferenceDecisionTree`.
+    """
     nodes = []
-    stack = [model.tree_]
+    if isinstance(model, ReferenceDecisionTree):
+        stack = [model.tree_]
+        while stack:
+            node = stack.pop()
+            nodes.append(
+                (node.feature, node.threshold, node.n_samples, node.distribution.tobytes())
+            )
+            if not node.is_leaf:
+                stack.append(node.right)
+                stack.append(node.left)
+        return nodes
+    tree = model.tree_
+    stack = [0]
     while stack:
-        node = stack.pop()
-        nodes.append(
-            (node.feature, node.threshold, node.n_samples, node.distribution.tobytes())
-        )
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
+        i = stack.pop()
+        split = tree["feature"][i] >= 0
+        nodes.append((
+            int(tree["feature"][i]) if split else None,
+            float(tree["threshold"][i]) if split else None,
+            int(tree["n_samples"][i]),
+            tree["distribution"][i].tobytes(),
+        ))
+        if split:
+            stack.append(tree["right"][i])
+            stack.append(tree["left"][i])
     return nodes
 
 
@@ -133,8 +155,18 @@ class TestPresortHint:
     def test_stale_hint_for_other_matrix_is_ignored(self):
         X, y, _ = featurized("germancredit", 500)
         other = Presort(np.ascontiguousarray(X[:250]))
+        stale = telemetry.counter("learn.tree.stale_hint")
+        before = stale.value
         model = DecisionTreeClassifier(max_depth=6).fit(X, y, presort=other)
         assert_same_tree(model, DecisionTreeClassifier(max_depth=6).fit(X, y))
+        assert stale.value - before == 1
+
+    def test_fold_major_search_passes_no_stale_hint(self):
+        X, y, _ = featurized("germancredit", 300)
+        stale = telemetry.counter("learn.tree.stale_hint")
+        before = stale.value
+        GridSearchCV(DecisionTreeClassifier(), TUNING_GRID, cv=3, random_state=0).fit(X, y)
+        assert stale.value == before
 
     def test_presort_rejects_non_matrix(self):
         with pytest.raises(ValueError, match="2-D"):

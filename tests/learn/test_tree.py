@@ -29,24 +29,20 @@ class TestFitting:
         y = np.array([0, 0, 1, 1])
         model = DecisionTreeClassifier(max_depth=1).fit(X, y)
         assert model.score(X, y) == 1.0
-        assert model.tree_.threshold == pytest.approx(1.5)
+        assert model.tree_["threshold"][0] == pytest.approx(1.5)
 
     def test_min_samples_leaf(self):
         X, y = _xor(n=100)
         model = DecisionTreeClassifier(min_samples_leaf=30).fit(X, y)
         # every leaf must hold at least 30 samples
-        def check(node):
-            if node.is_leaf:
-                assert node.n_samples >= 30
-            else:
-                check(node.left)
-                check(node.right)
-        check(model.tree_)
+        leaves = model.tree_["feature"] < 0
+        assert leaves.any()
+        assert np.all(model.tree_["n_samples"][leaves] >= 30)
 
     def test_min_samples_split_blocks_small_nodes(self):
         X, y = _xor(n=50)
         model = DecisionTreeClassifier(min_samples_split=51).fit(X, y)
-        assert model.tree_.is_leaf
+        assert model.tree_["feature"][0] < 0  # the root is a leaf
 
     def test_entropy_criterion(self):
         X, y = _xor()
@@ -67,7 +63,7 @@ class TestFitting:
         X = np.array([[0.0], [1.0]])
         y = np.array([1, 1])
         model = DecisionTreeClassifier().fit(X, y)
-        assert model.tree_.is_leaf
+        assert model.tree_["feature"][0] < 0  # the root is a leaf
         assert list(model.predict(X)) == [1, 1]
 
 

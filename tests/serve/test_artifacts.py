@@ -90,6 +90,29 @@ class TestPipelineArtifact:
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             PipelineArtifact.load(directory)
 
+    def test_corrupt_tree_arrays_rejected(self, fitted, tmp_path):
+        _, _, _, _, pipeline = fitted
+        directory = str(tmp_path / "model")
+        pipeline.save(directory)
+        manifest = load_artifact(directory)
+
+        def tree_states(node):
+            if isinstance(node, dict):
+                if "left" in node and "feature" in node:
+                    yield node
+                for value in node.values():
+                    yield from tree_states(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from tree_states(value)
+
+        tree = next(tree_states(manifest["components"]["model"]))
+        tree["left"][0] = 0  # the root's left child becomes the root itself
+        corrupt = str(tmp_path / "corrupt")
+        save_artifact(corrupt, manifest)
+        with pytest.raises(ValueError, match="tree state"):
+            PipelineArtifact.load(corrupt)
+
     def test_unknown_component_type_rejected(self, fitted, tmp_path):
         _, _, _, _, pipeline = fitted
         directory = str(tmp_path / "model")
