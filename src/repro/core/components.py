@@ -10,13 +10,27 @@ data only and applied by the framework to the validation and test sets
 from __future__ import annotations
 
 import abc
+import functools
 import inspect
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..fairness import BinaryLabelDataset
 from ..frame import DataFrame
+
+
+@functools.lru_cache(maxsize=None)
+def _init_param_names(cls) -> Tuple[str, ...]:
+    """Named ``__init__`` parameters of a class, read once per class:
+    ``inspect.signature`` costs tens of microseconds, and every grid
+    expansion fingerprints each cell's components."""
+    return tuple(
+        name
+        for name, parameter in inspect.signature(cls.__init__).parameters.items()
+        if name != "self"
+        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+    )
 
 
 def constructor_params(component) -> Dict[str, object]:
@@ -26,17 +40,11 @@ def constructor_params(component) -> Dict[str, object]:
     under an attribute of the same name, so a fresh, unfitted copy can be
     rebuilt as ``type(component)(**constructor_params(component))``.
     """
-    signature = inspect.signature(type(component).__init__)
-    params: Dict[str, object] = {}
-    for name, parameter in signature.parameters.items():
-        if name == "self" or parameter.kind in (
-            parameter.VAR_POSITIONAL,
-            parameter.VAR_KEYWORD,
-        ):
-            continue
-        if hasattr(component, name):
-            params[name] = getattr(component, name)
-    return params
+    return {
+        name: getattr(component, name)
+        for name in _init_param_names(type(component))
+        if hasattr(component, name)
+    }
 
 
 def component_fingerprint(component) -> str:

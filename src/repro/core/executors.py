@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import abc
 import os
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -383,11 +382,9 @@ class ParallelExecutor(Executor):
             _run_groups_in_process(plan, groups, self.share_preparation, emit_group)
             return
         if not parallel.fork_available():
-            warnings.warn(
+            parallel.warn_serial_fallback(
                 "ParallelExecutor needs the 'fork' start method to ship "
-                "component factories to workers; running serially instead",
-                RuntimeWarning,
-                stacklevel=2,
+                "component factories to workers; running serially instead"
             )
             _run_groups_in_process(plan, groups, self.share_preparation, emit_group)
             return

@@ -35,6 +35,11 @@ from .dataframe import DataFrame
 
 _CSV_SPECIALS = (",", '"', "\n", "\r")
 
+#: counts every parse that leaves the split-based fast path for
+#: ``csv.reader``: once per :func:`read_csv` call, once per
+#: :func:`read_csv_chunked` batch
+CSV_FALLBACK = "frame.read_csv.csv_fallback"
+
 
 def write_csv(frame: DataFrame, path: str) -> None:
     """Write a frame to CSV with a header row; missing values become ''."""
@@ -174,9 +179,17 @@ def _split_plain_lines(
     return [flat[j::n_cols] for j in range(n_cols)]
 
 
+def _csv_reader(text: str):
+    """``csv.reader`` over in-memory text, split into lines the way the
+    file was read (``newline=""``): ``\n``, ``\r\n`` and a bare ``\r``
+    each end a line, and embedded line breaks reach the reader verbatim."""
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def _split_quoted(content: str, path: str) -> tuple:
     """Field splitting through ``csv.reader`` (quoted or CR-terminated data)."""
-    reader = csv.reader(io.StringIO(content))
+    telemetry.counter(CSV_FALLBACK).inc()
+    reader = _csv_reader(content)
     try:
         header = next(reader)
     except StopIteration:
@@ -245,7 +258,7 @@ def read_csv_chunked(
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         if '"' in header_text or "\r" in header_text:
-            header = next(csv.reader(io.StringIO(header_text)))
+            header = next(_csv_reader(header_text))
         else:
             header = header_text.rstrip("\n").split(",")
         n_cols = len(header)
@@ -309,7 +322,8 @@ def _split_records(
         while lines and lines[-1] == "":
             lines.pop()
         return _split_plain_lines(lines, n_cols, path, row_offset)
-    raw_rows = [row for row in csv.reader(io.StringIO(content)) if row]
+    telemetry.counter(CSV_FALLBACK).inc()
+    raw_rows = [row for row in _csv_reader(content) if row]
     if not raw_rows:
         return None
     return _split_quoted_rows(raw_rows, n_cols, path, row_offset)

@@ -13,10 +13,14 @@ node O(d·n·log n). This module removes that redundancy in three steps:
   parent's order filtered by membership), turning per-node work into
   O(d·n); the order matrix is the only state threaded down — ranks and
   class payloads are re-gathered from per-sample tables;
-* both the binary and the general multi-class criterion run through one
-  weighted-cumsum gain kernel that evaluates impurity only at candidate
-  boundaries (where consecutive sorted ranks differ) inside the
-  min-leaf-feasible column window, instead of at every sorted position.
+* impurity is evaluated only at candidate boundaries (where consecutive
+  sorted ranks differ) inside the min-leaf-feasible column window, for
+  all features at once: the binary search from one positive-weight
+  cumsum, the multi-class search from one (value-group × class) count
+  table (:func:`group_left_counts`, built over blocks of features of
+  bounded table size), whose integer counts equal the seed's
+  per-position cumsum when every weight is 1.0. Weighted multi-class
+  fits keep the seed's per-feature cumsum.
 
 Every floating-point result mirrors the per-node argsort implementation
 operand for operand — same cumsum partial sums, same impurity
@@ -145,6 +149,11 @@ class PresortSplitter(SplitterBase):
         self._ranks = presort.ranks
         self._root_order = presort.order
         self._member = np.zeros(self.n_samples, dtype=bool)
+        if self.unit_weight and not self.binary:
+            # each one-hot row holds a single 1.0, at the sample's class
+            self._codes = onehot.argmax(axis=1).astype(
+                np.min_scalar_type(onehot.shape[1] - 1)
+            )
 
     def root_context(self) -> np.ndarray:
         """Recursion state of the root node (the full order matrix).
@@ -184,17 +193,12 @@ class PresortSplitter(SplitterBase):
             self.criterion, node_positive / node_weight
         )
 
-        # candidate boundaries, restricted to the min-leaf-feasible
-        # window of split positions p in [min_leaf, n - min_leaf]
-        lo = min_leaf - 1
-        window = np.take_along_axis(
-            self._ranks, order[:, lo : n - min_leaf + 1], axis=1
+        window = order[:, boundary_window(n, min_leaf)]
+        feat, pos = rank_boundaries(
+            np.take_along_axis(self._ranks, window, axis=1), min_leaf
         )
-        feat, pos = np.nonzero(window[:, :-1] < window[:, 1:])
         if feat.size == 0:
             return None
-        if lo:
-            pos = pos + lo
 
         # impurity only at the boundaries — for one-hot-heavy matrices a
         # tiny fraction of the d*(n-1) positions the argsort splitter
@@ -240,53 +244,47 @@ class PresortSplitter(SplitterBase):
         return f, self._threshold(order, f, p), float(gains[winner])
 
     def best_split_general(self, indices, order, node_counts):
-        """Per-feature search for multi-class labels (presorted orders).
+        """All-feature search for multi-class labels (presorted orders).
 
         ``node_counts`` is the node's class-weight vector (the seed
         computed the identical ``onehot[indices].sum(axis=0)`` twice).
+        Features are scored in blocks of bounded table size
+        (:func:`feature_blocks`); a node with few distinct values is one
+        block.
         """
-        node_weight = node_counts.sum()
-        if node_weight <= 0:
+        if node_counts.sum() <= 0:
             return None
-        node_impurity = _impurity(self.criterion, node_counts[None, :], node_weight)[0]
+        n_classes = len(node_counts)
+        sorted_ranks = np.take_along_axis(self._ranks, order, axis=1)
+        starts = rank_starts(sorted_ranks)
+        window = boundary_window(len(indices), self.min_leaf)
         best = None
-        best_gain = -np.inf
-        min_leaf = self.min_leaf
-        n = len(indices)
-        onehot = self.onehot
-        ranks = self._ranks
-        for feature in range(self.n_features):
-            feature_order = order[feature]
-            sorted_ranks = ranks[feature, feature_order]
-            if sorted_ranks[0] == sorted_ranks[-1]:
+        for lo, hi in feature_blocks(starts, n_classes):
+            feat, pos = rank_boundaries(sorted_ranks[lo:hi, window], self.min_leaf)
+            if feat.size == 0:
                 continue
-            sorted_onehot = onehot[feature_order]
-            left_cumulative = np.cumsum(sorted_onehot, axis=0)
-            # candidate split after position i (left = 0..i)
-            boundaries = np.nonzero(sorted_ranks[:-1] < sorted_ranks[1:])[0]
-            valid = boundaries[
-                (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
-            ]
-            if valid.size == 0:
-                continue
-            left_counts = left_cumulative[valid]
-            right_counts = node_counts[None, :] - left_counts
-            left_weight = left_counts.sum(axis=1)
-            right_weight = right_counts.sum(axis=1)
-            ok = (left_weight > 0) & (right_weight > 0)
-            if not ok.any():
-                continue
-            left_impurity = _impurity(self.criterion, left_counts, left_weight)
-            right_impurity = _impurity(self.criterion, right_counts, right_weight)
-            gains = _children_gain(
-                ok, node_impurity, node_weight,
-                left_weight, left_impurity, right_weight, right_impurity,
-            )
-            pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                best = (feature, self._threshold(order, feature, int(valid[pick])), best_gain)
-        return best
+            if self.unit_weight:
+                left_counts = group_left_counts(
+                    starts[lo:hi], self._codes[order[lo:hi]], n_classes, feat, pos
+                )
+            else:
+                # weighted partial sums depend on summation order: keep the
+                # seed's positional cumsum, one (n, k) table per feature
+                features, split = np.unique(feat, return_index=True)
+                left_counts = np.concatenate([
+                    np.cumsum(self.onehot[order[lo + f]], axis=0)[p]
+                    for f, p in zip(features, np.split(pos, split[1:]))
+                ])
+            found = best_multiclass_boundary(self.criterion, node_counts, left_counts)
+            # blocks run in feature order, so a later block must be
+            # strictly better: the first feature-major maximum wins
+            if found is not None and (best is None or found[1] > best[2]):
+                row, gain = found
+                best = (lo + int(feat[row]), int(pos[row]), gain)
+        if best is None:
+            return None
+        f, p, gain = best
+        return f, self._threshold(order, f, p), gain
 
     def _threshold(self, order, feature: int, position: int) -> float:
         """Midpoint of the boundary pair, read back from the raw matrix
@@ -319,6 +317,113 @@ class PresortSplitter(SplitterBase):
 
 
 # ----------------------------------------------------------------------
+# candidate boundaries (both searches) and the multi-class group table
+# ----------------------------------------------------------------------
+def boundary_window(n, min_leaf):
+    """Sorted positions ``min_leaf - 1 .. n - min_leaf`` of an n-sample
+    node: their ranks decide every boundary whose children both hold
+    ``min_leaf`` samples (the split after position ``p`` sends positions
+    ``0..p`` left)."""
+    return slice(min_leaf - 1, n - min_leaf + 1)
+
+
+def rank_boundaries(window_ranks, min_leaf):
+    """Feature-major ``(feature, position)`` of every boundary, from the
+    node's sorted ranks gathered over :func:`boundary_window` only."""
+    feat, pos = np.nonzero(window_ranks[:, :-1] != window_ranks[:, 1:])
+    return feat, pos + (min_leaf - 1)
+
+
+def rank_starts(sorted_ranks):
+    """``(d, n)`` mask of group starts: position 0 of every feature and
+    each position whose sorted rank differs from its predecessor's. A
+    group is a run of equal values; every group end but a feature's last
+    is a candidate boundary."""
+    starts = np.empty(sorted_ranks.shape, dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(sorted_ranks[:, 1:], sorted_ranks[:, :-1], out=starts[:, 1:])
+    return starts
+
+
+# class-count cells one block of features may fill (128 KB of int64): bounds
+# the multi-class search's tables when a node has many distinct values, and
+# keeps each block's (M × k) scoring temporaries cache-sized
+TABLE_CELLS = 1 << 14
+
+
+def feature_blocks(starts, n_classes):
+    """Contiguous feature ranges ``(lo, hi)`` whose (group × class)
+    tables stay near :data:`TABLE_CELLS` cells.
+
+    A new block begins at each feature whose first group crosses a
+    multiple of ``TABLE_CELLS // n_classes`` groups, so a block holds at
+    most that many groups plus one feature's (at most n).
+    """
+    groups = np.count_nonzero(starts, axis=1)
+    offsets = np.cumsum(groups) - groups
+    block = offsets // max(TABLE_CELLS // n_classes, 1)
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(groups)]
+    return zip(edges[:-1], edges[1:])
+
+
+def group_left_counts(starts, sorted_codes, n_classes, feat, pos):
+    """Left class counts at each boundary, from one class-count table.
+
+    Groups are numbered feature-major (1-based) by one cumsum over
+    ``starts``; one offset ``bincount`` over ``group * k + class`` fills
+    the (groups × k) table, and its cumsum over groups minus the total
+    before a feature's first group is the left count at every group end.
+
+    Exact for unit weights only: the counts are small integers, so their
+    float64 copies equal the per-position cumsum of 0/1 one-hot rows at
+    every boundary, whatever the summation order. Weighted partial sums
+    would round differently, so weighted fits do not come here.
+    """
+    d, n = starts.shape
+    # keys reach (groups + 1) * k - 1, and groups <= d * n
+    wide = (starts.size + 1) * n_classes > np.iinfo(np.int32).max
+    group = np.cumsum(starts, axis=None, dtype=np.int64 if wide else np.int32)
+    n_groups = int(group[-1])
+    group = group.reshape(d, n)
+    end = group[feat, pos]  # the group each boundary closes
+    before = group[feat, 0] - 1  # the previous feature's last group
+    key = group  # reused in place: group ids are no longer needed
+    key *= n_classes
+    key += sorted_codes
+    table = np.bincount(key.ravel(), minlength=(n_groups + 1) * n_classes)
+    table = table.reshape(n_groups + 1, n_classes)
+    np.cumsum(table, axis=0, out=table)
+    return (table[end] - table[before]).astype(np.float64)
+
+
+def best_multiclass_boundary(criterion, node_counts, left_counts):
+    """``(row, gain)`` of the best candidate in ``left_counts``, or None.
+
+    ``left_counts`` is the ``(M, k)`` float64 table of every candidate's
+    left class weights, in feature-major order. Every operation is
+    row-wise, so each row's gain is the float the seed's per-feature loop
+    computed for it. Tie-break: the lowest row among the maxima — the
+    first feature whose gain is strictly greater, then its lowest
+    position (the seed's multi-class rule). The binary search breaks
+    ties the other way round: lowest position first, then lowest feature.
+    """
+    node_weight = node_counts.sum()
+    node_impurity = _impurity(criterion, node_counts[None, :], node_weight)[0]
+    right_counts = node_counts[None, :] - left_counts
+    left_weight = left_counts.sum(axis=1)
+    right_weight = right_counts.sum(axis=1)
+    gains = _children_gain(
+        (left_weight > 0) & (right_weight > 0), node_impurity, node_weight,
+        left_weight, _impurity(criterion, left_counts, left_weight),
+        right_weight, _impurity(criterion, right_counts, right_weight),
+    )
+    row = int(np.argmax(gains))
+    if gains[row] == -np.inf:
+        return None
+    return row, float(gains[row])
+
+
+# ----------------------------------------------------------------------
 # the shared gain kernel and impurity functions
 # ----------------------------------------------------------------------
 def _children_gain(
@@ -326,9 +431,9 @@ def _children_gain(
 ):
     """Impurity decrease of each candidate; ``-inf`` where not allowed.
 
-    This is the single weighted-cumsum gain kernel both criterion paths
-    feed: the binary path with two running statistics (total and
-    positive weight), the general path with full class-count vectors.
+    Shared by every weighted search: the binary path with two running
+    statistics (total and positive weight), the general path with full
+    class-count vectors.
     """
     children = (left_w * left_impurity + right_w * right_impurity) / node_weight
     return np.where(ok, node_impurity - children, -np.inf)

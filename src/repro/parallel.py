@@ -27,6 +27,8 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from . import telemetry
+
 #: (payload, worker, groups) inherited by forked pool workers
 _WORKER_STATE: Optional[Tuple] = None
 
@@ -34,6 +36,14 @@ _WORKER_STATE: Optional[Tuple] = None
 def fork_available() -> bool:
     """Whether this platform can fork worker processes."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def warn_serial_fallback(message: str) -> None:
+    """Warn that fan-out dropped to serial execution, and count it in
+    ``parallel.serial_fallback``. The warning points at the caller of the
+    function that fell back."""
+    telemetry.counter("parallel.serial_fallback").inc()
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def _run_indexed(index: int):
@@ -65,11 +75,9 @@ def run_groups(
     groups = list(groups)
     jobs = min(int(jobs), len(groups))
     if jobs > 1 and not fork_available():
-        warnings.warn(
+        warn_serial_fallback(
             "parallel execution needs the 'fork' start method to ship "
-            "work to child processes; running serially instead",
-            RuntimeWarning,
-            stacklevel=2,
+            "work to child processes; running serially instead"
         )
         jobs = 1
     if jobs <= 1:

@@ -7,10 +7,14 @@ and the csv-module fallback, with kinds pinned from the first batch.
 """
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.frame import (
     CATEGORICAL,
     NUMERIC,
@@ -181,3 +185,137 @@ class TestChunkedErrors:
             handle.write("a\n1\n")
         with pytest.raises(ValueError, match="chunk_rows"):
             list(read_csv_chunked(path, chunk_rows=0))
+
+
+# ----------------------------------------------------------------------
+# fuzzing the chunked reader against the whole-file reader
+# ----------------------------------------------------------------------
+TEXT_PIECES = ["a", "b", " ", ",", '"', "\n", "\r\n", "\r", "7"]
+
+
+def csv_field(value, quote):
+    """One CSV field; quoted when ``quote`` or when the value needs it."""
+    if quote or any(special in value for special in (",", '"', "\n", "\r")):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def raw_csv(draw):
+    """Raw CSV text, the row count and pinned column kinds.
+
+    Covers quoted fields with embedded commas, quotes and newlines,
+    ``\n``, ``\r\n`` and bare ``\r`` endings mixed per line, blank lines, empty
+    (missing) fields and a missing final line ending. Kinds are pinned:
+    first-batch inference may legitimately differ from whole-file
+    inference (see ``TestKindPinning``).
+    """
+    n_cols = draw(st.integers(1, 3))
+    kinds, names = {}, []
+    for j in range(n_cols):
+        name = f"c{j}" + draw(st.sampled_from(["", ",x", ' "q"']))
+        names.append(name)
+        kinds[name] = draw(st.sampled_from([NUMERIC, CATEGORICAL]))
+    number = st.one_of(
+        st.just(""),
+        st.integers(-50, 50).map(str),
+        st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+    )
+    text = st.lists(st.sampled_from(TEXT_PIECES), max_size=4).map("".join)
+    newline = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(csv_field(name, draw(st.booleans())) for name in names)]
+    n_rows = draw(st.integers(1, 8))
+    for _ in range(n_rows):
+        fields = [
+            csv_field(draw(number if kinds[name] == NUMERIC else text), draw(st.booleans()))
+            for name in names
+        ]
+        lines.append(",".join(fields))
+        lines.extend([""] * draw(st.integers(0, 2)))  # blank lines
+    content = "".join(line + draw(newline) for line in lines)
+    if draw(st.booleans()):
+        content = content.rstrip("\r\n")
+    return content, n_rows, kinds
+
+
+def outcome(read):
+    """``(frame, None)``, or ``(None, message)`` when ``read`` refuses."""
+    try:
+        return read(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestChunkedFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(raw_csv())
+    def test_every_chunk_size_reproduces_read_csv(self, case):
+        content, n_rows, kinds = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.csv")
+            with open(path, "w", newline="") as handle:
+                handle.write(content)
+            # a one-column file whose fields are all unquoted and empty is
+            # all blank lines: both readers must refuse it the same way
+            whole, error = outcome(lambda: read_csv(path, kinds=kinds))
+            for chunk_rows in range(1, n_rows + 2):
+                frame, chunk_error = outcome(lambda: concat_rows(list(
+                    read_csv_chunked(path, chunk_rows=chunk_rows, kinds=kinds)
+                )))
+                assert chunk_error == error, chunk_rows
+                assert error is not None or frame.equals(whole), chunk_rows
+
+
+    # found by the fuzz above: csv.reader saw the text split on "\n"
+    # only, so a bare "\r" line ending raised _csv.Error in read_csv
+    @pytest.mark.parametrize("content,kinds,expected", [
+        ("c0,c1\r,\n", {"c0": NUMERIC, "c1": NUMERIC}, [[np.nan], [np.nan]]),
+        ('a,b\r1,x\r2,"y\rz"\r', {}, [[1.0, 2.0], ["x", "y\rz"]]),
+    ])
+    def test_bare_carriage_return_line_endings(self, tmp_path, content, kinds, expected):
+        path = os.path.join(tmp_path, "cr.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write(content)
+        whole = read_csv(path, kinds=kinds)
+        for name, values in zip(whole.columns, expected):
+            column = whole.col(name)
+            decoded = column.values if column.is_numeric else column.decoded()
+            np.testing.assert_array_equal(decoded, values)
+        for chunk_rows in (1, 2, 3):
+            batches = list(read_csv_chunked(path, chunk_rows=chunk_rows, kinds=kinds))
+            assert concat_rows(batches).equals(whole)
+
+
+class TestCsvFallbackCounter:
+    def read_counting(self, path, **kwargs):
+        fallback = telemetry.counter("frame.read_csv.csv_fallback")
+        before = fallback.value
+        frame = read_csv(path, **kwargs)
+        return frame, fallback.value - before
+
+    def test_quoted_csv_counts_once(self, tmp_path):
+        path = os.path.join(tmp_path, "quoted.csv")
+        with open(path, "w") as handle:
+            handle.write('a,b\n"x,y",1\nz,2\nw,3\n')
+        frame, fired = self.read_counting(path)
+        assert fired == 1
+        assert frame.col("a").decoded().tolist() == ["x,y", "z", "w"]
+
+    def test_plain_csv_stays_on_the_fast_path(self, tmp_path):
+        path = os.path.join(tmp_path, "plain.csv")
+        with open(path, "w") as handle:
+            handle.write("a,b\nx,1\nz,2\n")
+        _, fired = self.read_counting(path)
+        assert fired == 0
+
+    def test_chunked_reader_counts_each_fallback_batch(self, tmp_path):
+        # only the batch holding the quoted record leaves the fast path
+        path = os.path.join(tmp_path, "one_quoted.csv")
+        with open(path, "w") as handle:
+            handle.write('a,b\nx,1\nz,2\n"q,r",3\nw,4\n')
+        fallback = telemetry.counter("frame.read_csv.csv_fallback")
+        before = fallback.value
+        list(read_csv_chunked(path, chunk_rows=2))
+        assert fallback.value - before == 1
+        list(read_csv_chunked(path, chunk_rows=1))
+        assert fallback.value - before == 2

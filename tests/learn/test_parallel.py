@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import parallel
+from repro import parallel, telemetry
 from repro.learn import SGDClassifier
 
 from .reference_impl import fit_ovr_per_class
@@ -21,6 +21,25 @@ class TestRunGroups:
             lambda index, group, result: seen.append((index, result)),
         )
         assert seen == [(0, [10]), (1, [20]), (2, [30])]
+
+    def test_serial_run_does_not_count_a_fallback(self):
+        fallback = telemetry.counter("parallel.serial_fallback")
+        before = fallback.value
+        parallel.run_groups(1, _double, [[1], [2]], 1, lambda *args: None)
+        assert fallback.value == before
+
+    def test_missing_fork_falls_back_to_serial_and_counts(self, monkeypatch):
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        fallback = telemetry.counter("parallel.serial_fallback")
+        before = fallback.value
+        seen = []
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            parallel.run_groups(
+                2, _double, [[1], [2], [3]], 3,
+                lambda index, group, result: seen.append((index, result)),
+            )
+        assert seen == [(0, [2]), (1, [4]), (2, [6])]
+        assert fallback.value - before == 1
 
     @pytest.mark.skipif(not parallel.fork_available(), reason="needs fork")
     def test_parallel_matches_serial(self):
