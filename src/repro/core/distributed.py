@@ -431,28 +431,17 @@ class Coordinator:
             if lease is None:
                 send_frame(conn, {"type": "ack", "stale": True})
                 return
-            received = [
-                (c, lease.received[c.run_key])
-                for c in lease.configs
-                if c.run_key in lease.received
-            ]
-            if received:
-                configs, results = zip(*received)
-                self._merge(list(configs), list(results), already_marked=True)
-            missing = [
-                c for c in lease.missing() if c.run_key not in self._done_keys
-            ]
-        if missing:
             # a "complete" that did not deliver everything it leased: the
             # worker skipped keys (e.g. crash-restart mid-lease semantics)
-            self._requeue_configs(missing, lease.lease_id, reason="incomplete")
+            merged, missing = self._retire(lease)
+        self._requeue_event(missing, lease_id, reason="incomplete")
         send_frame(conn, {"type": "ack", "stale": False})
         self._event(
             {
                 "event": "complete",
                 "lease": lease_id,
                 "worker": worker,
-                "keys": len(received),
+                "keys": merged,
             }
         )
 
@@ -487,42 +476,48 @@ class Coordinator:
         if self.stats["completed"] >= self._total:
             self.finished.set()
 
+    def _retire(self, lease):
+        """Merge a popped lease's received results and put its missing
+        keys back at the front of the queue; caller holds the lock.
+
+        Popping the lease, merging and re-queueing must be one critical
+        section: a result landing between them would find its key
+        neither leased nor queued and be dropped as a duplicate.
+        Returns ``(merged count, re-queued configs)``.
+        """
+        received = [
+            (c, lease.received[c.run_key])
+            for c in lease.configs
+            if c.run_key in lease.received
+        ]
+        if received:
+            configs, results = zip(*received)
+            self._merge(list(configs), list(results), already_marked=True)
+        missing = [c for c in lease.missing() if c.run_key not in self._done_keys]
+        if missing:
+            # front of the queue: re-queued work is the oldest work
+            self._queue.appendleft(missing)
+            self.stats["requeued"] += len(missing)
+        return len(received), missing
+
     def _requeue(self, lease_ids: set, reason: str) -> None:
         for lease_id in list(lease_ids):
             with self._lock:
                 lease = self._outstanding.pop(lease_id, None)
+                missing = [] if lease is None else self._retire(lease)[1]
             lease_ids.discard(lease_id)
-            if lease is None:
-                continue
-            received = [
-                (c, lease.received[c.run_key])
-                for c in lease.configs
-                if c.run_key in lease.received
-            ]
-            with self._lock:
-                if received:
-                    configs, results = zip(*received)
-                    self._merge(list(configs), list(results), already_marked=True)
-                missing = [
-                    c for c in lease.missing() if c.run_key not in self._done_keys
-                ]
-            self._requeue_configs(missing, lease_id, reason)
+            self._requeue_event(missing, lease_id, reason)
 
-    def _requeue_configs(self, configs, lease_id, reason) -> None:
-        if not configs:
-            return
-        with self._lock:
-            # front of the queue: re-queued work is the oldest work
-            self._queue.appendleft(list(configs))
-            self.stats["requeued"] += len(configs)
-        self._event(
-            {
-                "event": "requeue",
-                "lease": lease_id,
-                "keys": len(configs),
-                "reason": reason,
-            }
-        )
+    def _requeue_event(self, configs, lease_id, reason) -> None:
+        if configs:
+            self._event(
+                {
+                    "event": "requeue",
+                    "lease": lease_id,
+                    "keys": len(configs),
+                    "reason": reason,
+                }
+            )
 
     def _monitor_loop(self) -> None:
         tick = max(0.05, min(1.0, self.lease_seconds / 4))

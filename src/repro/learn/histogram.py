@@ -16,7 +16,7 @@ high-cardinality features for bounded per-node work:
   sorted values.
 * :class:`HistogramSplitter` accumulates per-node class-count histograms
   with ``bincount`` and scores gains only at bin boundaries through the
-  same gain kernel the presort backend uses — O(d·n_bins) candidates per
+  same search the presort backend uses — O(d·n_bins) candidates per
   node instead of O(d·n).
 * Sibling histograms come from the **subtraction trick**: only the
   smaller child is ever re-accumulated; the larger child's histogram is
@@ -39,14 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import telemetry
-from .splitter import (
-    SplitterBase,
-    _children_gain,
-    _impurity,
-    _impurity_binary,
-    _impurity_from_p,
-    _scalar_impurity_binary,
-)
+from .splitter import SplitterBase
 
 MAX_BINS = 256
 
@@ -120,14 +113,6 @@ class HistogramBinning:
     def is_for(self, X) -> bool:
         return X is self.matrix
 
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.matrix.shape[1]
-
 
 class HistogramSplitter(SplitterBase):
     """Best-split search over per-node class-count histograms.
@@ -136,7 +121,9 @@ class HistogramSplitter(SplitterBase):
     the tree-growing loop: the same ``root_context`` /
     ``node_distribution`` / ``best_split_*`` / ``partition`` surface,
     with the per-node context being class-count histograms instead of a
-    sorted-order matrix.
+    sorted-order matrix. The search itself is
+    :class:`~repro.learn.splitter.SplitterBase`'s; this backend supplies
+    only the candidate bins, their left statistics and the thresholds.
     """
 
     def __init__(self, X, onehot, criterion, min_samples_leaf, binning=None):
@@ -215,122 +202,40 @@ class HistogramSplitter(SplitterBase):
         return (small, big) if left_small else (big, small)
 
     # ------------------------------------------------------------------
-    # split search
+    # candidate bins and thresholds
     # ------------------------------------------------------------------
-    def best_split_binary(self, indices, context, sub, distribution):
-        n = len(indices)
-        d = self.n_features
-        min_leaf = self.min_leaf
-        if n < 2 * min_leaf:
-            return None
-        count, weight, positive = context
-        unit = self.unit_weight
-        if unit:
-            node_weight = float(n)
-            node_positive = distribution[1]
-        else:
-            node_weight = sub.sum(axis=1).sum()
-            node_positive = sub[:, 1].sum()
-        if node_weight <= 0:
-            return None
-        node_impurity = _scalar_impurity_binary(
-            self.criterion, node_positive / node_weight
-        )
-
+    def _candidate_bins(self, n, count):
+        """``(feat, bins, left_n)`` of every candidate: a boundary sits
+        after each non-empty bin inside the min-leaf window of split
+        *positions* — the feasibility rule the presort window encodes."""
         left_n = np.cumsum(count, axis=1)
-        # a candidate sits after every non-empty bin with samples on both
-        # sides, inside the min-leaf window of split *positions* — the
-        # same feasibility rule the presort window encodes
-        cand = (count > 0) & (left_n >= min_leaf) & (left_n <= n - min_leaf)
-        feat, bins = np.nonzero(cand)
+        feat, bins = np.nonzero(
+            (count > 0) & (left_n >= self.min_leaf) & (left_n <= n - self.min_leaf)
+        )
+        return feat, bins, left_n[feat, bins]
+
+    def _binary_candidates(self, n, context):
+        count, weight, positive = context
+        feat, bins, left_n = self._candidate_bins(n, count)
         if feat.size == 0:
             return None
-        left_count = left_n[feat, bins]
         left_p = np.cumsum(positive, axis=1, dtype=np.float64)[feat, bins]
-        right_p = node_positive - left_p
-        if unit:
-            left_w = left_count.astype(np.float64)
-            right_w = node_weight - left_w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left_impurity = _impurity_from_p(self.criterion, left_p / left_w)
-                right_impurity = _impurity_from_p(self.criterion, right_p / right_w)
-            gains = node_impurity - (
-                (left_w * left_impurity + right_w * right_impurity) / node_weight
-            )
-        else:
-            left_w = np.cumsum(weight, axis=1)[feat, bins]
-            right_w = node_weight - left_w
-            ok = (left_w > 0) & (right_w > 0)
-            if not ok.any():
-                return None
-            left_impurity = _impurity_binary(self.criterion, left_p, left_w)
-            right_impurity = _impurity_binary(self.criterion, right_p, right_w)
-            gains = _children_gain(
-                ok, node_impurity, node_weight,
-                left_w, left_impurity, right_w, right_impurity,
-            )
-        best_gain = gains.max()
-        if not np.isfinite(best_gain):
-            return None
-        # presort tie-break: lowest split position first, then lowest
-        # feature; the split position of a boundary is left_count - 1
-        tied = np.nonzero(gains == best_gain)[0]
-        if tied.size > 1:
-            winner = tied[np.argmin((left_count[tied] - 1) * d + feat[tied])]
-        else:
-            winner = tied[0]
-        f = int(feat[winner])
-        b = int(bins[winner])
-        return f, self._threshold(count, f, b), float(gains[winner])
+        left_w = None if weight is None else np.cumsum(weight, axis=1)[feat, bins]
+        return feat, bins, left_n, left_p, left_w
 
-    def best_split_general(self, indices, context, node_counts):
-        node_weight = node_counts.sum()
-        if node_weight <= 0:
-            return None
-        node_impurity = _impurity(self.criterion, node_counts[None, :], node_weight)[0]
+    def _multiclass_candidates(self, n, context, n_classes):
+        """Every feature's candidates as one feature-major block."""
         count, class_w = context
-        n = len(indices)
-        min_leaf = self.min_leaf
-        best = None
-        best_gain = -np.inf
-        for feature in range(self.n_features):
-            counts_f = count[feature]
-            left_n = np.cumsum(counts_f)
-            valid = np.nonzero(
-                (counts_f > 0) & (left_n >= min_leaf) & (left_n <= n - min_leaf)
-            )[0]
-            if valid.size == 0:
-                continue
-            left_counts = np.cumsum(
-                class_w[feature], axis=0, dtype=np.float64
-            )[valid]
-            right_counts = node_counts[None, :] - left_counts
-            left_weight = left_counts.sum(axis=1)
-            right_weight = right_counts.sum(axis=1)
-            ok = (left_weight > 0) & (right_weight > 0)
-            if not ok.any():
-                continue
-            left_impurity = _impurity(self.criterion, left_counts, left_weight)
-            right_impurity = _impurity(self.criterion, right_counts, right_weight)
-            gains = _children_gain(
-                ok, node_impurity, node_weight,
-                left_weight, left_impurity, right_weight, right_impurity,
-            )
-            pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                best = (
-                    feature,
-                    self._threshold(count, feature, int(valid[pick])),
-                    best_gain,
-                )
-        return best
+        feat, bins, _ = self._candidate_bins(n, count)
+        if feat.size:
+            left_counts = np.cumsum(class_w, axis=1, dtype=np.float64)[feat, bins]
+            yield 0, feat, bins, left_counts
 
-    def _threshold(self, count, feature: int, bin_index: int) -> float:
+    def _threshold(self, context, feature: int, bin_index: int) -> float:
         """Midpoint between this bin's upper edge and the next *occupied*
         bin's lower edge — in the one-value-per-bin regime, exactly the
         presort midpoint of the boundary pair."""
-        counts_f = count[feature]
+        counts_f = context[0][feature]
         following = np.nonzero(counts_f[bin_index + 1 :] > 0)[0]
         next_bin = bin_index + 1 + int(following[0])
         lo = self._binning.upper[feature][bin_index]

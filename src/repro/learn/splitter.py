@@ -26,6 +26,8 @@ Every floating-point result mirrors the per-node argsort implementation
 operand for operand — same cumsum partial sums, same impurity
 expressions, same tie-breaking — so the induced trees are structurally
 identical (feature / threshold / gain sequence) to the seed splitter.
+The histogram backend (:mod:`repro.learn.histogram`) runs the same search
+(:class:`SplitterBase`) over its own candidate bins.
 The one intentional representation change: when every sample weight is
 exactly 1.0, all running statistics are exact small integers, so they are
 carried in narrow dtypes and summed in any convenient order — the floats
@@ -78,18 +80,19 @@ class Presort:
     def is_for(self, X) -> bool:
         return X is self.matrix
 
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.matrix.shape[1]
-
 
 class SplitterBase:
-    """Configuration and per-sample class payload shared by both split
-    backends, and the one node-distribution routine they both use."""
+    """Configuration, per-sample class payload, node distribution and the
+    one split search shared by both backends.
+
+    The search owns the node totals, the gain arithmetic and the
+    tie-breaks. A backend supplies only what differs between them, given
+    the node's opaque context: ``_binary_candidates(n, context)`` →
+    ``(feat, cut, left_n, left_p, left_w or None)`` or None,
+    ``_multiclass_candidates(n, context, k)`` → ``(lo, feat, cut,
+    left_counts)`` blocks in feature order, and ``_threshold(context,
+    feature, cut)``.
+    """
 
     def __init__(self, X, onehot, criterion, min_samples_leaf):
         self.X = X
@@ -120,6 +123,95 @@ class SplitterBase:
             telemetry.counter("learn.tree.stale_hint").inc()
         return build(self.X)
 
+    # ------------------------------------------------------------------
+    # the split search both backends share
+    # ------------------------------------------------------------------
+    def best_split_binary(self, indices, context, sub, distribution):
+        """Vectorized all-feature search for binary labels.
+
+        ``sub`` is the node's ``onehot[indices]`` gather when the
+        distribution needed one, reused so the node totals accumulate in
+        exactly the seed's summation order.
+        """
+        n = len(indices)
+        if n < 2 * self.min_leaf:
+            return None  # no split position can satisfy both leaves
+        unit = self.unit_weight
+        if unit:
+            node_weight = float(n)  # sum of n exact unit weights
+            node_positive = distribution[1]
+        else:
+            node_weight = sub.sum(axis=1).sum()
+            node_positive = sub[:, 1].sum()
+        if node_weight <= 0:
+            return None
+        node_impurity = _scalar_impurity_binary(
+            self.criterion, node_positive / node_weight
+        )
+        found = self._binary_candidates(n, context)
+        if found is None:
+            return None
+        feat, cut, left_n, left_p, left_w = found
+        right_p = node_positive - left_p
+        if unit:
+            left_w = left_n.astype(np.float64)  # cumsum of exact 1.0s
+            right_w = node_weight - left_w
+            # both sides hold >= min_leaf unit weights, so the seed's
+            # left_w > 0 / right_w > 0 gate is vacuous here
+            with np.errstate(divide="ignore", invalid="ignore"):
+                left_impurity = _impurity_from_p(self.criterion, left_p / left_w)
+                right_impurity = _impurity_from_p(self.criterion, right_p / right_w)
+            gains = node_impurity - (
+                (left_w * left_impurity + right_w * right_impurity) / node_weight
+            )
+        else:
+            right_w = node_weight - left_w
+            ok = (left_w > 0) & (right_w > 0)
+            if not ok.any():
+                return None
+            left_impurity = _impurity_binary(self.criterion, left_p, left_w)
+            right_impurity = _impurity_binary(self.criterion, right_p, right_w)
+            gains = _children_gain(
+                ok, node_impurity, node_weight,
+                left_w, left_impurity, right_w, right_impurity,
+            )
+        best_gain = gains.max()
+        if not np.isfinite(best_gain):
+            return None
+        # seed tie-break: argmax over the (positions, features) matrix in
+        # row-major order — lowest split position (left_n - 1) first, then
+        # lowest feature
+        tied = np.nonzero(gains == best_gain)[0]
+        if tied.size > 1:
+            winner = tied[np.argmin((left_n[tied] - 1) * self.n_features + feat[tied])]
+        else:
+            winner = tied[0]
+        f = int(feat[winner])
+        threshold = self._threshold(context, f, int(cut[winner]))
+        return f, threshold, float(gains[winner])
+
+    def best_split_general(self, indices, context, node_counts):
+        """All-feature search for multi-class labels.
+
+        ``node_counts`` is the node's class-weight vector (the seed
+        computed the identical ``onehot[indices].sum(axis=0)`` twice).
+        """
+        if node_counts.sum() <= 0:
+            return None
+        best = None
+        blocks = self._multiclass_candidates(len(indices), context, len(node_counts))
+        for lo, feat, cut, left_counts in blocks:
+            found = best_multiclass_boundary(self.criterion, node_counts, left_counts)
+            # blocks run in feature order, so a later block must be
+            # strictly better: the first feature-major maximum wins
+            if found is not None and (best is None or found[1] > best[2]):
+                row, gain = found
+                best = (lo + int(feat[row]), int(cut[row]), gain)
+        if best is None:
+            return None
+        f, c, gain = best
+        return f, self._threshold(context, f, c), gain
+
     def node_distribution(self, indices):
         """Class-weight vector of a node (the leaf distribution).
 
@@ -136,7 +228,7 @@ class SplitterBase:
 
 
 class PresortSplitter(SplitterBase):
-    """Best-split search over presorted per-feature orders.
+    """Split candidates and thresholds from presorted per-feature orders.
 
     One instance serves one ``fit``: it owns the presort tables, the
     membership scratch buffer used by :meth:`partition`, and the
@@ -165,100 +257,32 @@ class PresortSplitter(SplitterBase):
         return self._root_order
 
     # ------------------------------------------------------------------
-    # split search
+    # candidate boundaries and thresholds
     # ------------------------------------------------------------------
-    def best_split_binary(self, indices, order, sub, distribution):
-        """Vectorized all-feature search for binary labels.
-
-        ``order`` is the node's ``(d, n)`` presorted sample ids; ``sub``
-        is the node's ``onehot[indices]`` gather when the distribution
-        needed one, reused so the node totals accumulate in exactly the
-        seed's summation order.
-        """
-        n = len(indices)
-        d = self.n_features
-        min_leaf = self.min_leaf
-        if n < 2 * min_leaf:
-            return None  # no split position can satisfy both leaves
-        unit = self.unit_weight
-        if unit:
-            node_weight = float(n)  # sum of n exact unit weights
-            node_positive = distribution[1]
-        else:
-            node_weight = sub.sum(axis=1).sum()
-            node_positive = sub[:, 1].sum()
-        if node_weight <= 0:
-            return None
-        node_impurity = _scalar_impurity_binary(
-            self.criterion, node_positive / node_weight
-        )
-
-        window = order[:, boundary_window(n, min_leaf)]
+    def _binary_candidates(self, n, order):
+        """Boundaries inside the min-leaf window, with the positive (and,
+        when weighted, total) weight left of each: impurity is scored
+        only there — for one-hot-heavy matrices a tiny fraction of the
+        d*(n-1) positions the argsort splitter scored at every node."""
+        window = order[:, boundary_window(n, self.min_leaf)]
         feat, pos = rank_boundaries(
-            np.take_along_axis(self._ranks, window, axis=1), min_leaf
+            np.take_along_axis(self._ranks, window, axis=1), self.min_leaf
         )
         if feat.size == 0:
             return None
-
-        # impurity only at the boundaries — for one-hot-heavy matrices a
-        # tiny fraction of the d*(n-1) positions the argsort splitter
-        # scored at every node
-        cum_positive = np.cumsum(self._positive[order], axis=1, dtype=np.float64)
-        left_p = cum_positive[feat, pos]
-        right_p = node_positive - left_p
-        if unit:
-            left_w = pos + 1.0  # cumsum of exact 1.0s is the position
-            right_w = node_weight - left_w
-            # both sides hold >= min_leaf unit weights, so the seed's
-            # left_w > 0 / right_w > 0 gate is vacuous here
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left_impurity = _impurity_from_p(self.criterion, left_p / left_w)
-                right_impurity = _impurity_from_p(self.criterion, right_p / right_w)
-            gains = node_impurity - (
-                (left_w * left_impurity + right_w * right_impurity) / node_weight
-            )
-        else:
+        left_p = np.cumsum(self._positive[order], axis=1, dtype=np.float64)[feat, pos]
+        left_w = None
+        if not self.unit_weight:
             left_w = np.cumsum(self._weight[order], axis=1)[feat, pos]
-            right_w = node_weight - left_w
-            ok = (left_w > 0) & (right_w > 0)
-            if not ok.any():
-                return None
-            left_impurity = _impurity_binary(self.criterion, left_p, left_w)
-            right_impurity = _impurity_binary(self.criterion, right_p, right_w)
-            gains = _children_gain(
-                ok, node_impurity, node_weight,
-                left_w, left_impurity, right_w, right_impurity,
-            )
-        best_gain = gains.max()
-        if not np.isfinite(best_gain):
-            return None
-        # seed tie-break: argmax over the (positions, features) matrix in
-        # row-major order — lowest split position first, then lowest feature
-        tied = np.nonzero(gains == best_gain)[0]
-        if tied.size > 1:
-            winner = tied[np.argmin(pos[tied] * d + feat[tied])]
-        else:
-            winner = tied[0]
-        f = int(feat[winner])
-        p = int(pos[winner])
-        return f, self._threshold(order, f, p), float(gains[winner])
+        return feat, pos, pos + 1, left_p, left_w
 
-    def best_split_general(self, indices, order, node_counts):
-        """All-feature search for multi-class labels (presorted orders).
-
-        ``node_counts`` is the node's class-weight vector (the seed
-        computed the identical ``onehot[indices].sum(axis=0)`` twice).
-        Features are scored in blocks of bounded table size
-        (:func:`feature_blocks`); a node with few distinct values is one
-        block.
-        """
-        if node_counts.sum() <= 0:
-            return None
-        n_classes = len(node_counts)
+    def _multiclass_candidates(self, n, order, n_classes):
+        """Boundaries and their left class weights, in blocks of bounded
+        table size (:func:`feature_blocks`); a node with few distinct
+        values is one block."""
         sorted_ranks = np.take_along_axis(self._ranks, order, axis=1)
         starts = rank_starts(sorted_ranks)
-        window = boundary_window(len(indices), self.min_leaf)
-        best = None
+        window = boundary_window(n, self.min_leaf)
         for lo, hi in feature_blocks(starts, n_classes):
             feat, pos = rank_boundaries(sorted_ranks[lo:hi, window], self.min_leaf)
             if feat.size == 0:
@@ -275,16 +299,7 @@ class PresortSplitter(SplitterBase):
                     np.cumsum(self.onehot[order[lo + f]], axis=0)[p]
                     for f, p in zip(features, np.split(pos, split[1:]))
                 ])
-            found = best_multiclass_boundary(self.criterion, node_counts, left_counts)
-            # blocks run in feature order, so a later block must be
-            # strictly better: the first feature-major maximum wins
-            if found is not None and (best is None or found[1] > best[2]):
-                row, gain = found
-                best = (lo + int(feat[row]), int(pos[row]), gain)
-        if best is None:
-            return None
-        f, p, gain = best
-        return f, self._threshold(order, f, p), gain
+            yield lo, feat, pos, left_counts
 
     def _threshold(self, order, feature: int, position: int) -> float:
         """Midpoint of the boundary pair, read back from the raw matrix
@@ -462,11 +477,8 @@ def _scalar_impurity_binary(criterion, p) -> float:
 
 def _impurity_binary(criterion, positive_weight, total_weight):
     safe = np.where(total_weight > 0, total_weight, 1.0)
-    p = positive_weight / safe
-    if criterion == "gini":
-        return 2.0 * p * (1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _impurity_from_p("entropy", p)
+        return _impurity_from_p(criterion, positive_weight / safe)
 
 
 def _impurity(criterion, counts, totals):

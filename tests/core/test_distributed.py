@@ -326,6 +326,93 @@ class TestCoordinatorProtocol:
             harness.close()
 
 
+class DeliverBeforeReacquire:
+    """Lock proxy that runs ``deliver`` once, just before the coordinator
+    re-acquires its lock for the ``at``-th time — the moment another
+    thread's frame could land between two critical sections of one
+    coordinator step."""
+
+    def __init__(self, lock, deliver, at):
+        self._lock = lock
+        self._deliver = deliver
+        self._at = at
+        self._entries = 0
+        self.delivered = False
+
+    def __enter__(self):
+        if not self.delivered:
+            if self._entries == self._at:
+                self.delivered = True
+                self._deliver()
+            self._entries += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class TestRequeueAtomicity:
+    """A result that lands while a lease is being retired is merged, not
+    dropped as a duplicate: the lease's pop, the merge of its received
+    results and the re-queue of its missing keys are one critical
+    section, so the late key is always findable."""
+
+    def retire_with_late_result(self, configs, at, retire):
+        emitted = []
+        coordinator = Coordinator(
+            socket.socket(), [configs[:2]],
+            lambda c, r: emitted.extend(x.run_key for x in c),
+        )
+        worker_side, coordinator_side = socket.socketpair()
+        try:
+            held = set()
+            coordinator._grant("w1", held, coordinator_side)
+            work = recv_frame(worker_side)
+            first, late = work["run_keys"]
+            result = {"type": "result", "lease": work["lease"]}
+            coordinator._on_result(
+                dict(result, run_key=first, result=fake_result(first)), held
+            )
+            late_frame = dict(result, run_key=late, result=fake_result(late))
+            # the late result comes from the lease's previous holder
+            proxy = DeliverBeforeReacquire(
+                coordinator._lock,
+                lambda: coordinator._on_result(late_frame, set()),
+                at,
+            )
+            coordinator._lock = proxy
+            retire(coordinator, work["lease"], held, coordinator_side)
+            coordinator._lock = proxy._lock
+            if not proxy.delivered:  # no window left: deliver afterwards
+                coordinator._on_result(late_frame, set())
+        finally:
+            worker_side.close()
+            coordinator_side.close()
+        stats = coordinator.stats
+        assert stats["duplicates"] == 0
+        assert sorted(emitted) == sorted([first, late])
+        assert stats["completed"] == stats["total"] == 2
+        assert coordinator.finished.is_set()
+
+    # before the fix, expiry re-acquired the lock twice after popping
+    # the lease, and an incomplete "complete" once
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_late_result_during_expiry_requeue(self, configs, at):
+        self.retire_with_late_result(
+            configs, at,
+            lambda c, lease, held, conn: c._requeue({lease}, reason="expired"),
+        )
+
+    @pytest.mark.parametrize("at", [1])
+    def test_late_result_during_incomplete_complete(self, configs, at):
+        self.retire_with_late_result(
+            configs, at,
+            lambda c, lease, held, conn: c._on_complete(
+                "w1", {"type": "complete", "lease": lease}, held, conn
+            ),
+        )
+
+
 # ----------------------------------------------------------------------
 # end-to-end: forked localhost workers, byte-identity with serial
 # ----------------------------------------------------------------------

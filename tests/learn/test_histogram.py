@@ -11,6 +11,8 @@ suite and with golden ``presort="auto"`` runs on all four paper
 datasets; outside the regime they pin determinism and sane structure.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from repro.learn import (
     HistogramSplitter,
     Presort,
 )
-from repro.learn.tree import HISTOGRAM_AUTO_THRESHOLD, presort_hint
+from repro.learn.tree import HISTOGRAM_AUTO_THRESHOLD, TREE_DTYPES, presort_hint
 from repro.learn.splitter import PresortSplitter
 
 from .reference_impl import ReferenceDecisionTree
@@ -206,6 +208,48 @@ class TestDispatch:
             assert tree_signature(model) == tree_signature(solo)
 
 
+def sketch_case(name, n=900):
+    """A problem outside the identity regime: non-unit weights, or every
+    feature with more than 256 distinct values (unit weights)."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    X = np.column_stack([
+        rng.integers(0, 2, n).astype(float),
+        rng.integers(0, 7, n).astype(float),
+        rng.normal(size=n).round(1),
+        rng.normal(size=n),
+    ])
+    signal = X[:, 1] / 7 + X[:, 2] + rng.normal(scale=0.5, size=n)
+    if name == "binary-uniform-weights":
+        return X, (signal > 0.5).astype(int), rng.uniform(0.1, 3.0, n)
+    if name == "binary-integer-weights":
+        return X, (signal > 0.5).astype(int), rng.integers(0, 4, n).astype(float)
+    if name.startswith("multiclass-"):
+        k = int(name.split("-")[1])
+        y = np.digitize(signal, np.quantile(signal, np.linspace(0, 1, k + 1)[1:-1]))
+        return X, y, rng.uniform(0.1, 3.0, n)
+    X = rng.normal(size=(n, 3))
+    signal = X[:, 0] + X[:, 1] + rng.normal(scale=0.5, size=n)
+    if name == "sketch-multiclass":
+        return X, np.digitize(signal, [-1.0, 0.0, 1.0]), None
+    return X, (signal > 0).astype(int), None
+
+
+SKETCH_GOLDENS = {
+    ("binary-uniform-weights", "gini"): "5e6b576c2538c0ddb94c7268f4b7ac9b21258c3aa7e09844802c93827401415a",
+    ("binary-uniform-weights", "entropy"): "916519bab7972dec4a8aecd611c532d4b82458c4489e4bd1ed3b936ceb2ab6b0",
+    ("binary-integer-weights", "gini"): "079a7619491fe5912895fb15f2e6e03c8f5f0ff4243a919d1eb43338aa7d7485",
+    ("binary-integer-weights", "entropy"): "ae5f1197da24c302cec9f69e0a160a05ebfe845dd84407602f3daa9d9ce6e723",
+    ("multiclass-3", "gini"): "0e6034e497bc8c76abe385cde9cc6eef253a0a30b458a972373f2d6ba4a06d1c",
+    ("multiclass-3", "entropy"): "ea878320e4be5e180fc403ae73fb1db1ef46d55ab93e279ae7f511704d74b062",
+    ("multiclass-7", "gini"): "89bb30c6f19ded1c3e0b44c8654acf6898cdcb4d58e8d970f00c02aae1834e39",
+    ("multiclass-7", "entropy"): "e26791f0b906231ac4e1004c305e52ecb5f7beb4119aa7a336f1f5287b37520f",
+    ("sketch-binary", "gini"): "3055067c30b3815ebd3867e45a8ce0146635c45f44339a9feec78ee9c911996e",
+    ("sketch-binary", "entropy"): "b35a6d3d872a1dc0b14958658d42f97464a3435d30255ffcb539b9bcb5a20bfe",
+    ("sketch-multiclass", "gini"): "34dff99e2e20bb7f0a8585141b610399ddea286884875bd933a574fc136b7e39",
+    ("sketch-multiclass", "entropy"): "cf856ac44aa0ef7c47ae312a51032fd29d44e300e8753f4cec600cb2f9fcde22",
+}
+
+
 class TestSketchRegime:
     def test_binning_caps_at_256_bins(self):
         rng = np.random.default_rng(5)
@@ -251,6 +295,27 @@ class TestSketchRegime:
         )
         proba = model.predict_proba(X)
         assert np.allclose(proba.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("name, criterion", sorted(SKETCH_GOLDENS))
+    def test_histogram_trees_match_goldens(self, name, criterion):
+        """Histogram trees outside the identity regime, pinned by digest.
+
+        Each digest is the sha256 of a depth-8 histogram fit's
+        ``to_state`` node arrays, recorded with NumPy 2.4.6 before the two
+        backends shared one split search. Weighted statistics are summed
+        per bin, so these trees depend on float summation order: a change
+        to how the histogram backend accumulates or scores weights
+        changes a digest.
+        """
+        X, y, weights = sketch_case(name)
+        model = DecisionTreeClassifier(criterion=criterion, max_depth=8).fit(
+            X, y, sample_weight=weights, presort="histogram"
+        )
+        state = model.to_state()
+        digest = hashlib.sha256()
+        for key in TREE_DTYPES:
+            digest.update(np.ascontiguousarray(state[key]).tobytes())
+        assert digest.hexdigest() == SKETCH_GOLDENS[name, criterion]
 
 
 class TestSubtractionTrick:
