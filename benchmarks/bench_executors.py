@@ -12,9 +12,9 @@ Compares three backends on two grids:
 Backends:
 
 ``serial (seed)``
-    ``SerialExecutor(share_preparation=False)``: every run recomputes the
-    full split → resample → impute → featurize pipeline, byte-compatible
-    with the pre-engine serial runner.
+    ``Experiment.run()`` once per plan cell: every run recomputes the
+    full split → resample → impute → featurize pipeline, as the
+    pre-engine serial runner did.
 ``serial+cache``
     ``SerialExecutor()``: one preparation per (seed, handler, scaler)
     group, one fitted pre-processor per (group, intervention).
@@ -49,6 +49,7 @@ from repro.core import (
     SerialExecutor,
     run_grid,
 )
+from repro.core.executors import ExecutionPlan, build_experiment
 from repro.datasets import load_dataset
 
 from _config import PAPER_SCALE, QUICK_DT_GRID, emit
@@ -95,10 +96,29 @@ def _imputation_grid():
     )
 
 
+def _run_each_cell(frame_spec, grid):
+    """The seed-style runner: no preparation is shared between runs."""
+    plan = ExecutionPlan.for_grid(*frame_spec, grid)
+    results = []
+    for config in plan.configs:
+        result = build_experiment(plan, config).run()
+        result.run_key = config.run_key
+        results.append(result)
+    return results
+
+
 BACKENDS = [
-    ("serial (seed)", lambda: SerialExecutor(share_preparation=False)),
-    ("serial+cache", lambda: SerialExecutor()),
-    ("parallel+cache", lambda: ParallelExecutor(jobs=JOBS)),
+    ("serial (seed)", _run_each_cell),
+    (
+        "serial+cache",
+        lambda frame_spec, grid: run_grid(frame_spec, grid, executor=SerialExecutor()),
+    ),
+    (
+        "parallel+cache",
+        lambda frame_spec, grid: run_grid(
+            frame_spec, grid, executor=ParallelExecutor(jobs=JOBS)
+        ),
+    ),
 ]
 
 
@@ -107,9 +127,9 @@ def _compare_backends(dataset, grid):
     rows = []
     reference = None
     baseline = None
-    for label, make_executor in BACKENDS:
+    for label, run in BACKENDS:
         start = time.perf_counter()
-        results = run_grid(frame_spec, grid, executor=make_executor())
+        results = run(frame_spec, grid)
         elapsed = time.perf_counter() - start
         payload = [r.to_json() for r in results]
         if reference is None:

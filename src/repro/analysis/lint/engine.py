@@ -129,12 +129,6 @@ class ModuleInfo:
                 return ancestor
         return None
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     def at_module_level(self, node: ast.AST) -> bool:
         """True if no function/class scope encloses ``node`` (top-level
         ``if``/``try`` blocks still count as module level)."""

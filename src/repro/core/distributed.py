@@ -342,31 +342,34 @@ class Coordinator:
         send_frame(conn, welcome)
 
     def _grant(self, worker, held, conn) -> None:
+        # every reply is decided under the lock and sent after it, so a
+        # client that stops reading stalls only its own handler thread
+        configs: List[RunConfig] = []
         with self._lock:
-            if self.finished.is_set():
-                send_frame(conn, {"type": "done"})
-                return
-            configs: List[RunConfig] = []
-            while self._queue and not configs:
+            done = self.finished.is_set()
+            while self._queue and not configs and not done:
                 # drop keys that a stale-lease result already merged
                 configs = [
                     c
                     for c in self._queue.popleft()
                     if c.run_key not in self._done_keys
                 ]
-            if not configs:
-                # work is outstanding elsewhere; it may yet be re-queued
-                send_frame(
-                    conn,
-                    {"type": "wait", "seconds": min(1.0, self.lease_seconds / 4)},
-                )
-                return
-            self._lease_seq += 1
-            lease = _Lease(self._lease_seq, configs, worker)
-            lease.deadline = time.monotonic() + self.lease_seconds
-            self._outstanding[lease.lease_id] = lease
-            held.add(lease.lease_id)
-            self.stats["leased"] += len(configs)
+            if configs:
+                self._lease_seq += 1
+                lease = _Lease(self._lease_seq, configs, worker)
+                lease.deadline = time.monotonic() + self.lease_seconds
+                self._outstanding[lease.lease_id] = lease
+                held.add(lease.lease_id)
+                self.stats["leased"] += len(configs)
+        if done:
+            send_frame(conn, {"type": "done"})
+            return
+        if not configs:
+            # work is outstanding elsewhere; it may yet be re-queued
+            send_frame(
+                conn, {"type": "wait", "seconds": min(1.0, self.lease_seconds / 4)}
+            )
+            return
         send_frame(
             conn,
             {
@@ -428,12 +431,13 @@ class Coordinator:
             record["seconds"] += float(reported.get("seconds", 0.0))
             lease = self._outstanding.pop(lease_id, None)
             held.discard(lease_id)
-            if lease is None:
-                send_frame(conn, {"type": "ack", "stale": True})
-                return
-            # a "complete" that did not deliver everything it leased: the
-            # worker skipped keys (e.g. crash-restart mid-lease semantics)
-            merged, missing = self._retire(lease)
+            if lease is not None:
+                # a "complete" that did not deliver everything it leased: the
+                # worker skipped keys (e.g. crash-restart mid-lease semantics)
+                merged, missing = self._retire(lease)
+        if lease is None:
+            send_frame(conn, {"type": "ack", "stale": True})
+            return
         self._requeue_event(missing, lease_id, reason="incomplete")
         send_frame(conn, {"type": "ack", "stale": False})
         self._event(
@@ -554,7 +558,6 @@ def worker_loop(
     plan=None,
     plan_factory: Optional[Callable[[Optional[dict]], object]] = None,
     worker_id: Optional[str] = None,
-    share_preparation: bool = True,
     on_event: Optional[EventCallback] = None,
 ) -> dict:
     """Pull leases from a coordinator until it reports the grid done.
@@ -656,9 +659,7 @@ def worker_loop(
                     worker=worker_id,
                     keys=len(group),
                 ):
-                    for config, result in iter_config_group(
-                        plan, group, share_preparation
-                    ):
+                    for config, result in iter_config_group(plan, group):
                         with send_lock:
                             send_frame(
                                 sock,
@@ -676,7 +677,7 @@ def worker_loop(
             lease_stats = {
                 "runs": len(group),
                 "groups": 1,
-                "prep_builds": 1 if share_preparation else len(group),
+                "prep_builds": 1,
                 "seconds": round(elapsed, 6),
             }
             for key in ("runs", "groups", "prep_builds"):
@@ -721,8 +722,9 @@ class DistributedExecutor(Executor):
     "distributed over localhost" mode — benches, CI, and any grid whose
     component factories are closures), while ``workers=0`` serves external
     ``repro grid-worker`` processes only, which rebuild the plan from
-    ``manifest``. Results are identical to :class:`SerialExecutor` —
-    same metrics, same store contents modulo row order.
+    ``manifest``. Results are identical to :meth:`Experiment.run` of each
+    plan cell, as for every other backend — same metrics, same store
+    contents modulo row order.
     """
 
     def __init__(
@@ -731,7 +733,6 @@ class DistributedExecutor(Executor):
         port: int = 0,
         workers: Optional[int] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        share_preparation: bool = True,
         manifest: Optional[dict] = None,
         on_event: Optional[EventCallback] = None,
     ):
@@ -749,7 +750,6 @@ class DistributedExecutor(Executor):
                 stacklevel=2,
             )
         self.lease_seconds = float(lease_seconds)
-        self.share_preparation = share_preparation
         self.manifest = manifest
         self.on_event = on_event
         self._host = host
@@ -781,7 +781,7 @@ class DistributedExecutor(Executor):
     def _execute(self, plan, pending, emit_group) -> None:
         if self._sock is None:
             self._bind()
-        groups = plan_groups(pending, self.share_preparation)
+        groups = plan_groups(pending)
         if self.workers > 1:
             # fewer groups than local workers: split the largest so every
             # worker gets a lease (costs a re-preparation, never changes
@@ -807,7 +807,6 @@ class DistributedExecutor(Executor):
                             address,
                             plan=plan,
                             worker_id=f"local-{rank}",
-                            share_preparation=self.share_preparation,
                         )
                     )
                     for rank in range(self.workers)
@@ -827,7 +826,6 @@ class DistributedExecutor(Executor):
                         kwargs={
                             "plan": plan,
                             "worker_id": f"local-{rank}",
-                            "share_preparation": self.share_preparation,
                         },
                         daemon=True,
                     )

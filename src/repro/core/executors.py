@@ -33,8 +33,9 @@ which shares three cache levels keyed by the plan's fingerprints:
   while a later config in the group will use it and is dropped after its
   last consumer, so a key used once is never stored.
 
-Results are identical to uncached serial execution because every stage is
-deterministic in (inputs, seed) and never mutates shared artifacts.
+Results are identical to :meth:`Experiment.run` of each plan cell (see
+:func:`build_experiment`) because every stage is deterministic in
+(inputs, seed) and never mutates shared artifacts.
 
 With a :class:`~repro.core.results.ResultsStore`, completed groups are
 persisted in batches (one open/write per group) and ``resume=True`` skips
@@ -152,16 +153,12 @@ class FittedLearnerCache:
         return len(self._entries)
 
 
-def iter_config_group(
-    plan: ExecutionPlan,
-    group: Sequence[RunConfig],
-    share_preparation: bool = True,
-):
+def iter_config_group(plan: ExecutionPlan, group: Sequence[RunConfig]):
     """Execute one preparation group, yielding each result as it completes.
 
-    All configs in ``group`` must share a ``prep_key`` (enforced by the
-    grouping in :class:`Executor`); the featurized splits are computed once,
-    each distinct pre-processor is fitted/applied once, and each distinct
+    All configs in ``group`` must share a ``prep_key`` (enforced by
+    :func:`plan_groups`); the featurized splits are computed once, each
+    distinct pre-processor is fitted/applied once, and each distinct
     (pre-processor, learners) pair is fitted once.
     """
     splits: Optional[FeaturizedSplits] = None
@@ -169,64 +166,43 @@ def iter_config_group(
     fitted_cache = FittedLearnerCache(group)
     for config in group:
         experiment = build_experiment(plan, config)
-        if share_preparation:
-            if splits is None:
-                with telemetry.span(
-                    "stage.prepare_splits", prep_key=config.prep_key
-                ):
-                    splits = experiment.prepare_splits()
-                telemetry.counter("executor.prep_splits_built").inc()
-            else:
-                telemetry.counter("executor.prep_cache_hits").inc()
-            pre_fingerprint = component_fingerprint(experiment.pre_processor)
-            prepared = prepared_cache.get(pre_fingerprint)
-            if prepared is None:
-                with telemetry.span(
-                    "stage.prepare",
-                    prep_key=config.prep_key,
-                    run_key=config.run_key,
-                ):
-                    prepared = experiment.prepare(splits)
-                prepared_cache[pre_fingerprint] = prepared
-            else:
-                telemetry.counter("executor.prepared_cache_hits").inc()
-            fitted = fitted_cache.take(config)
-            if fitted is not None:
-                telemetry.counter("executor.fitted_cache_hits").inc()
-            with telemetry.span("stage.train", run_key=config.run_key):
-                trained = experiment.train_candidates(prepared, fitted=fitted)
-            fitted_cache.put(config, trained.fitted)
-            with telemetry.span("stage.evaluate", run_key=config.run_key):
-                result = experiment.evaluate(prepared, trained)
+        if splits is None:
+            with telemetry.span("stage.prepare_splits", prep_key=config.prep_key):
+                splits = experiment.prepare_splits()
+            telemetry.counter("executor.prep_splits_built").inc()
         else:
-            with telemetry.span("stage.run", run_key=config.run_key):
-                result = experiment.run()
+            telemetry.counter("executor.prep_cache_hits").inc()
+        pre_fingerprint = component_fingerprint(experiment.pre_processor)
+        prepared = prepared_cache.get(pre_fingerprint)
+        if prepared is None:
+            with telemetry.span(
+                "stage.prepare",
+                prep_key=config.prep_key,
+                run_key=config.run_key,
+            ):
+                prepared = experiment.prepare(splits)
+            prepared_cache[pre_fingerprint] = prepared
+        else:
+            telemetry.counter("executor.prepared_cache_hits").inc()
+        fitted = fitted_cache.take(config)
+        if fitted is not None:
+            telemetry.counter("executor.fitted_cache_hits").inc()
+        with telemetry.span("stage.train", run_key=config.run_key):
+            trained = experiment.train_candidates(prepared, fitted=fitted)
+        fitted_cache.put(config, trained.fitted)
+        with telemetry.span("stage.evaluate", run_key=config.run_key):
+            result = experiment.evaluate(prepared, trained)
         result.run_key = config.run_key
         yield config, result
 
 
-def run_config_group(
-    plan: ExecutionPlan,
-    group: Sequence[RunConfig],
-    share_preparation: bool = True,
-) -> List[RunResult]:
-    """Execute one preparation group and collect the results."""
-    return [
-        result for _, result in iter_config_group(plan, group, share_preparation)
-    ]
-
-
-def plan_groups(
-    pending: Sequence[RunConfig], share_preparation: bool = True
-) -> List[List[RunConfig]]:
+def plan_groups(pending: Sequence[RunConfig]) -> List[List[RunConfig]]:
     """Partition pending configs into shared-preparation groups.
 
     The scheduling unit every backend distributes: all configs in a group
     share a ``prep_key``, so whoever executes the group (a local process,
     a remote grid worker) prepares its splits exactly once.
     """
-    if not share_preparation:
-        return [[config] for config in pending]
     grouped: Dict[str, List[RunConfig]] = {}
     for config in pending:
         grouped.setdefault(config.prep_key, []).append(config)
@@ -239,8 +215,6 @@ class Executor(abc.ABC):
     Results come back in plan (expansion) order regardless of the
     scheduling a backend chooses, and are identical across backends.
     """
-
-    share_preparation: bool = True
 
     def run(
         self,
@@ -307,20 +281,15 @@ class Executor(abc.ABC):
     ) -> None:
         """Run the pending configs, reporting each completed group."""
 
-    # ------------------------------------------------------------------
-    def _groups(self, pending: List[RunConfig]) -> List[List[RunConfig]]:
-        """Partition pending configs into shared-preparation groups."""
-        return plan_groups(pending, self.share_preparation)
 
-
-def _run_groups_in_process(plan, groups, share_preparation, emit_group) -> None:
+def _run_groups_in_process(plan, groups, emit_group) -> None:
     """Run groups here, persisting a group's completed runs even when a
     later run in it raises (so an interrupted grid resumes where it died)."""
     for group in groups:
         finished_configs: List[RunConfig] = []
         finished_results: List[RunResult] = []
         try:
-            for config, result in iter_config_group(plan, group, share_preparation):
+            for config, result in iter_config_group(plan, group):
                 finished_configs.append(config)
                 finished_results.append(result)
         except BaseException:
@@ -333,13 +302,8 @@ def _run_groups_in_process(plan, groups, share_preparation, emit_group) -> None:
 class SerialExecutor(Executor):
     """In-process execution, one run at a time (with preparation reuse)."""
 
-    def __init__(self, share_preparation: bool = True):
-        self.share_preparation = share_preparation
-
     def _execute(self, plan, pending, emit_group) -> None:
-        _run_groups_in_process(
-            plan, self._groups(pending), self.share_preparation, emit_group
-        )
+        _run_groups_in_process(plan, plan_groups(pending), emit_group)
 
 
 # ----------------------------------------------------------------------
@@ -351,9 +315,8 @@ class SerialExecutor(Executor):
 # for forked workers to inherit, so only config indices and results cross
 # the process boundary.
 # ----------------------------------------------------------------------
-def _run_plan_group(payload, group: Sequence[RunConfig]) -> List[RunResult]:
-    plan, share_preparation = payload
-    return run_config_group(plan, group, share_preparation)
+def _run_plan_group(plan, group: Sequence[RunConfig]) -> List[RunResult]:
+    return [result for _, result in iter_config_group(plan, group)]
 
 
 class ParallelExecutor(Executor):
@@ -369,29 +332,28 @@ class ParallelExecutor(Executor):
     to serial in-process execution with a warning.
     """
 
-    def __init__(self, jobs: Optional[int] = None, share_preparation: bool = True):
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = int(jobs) if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.share_preparation = share_preparation
 
     def _execute(self, plan, pending, emit_group) -> None:
-        groups = self._groups(pending)
+        groups = plan_groups(pending)
         workers = min(self.jobs, len(pending))
         if workers <= 1:
-            _run_groups_in_process(plan, groups, self.share_preparation, emit_group)
+            _run_groups_in_process(plan, groups, emit_group)
             return
         if not parallel.fork_available():
             parallel.warn_serial_fallback(
                 "ParallelExecutor needs the 'fork' start method to ship "
                 "component factories to workers; running serially instead"
             )
-            _run_groups_in_process(plan, groups, self.share_preparation, emit_group)
+            _run_groups_in_process(plan, groups, emit_group)
             return
 
         groups = parallel.split_for_balance(groups, workers)
         parallel.run_groups(
-            (plan, self.share_preparation),
+            plan,
             _run_plan_group,
             groups,
             min(workers, len(groups)),

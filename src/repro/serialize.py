@@ -78,8 +78,3 @@ def labels_from_state(state: Dict[str, Any]) -> np.ndarray:
     if state["kind"] == "str":
         return np.asarray(state["values"], dtype=object)
     return np.asarray(state["values"])
-
-
-def optional_array(value):
-    """None-tolerant array passthrough for optional fitted attributes."""
-    return None if value is None else np.asarray(value)

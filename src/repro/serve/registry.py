@@ -29,7 +29,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..core.results import ResultsStore, RunResult
-from .artifacts import PipelineArtifact, load_artifact, save_artifact
+from .artifacts import PipelineArtifact, save_artifact
 
 
 class ModelRegistry:
@@ -213,9 +213,6 @@ class ModelRegistry:
     def load_pipeline(self, reference: str) -> PipelineArtifact:
         """Reload a pipeline by model id or tag (fresh-process safe)."""
         return PipelineArtifact.load(self.model_path(self.resolve(reference)))
-
-    def load_manifest(self, reference: str) -> Dict[str, Any]:
-        return load_artifact(self.model_path(self.resolve(reference)))
 
     # ------------------------------------------------------------------
     # tag lifecycle

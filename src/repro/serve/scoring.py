@@ -181,7 +181,7 @@ class ScoringEngine:
             self._row_scorer = _RowScorer(self.pipeline)
         scorer = self._row_scorer
         if scorer.needs_frame_fallback(record):
-            batch = self.score_frame(_one_row_frame(self.pipeline.spec, record))
+            batch = self.score_frame(records_to_frame(self.pipeline.spec, [record]))
             if batch.num_scored == 0:
                 raise ValueError(DROPPED_RECORD_ERROR)
             label = float(batch.labels[0])
@@ -341,26 +341,17 @@ def _true_label(spec, record: Dict[str, Any]) -> Optional[float]:
     return 1.0 if str(value) == str(spec.favorable_value) else 0.0
 
 
-def _one_row_frame(spec, record: Dict[str, Any]) -> DataFrame:
-    """Materialize a record as a one-row frame with the spec's column kinds."""
-    kinds = spec.column_kinds()
-    data = {}
-    for name, kind in kinds.items():
-        if name == spec.label_column and name not in record:
-            continue
-        value = record.get(name)
-        data[name] = [None if _is_missing(value) else value]
-    return DataFrame.from_dict(data, kinds={k: v for k, v in kinds.items() if k in data})
-
-
 def records_to_frame(spec, records: List[Dict[str, Any]]) -> DataFrame:
     """Coalesce record dicts into one raw-schema frame (spec column kinds).
 
-    A column is materialized when *any* record carries it; records that lack
-    it contribute missing values, which is exactly what the pipeline's
-    missing-value handler is fit to deal with.
+    Every column the spec names is materialized, the label column only when
+    some record carries it; a record that lacks a column contributes a
+    missing value, which is exactly what the pipeline's missing-value
+    handler is fit to deal with. One record and a batch of it thus yield
+    the same rows.
     """
     kinds = spec.column_kinds()
-    names = [n for n in kinds if any(n in r for r in records)]
+    label = spec.label_column
+    names = [n for n in kinds if n != label or any(label in r for r in records)]
     data = {name: [r.get(name) for r in records] for name in names}
     return DataFrame.from_dict(data, kinds={name: kinds[name] for name in names})

@@ -413,6 +413,67 @@ class TestRequeueAtomicity:
         )
 
 
+class LockProbeConn:
+    """A connection stub that, on every send, checks from another thread
+    whether the coordinator's lock is free: a reply sent while holding it
+    would let one client that stops reading stall every handler thread
+    and the expiry monitor."""
+
+    def __init__(self, coordinator):
+        self._coordinator = coordinator
+        self.frames = []
+        self.lock_free = []
+
+    def sendall(self, data):
+        lock = self._coordinator._lock
+        free = []
+
+        def probe():
+            acquired = lock.acquire(blocking=False)
+            if acquired:
+                lock.release()
+            free.append(acquired)
+
+        prober = threading.Thread(target=probe)
+        prober.start()
+        prober.join()
+        self.lock_free.append(free[0])
+        self.frames.append(json.loads(data[4:]))
+
+
+class TestRepliesSentOutsideLock:
+    @pytest.fixture()
+    def listener(self):
+        sock = socket.socket()
+        yield sock
+        sock.close()
+
+    def test_done_reply(self, listener):
+        coordinator = Coordinator(listener, [], lambda c, r: None)
+        conn = LockProbeConn(coordinator)
+        coordinator._grant("w1", set(), conn)
+        assert conn.frames == [{"type": "done"}]
+        assert conn.lock_free == [True]
+
+    def test_wait_reply(self, listener, configs):
+        coordinator = Coordinator(listener, [configs[:2]], lambda c, r: None)
+        conn = LockProbeConn(coordinator)
+        coordinator._grant("w1", set(), conn)
+        # the only group is leased to w1, so w2 must wait
+        coordinator._grant("w2", set(), conn)
+        assert [f["type"] for f in conn.frames] == ["work", "wait"]
+        assert conn.lock_free == [True, True]
+
+    def test_stale_ack_reply(self, listener, configs):
+        coordinator = Coordinator(listener, [configs[:2]], lambda c, r: None)
+        conn = LockProbeConn(coordinator)
+        coordinator._on_complete(
+            "w1", {"type": "complete", "lease": 99}, set(), conn
+        )
+        assert conn.frames == [{"type": "ack", "stale": True}]
+        assert conn.lock_free == [True]
+
+
 # ----------------------------------------------------------------------
 # end-to-end: forked localhost workers, byte-identity with serial
 # ----------------------------------------------------------------------

@@ -37,6 +37,17 @@ def small_grid():
     )
 
 
+def run_each_cell(dataset, grid):
+    """The uncached reference: ``Experiment.run()`` once per plan cell."""
+    plan = ExecutionPlan.for_grid(*dataset, grid)
+    results = []
+    for config in plan.configs:
+        result = build_experiment(plan, config).run()
+        result.run_key = config.run_key
+        results.append(result)
+    return results
+
+
 @pytest.fixture(scope="module")
 def german():
     return load_dataset("germancredit")
@@ -151,9 +162,7 @@ class TestExecutorEquivalence:
         ]
 
     def test_cache_identical_to_fresh_preparation(self, german, serial_results):
-        fresh = run_grid(
-            german, small_grid(), executor=SerialExecutor(share_preparation=False)
-        )
+        fresh = run_each_cell(german, small_grid())
         assert [r.to_json() for r in fresh] == [r.to_json() for r in serial_results]
 
     def test_engine_identical_to_direct_experiment_run(self, german, serial_results):
@@ -578,9 +587,7 @@ class TestFittedLearnerCache:
         assert set(Counter(fit_calls).values()) == {1}
 
         fit_calls.clear()
-        uncached = run_grid(
-            german, grid, executor=SerialExecutor(share_preparation=False)
-        )
+        uncached = run_each_cell(german, grid)
         assert len(fit_calls) == len(configs)
         parallel = run_grid(german, grid, executor=ParallelExecutor(jobs=2))
         expected = [r.to_json() for r in uncached]
@@ -608,7 +615,7 @@ class TestFittedLearnerCache:
             interventions=[NoIntervention, RejectOptionPostProcessor],
         )
         with pytest.raises(ValueError) as uncached:
-            run_grid(german, grid, executor=SerialExecutor(share_preparation=False))
+            run_each_cell(german, grid)
         fit_calls.clear()
 
         plan = ExecutionPlan.for_grid(*german, grid)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     CompleteCaseAnalysis,
+    DatawigImputer,
     DecisionTree,
     Experiment,
     ModeImputer,
@@ -13,7 +14,12 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.frame import DataFrame, train_validation_test_masks
-from repro.serve import FairnessMonitor, ModelRegistry, ScoringEngine
+from repro.serve import (
+    FairnessMonitor,
+    ModelRegistry,
+    ScoringEngine,
+    records_to_frame,
+)
 
 
 def _exported_engine(tmp_path, experiment, monitor=None):
@@ -195,6 +201,30 @@ class TestSingleRecordFastPath:
         out = engine.score_record(record)
         assert set(out) == {"label", "score", "favorable", "decision"}
         assert out["favorable"] == (out["label"] == 1.0)
+
+    @pytest.mark.parametrize("handler", [ModeImputer, DatawigImputer])
+    def test_batch_of_one_matches_record_missing_a_feature_key(
+        self, tmp_path, handler
+    ):
+        """A record without a feature key scores the same alone and as a
+        one-record batch: both build their frame from every spec column."""
+        frame, spec = load_dataset("adult", n=1500)
+        experiment = Experiment(
+            frame=frame,
+            spec=spec,
+            random_seed=4,
+            learner=DecisionTree(tuned=False),
+            missing_value_handler=handler(),
+        )
+        engine, _, _, _ = _exported_engine(tmp_path, experiment)
+        raw_test = _raw_test(frame, 4)
+        record = {c: raw_test.col(c).values[0] for c in raw_test.columns}
+        del record["workclass"]
+        out = engine.score_record(record)
+        batch = engine.score_frame(records_to_frame(spec, [record]))
+        assert batch.num_scored == 1
+        assert out["label"] == batch.labels[0]
+        assert out["score"] == batch.scores[0]
 
 
 class TestMonitorFeed:
