@@ -780,7 +780,7 @@ def _print_distributed_summary(stats: dict) -> None:
     )
     for name in sorted(workers):
         record = workers[name]
-        hits = max(record["runs"] - record["prep_builds"], 0)
+        hits = max(record["runs"] - record["groups"], 0)
         telemetry.log_line(
             f"  {name}: {record['runs']} runs in {record['groups']} "
             f"group(s), prep-cache hits {hits}, "
@@ -873,7 +873,7 @@ def _cmd_grid_worker(args) -> int:
     except (PlanMismatchError, ProtocolError, KeyError) as error:
         print(f"grid-worker failed: {error}", file=sys.stderr)
         return 2
-    hits = max(stats["runs"] - stats["prep_builds"], 0)
+    hits = max(stats["runs"] - stats["groups"], 0)
     print(
         f"worker {stats['worker']}: {stats['runs']} runs in "
         f"{stats['groups']} group(s), prep-cache hits {hits}, "

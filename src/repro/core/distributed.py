@@ -2,58 +2,51 @@
 
 The third executor backend. A socket-based **coordinator** (run inside
 :class:`DistributedExecutor`) leases whole ``prep_key`` groups of run
-configurations to **workers** over length-prefixed JSON frames; workers
-execute them locally through the existing
-:func:`~repro.core.executors.iter_config_group` path — so the
-shared-preparation and fitted-pre-processor caches survive distribution:
-a worker that leases a group prepares its splits once, exactly like the
-serial executor — and stream each :class:`~repro.core.results.RunResult`
-back for idempotent merge-by-``run_key`` into the coordinator's store.
+configurations to **workers** over length-prefixed JSON frames. Workers
+run a group through :func:`~repro.core.executors.iter_config_group`, so
+they prepare its splits once, exactly like the serial executor, and
+stream each :class:`~repro.core.results.RunResult` back to be merged by
+``run_key`` into the coordinator's store.
 
-Wire protocol (one frame = 4-byte big-endian length + UTF-8 JSON object,
-``type`` field first; worker frames on the left, coordinator replies on
-the right)::
+Wire protocol (one frame = 4-byte big-endian length + UTF-8 JSON object;
+worker frames on the left, coordinator replies on the right)::
 
-    register {worker, pid, needs_manifest}  -> welcome {lease_seconds,
-                                               total, manifest?}
+    register {worker, pid, protocol,        -> welcome {protocol,
+              needs_manifest}                  lease_seconds, total,
+                                               trace?, manifest?}
     lease    {}                             -> work {lease, prep_key,
                                                run_keys} | wait {seconds}
                                                | done {}
     result   {lease, run_key, result}       -> (no reply; streamed)
     heartbeat{lease}                        -> (no reply; renews deadline)
-    complete {lease, stats}                 -> ack {stale?}
+    complete {lease, stats{runs, groups,    -> ack {stale}
+              seconds}}
     error    {message}                      -> (connection torn down)
+    a malformed frame, or a register whose  -> error {message}, and the
+    protocol is not PROTOCOL_VERSION           connection is torn down
 
-Fault tolerance comes from the plan layer's resume semantics rather than
-from replication:
+A worker likewise refuses a welcome of another protocol version.
 
-* every lease carries a deadline, renewed by heartbeats (and by each
-  streamed result); a worker that dies or stalls past it has the lease's
-  *unreceived* keys re-queued for the next worker;
-* a worker disconnect re-queues its outstanding keys immediately;
-* results are merged by ``run_key`` — duplicates (a re-queued group
-  finished twice, a stale lease still streaming) are counted and dropped,
-  so re-execution never corrupts the store;
-* a killed coordinator restarts with ``resume=True`` and only re-issues
-  the keys missing from its results store.
+The lease state and its rules live in
+:class:`~repro.core.lease_core.LeaseCore`; :class:`Coordinator` is the
+socket shell around it. A lease's deadline is renewed by heartbeats and
+by each result; on expiry or disconnect its results are merged and its
+unreceived keys re-queued. A result is merged once per ``run_key``, and
+later copies are counted and dropped, so re-execution never corrupts the
+store. A killed coordinator restarts with ``resume=True`` and re-issues
+only the keys missing from its store.
 
-Single-coordinator by design; the frames carry explicit lease ids and
-worker ids so a replicated coordinator (ScalienDB-style primary/backup)
-can be layered on without changing the worker side.
-
-Workers obtain the plan two ways: **forked localhost workers** (the
-``workers=N`` single-machine mode used by benches and CI) inherit it
-copy-on-write from the coordinator process, while **remote workers**
-(``repro grid-worker --connect HOST:PORT``) rebuild it from the
-serializable grid *manifest* the coordinator hands out at registration —
-the manifest is opaque to this module; the CLI builds and interprets it.
-Either way the worker recomputes the deterministic ``run_key``
-fingerprints itself and refuses leases whose keys it cannot find, so a
-plan mismatch fails loudly instead of silently merging foreign results.
+Forked localhost workers (``workers=N``) inherit the plan; remote
+workers (``repro grid-worker --connect HOST:PORT``) rebuild it from the
+grid *manifest* sent in the welcome, which this module treats as opaque.
+Either way the worker recomputes the ``run_key`` fingerprints itself and
+refuses leases whose keys it cannot find, so a plan mismatch fails
+loudly instead of merging foreign results.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import socket
@@ -61,20 +54,22 @@ import struct
 import threading
 import time
 import warnings
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .. import parallel, telemetry
-from .executors import (
-    Executor,
-    iter_config_group,
-    plan_groups,
-    register_executor,
+from .executors import Executor, iter_config_group, plan_groups, register_executor
+from .lease_core import (
+    PROTOCOL_VERSION,
+    Disconnect,
+    LeaseCore,
+    ProtocolError,
+    Step,
+    Tick,
+    decode_frame,
 )
 from .plan import RunConfig
 from .results import RunResult
 
-PROTOCOL_VERSION = 1
 DEFAULT_LEASE_SECONDS = 30.0
 #: results are small JSON records; anything near this is a framing bug
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -82,10 +77,6 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 # coordinator-side event callback: receives dicts like
 # {"event": "lease", "lease": 3, "worker": "w1", "keys": 4}
 EventCallback = Callable[[dict], None]
-
-
-class ProtocolError(RuntimeError):
-    """A malformed or unexpected frame on a coordinator/worker connection."""
 
 
 class PlanMismatchError(RuntimeError):
@@ -144,29 +135,17 @@ def parse_address(text: str) -> Tuple[str, int]:
 # ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
-class _Lease:
-    __slots__ = ("lease_id", "prep_key", "configs", "worker", "deadline", "received")
-
-    def __init__(self, lease_id: int, configs: List[RunConfig], worker: str):
-        self.lease_id = lease_id
-        self.prep_key = configs[0].prep_key
-        self.configs = configs
-        self.worker = worker
-        self.deadline = 0.0
-        self.received: Dict[str, RunResult] = {}
-
-    def missing(self) -> List[RunConfig]:
-        return [c for c in self.configs if c.run_key not in self.received]
-
-
 class Coordinator:
-    """Lease queue + merge point for one distributed grid run.
+    """Socket shell around one :class:`~repro.core.lease_core.LeaseCore`.
 
-    All state mutations happen under one lock; connection handler threads
-    and the deadline monitor call into it, the owning executor thread only
-    waits on :attr:`finished`. ``emit_group`` (the executor's persistence
-    callback) is invoked under that lock, so store writes and progress
-    callbacks are serialized exactly as in the single-process backends.
+    The accept loop, one handler thread per connection and the expiry
+    monitor decode frames into events and apply them to the core under one
+    plain lock, together with the merges it returns: ``emit_group`` (the
+    executor's persistence callback) runs under that lock, so store writes
+    and progress callbacks are serialized exactly as in the single-process
+    backends. Telemetry events and the reply go out only after the lock is
+    released, so a client that stops reading stalls only its own handler
+    thread. The owning executor thread only waits on :attr:`finished`.
     """
 
     def __init__(
@@ -178,39 +157,26 @@ class Coordinator:
         manifest: Optional[dict] = None,
         on_event: Optional[EventCallback] = None,
     ):
-        if lease_seconds <= 0:
-            raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
+        # the trace context is captured on the owning executor thread
+        # (inside its open grid.run span) so remote workers can parent
+        # their spans there
+        self._core = LeaseCore(
+            groups, lease_seconds, manifest, telemetry.trace_context()
+        )
         self._sock = sock
-        # captured on the owning executor thread (inside its open
-        # grid.run span) so remote workers can parent their spans there
-        self._trace_context = telemetry.trace_context()
-        self._queue = deque([list(group) for group in groups if group])
-        self._total = sum(len(group) for group in self._queue)
         self._emit_group = emit_group
-        self.lease_seconds = float(lease_seconds)
-        self.manifest = manifest
         self._on_event = on_event
-        self._lock = threading.RLock()
-        self._outstanding: Dict[int, _Lease] = {}
-        self._done_keys: set = set()
-        self._lease_seq = 0
-        self._registered: set = set()
-        self._live_workers: Dict[int, str] = {}  # connection id -> worker id
-        self._conn_seq = 0
+        self._lock = threading.Lock()
+        self._conn_ids = itertools.count(1)
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self.finished = threading.Event()
-        if self._total == 0:
+        if self._core.finished:
             self.finished.set()
-        self.stats = {
-            "total": self._total,
-            "leased": 0,
-            "completed": 0,
-            "requeued": 0,
-            "duplicates": 0,
-            "stale_results": 0,
-            "workers": {},
-        }
+
+    @property
+    def stats(self) -> dict:
+        return self._core.stats
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -241,9 +207,33 @@ class Coordinator:
 
     def live_worker_count(self) -> int:
         with self._lock:
-            return len(self._live_workers)
+            return len(self._core.workers)
 
-    # -- accept / per-connection protocol -------------------------------
+    # -- events ---------------------------------------------------------
+    def _apply(self, conn_id, event) -> Step:
+        with self._lock:
+            step = self._core.handle(conn_id, event, time.monotonic())
+            for configs, results in step.merges:
+                self._emit_group(configs, results)
+            if self._core.finished:
+                self.finished.set()
+        for payload in step.events:
+            self._event(payload)
+        return step
+
+    def _handle(self, conn_id, conn, frame: dict) -> bool:
+        """Apply one frame and send its reply; False closes the connection."""
+        try:
+            event = decode_frame(frame)
+        except ProtocolError as error:
+            self._event({"event": "protocol-error", "message": str(error)})
+            send_frame(conn, {"type": "error", "message": str(error)})
+            return False
+        step = self._apply(conn_id, event)
+        if step.reply is not None:
+            send_frame(conn, step.reply)
+        return not step.close
+
     def _accept_loop(self) -> None:
         # a timeout on accept() lets the loop observe stop(): closing a
         # listening socket does not reliably wake a thread blocked in
@@ -265,42 +255,11 @@ class Coordinator:
             handler.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._conn_seq += 1
-            conn_id = self._conn_seq
-        worker = f"conn-{conn_id}"
-        held: set = set()
+        conn_id = next(self._conn_ids)
         try:
             while True:
                 frame = recv_frame(conn)
-                if frame is None:
-                    return
-                kind = frame.get("type")
-                if kind == "register":
-                    worker = str(frame.get("worker") or worker)
-                    self._register(conn_id, worker, frame, conn)
-                elif kind == "lease":
-                    self._grant(worker, held, conn)
-                elif kind == "result":
-                    self._on_result(frame, held)
-                elif kind == "heartbeat":
-                    self._renew(frame)
-                elif kind == "complete":
-                    self._on_complete(worker, frame, held, conn)
-                elif kind == "error":
-                    self._event(
-                        {
-                            "event": "worker-error",
-                            "worker": worker,
-                            "message": frame.get("message"),
-                        }
-                    )
-                    return
-                else:
-                    send_frame(
-                        conn,
-                        {"type": "error", "message": f"unknown frame type {kind!r}"},
-                    )
+                if frame is None or not self._handle(conn_id, conn, frame):
                     return
         # lint: allow(silent-except) -- a torn connection is expected
         # worker churn: the finally-block requeues its leases and emits a
@@ -314,227 +273,12 @@ class Coordinator:
             # there is nothing left to salvage
             except OSError:
                 pass
-            with self._lock:
-                self._live_workers.pop(conn_id, None)
-            self._requeue(held, reason="disconnect")
-
-    def _register(self, conn_id, worker, frame, conn) -> None:
-        with self._lock:
-            self._live_workers[conn_id] = worker
-            fresh = worker not in self._registered
-            self._registered.add(worker)
-            self.stats["workers"].setdefault(
-                worker,
-                {"runs": 0, "groups": 0, "prep_builds": 0, "seconds": 0.0},
-            )
-        if fresh:
-            self._event({"event": "worker-registered", "worker": worker})
-        welcome = {
-            "type": "welcome",
-            "protocol": PROTOCOL_VERSION,
-            "lease_seconds": self.lease_seconds,
-            "total": self._total,
-        }
-        if self._trace_context is not None:
-            welcome["trace"] = self._trace_context
-        if frame.get("needs_manifest"):
-            welcome["manifest"] = self.manifest
-        send_frame(conn, welcome)
-
-    def _grant(self, worker, held, conn) -> None:
-        # every reply is decided under the lock and sent after it, so a
-        # client that stops reading stalls only its own handler thread
-        configs: List[RunConfig] = []
-        with self._lock:
-            done = self.finished.is_set()
-            while self._queue and not configs and not done:
-                # drop keys that a stale-lease result already merged
-                configs = [
-                    c
-                    for c in self._queue.popleft()
-                    if c.run_key not in self._done_keys
-                ]
-            if configs:
-                self._lease_seq += 1
-                lease = _Lease(self._lease_seq, configs, worker)
-                lease.deadline = time.monotonic() + self.lease_seconds
-                self._outstanding[lease.lease_id] = lease
-                held.add(lease.lease_id)
-                self.stats["leased"] += len(configs)
-        if done:
-            send_frame(conn, {"type": "done"})
-            return
-        if not configs:
-            # work is outstanding elsewhere; it may yet be re-queued
-            send_frame(
-                conn, {"type": "wait", "seconds": min(1.0, self.lease_seconds / 4)}
-            )
-            return
-        send_frame(
-            conn,
-            {
-                "type": "work",
-                "lease": lease.lease_id,
-                "prep_key": lease.prep_key,
-                "run_keys": [c.run_key for c in configs],
-            },
-        )
-        self._event(
-            {
-                "event": "lease",
-                "lease": lease.lease_id,
-                "worker": worker,
-                "keys": len(configs),
-            }
-        )
-
-    def _renew(self, frame) -> None:
-        with self._lock:
-            lease = self._outstanding.get(frame.get("lease"))
-            if lease is not None:
-                lease.deadline = time.monotonic() + self.lease_seconds
-
-    def _on_result(self, frame, held) -> None:
-        run_key = frame.get("run_key")
-        result = RunResult.from_dict(frame["result"])
-        result.run_key = run_key
-        with self._lock:
-            if run_key in self._done_keys:
-                self.stats["duplicates"] += 1
-                return
-            lease = self._outstanding.get(frame.get("lease"))
-            if lease is None or frame.get("lease") not in held:
-                # stale lease (expired and re-queued, or from a previous
-                # holder): the key is still missing, so merge it directly
-                config = self._config_for(run_key)
-                if config is None:
-                    self.stats["duplicates"] += 1
-                    return
-                self.stats["stale_results"] += 1
-                self._merge([config], [result])
-                return
-            lease.deadline = time.monotonic() + self.lease_seconds
-            lease.received[run_key] = result
-            self._done_keys.add(run_key)
-
-    def _on_complete(self, worker, frame, held, conn) -> None:
-        lease_id = frame.get("lease")
-        reported = frame.get("stats") or {}
-        with self._lock:
-            record = self.stats["workers"].setdefault(
-                worker,
-                {"runs": 0, "groups": 0, "prep_builds": 0, "seconds": 0.0},
-            )
-            record["runs"] += int(reported.get("runs", 0))
-            record["groups"] += int(reported.get("groups", 0))
-            record["prep_builds"] += int(reported.get("prep_builds", 0))
-            record["seconds"] += float(reported.get("seconds", 0.0))
-            lease = self._outstanding.pop(lease_id, None)
-            held.discard(lease_id)
-            if lease is not None:
-                # a "complete" that did not deliver everything it leased: the
-                # worker skipped keys (e.g. crash-restart mid-lease semantics)
-                merged, missing = self._retire(lease)
-        if lease is None:
-            send_frame(conn, {"type": "ack", "stale": True})
-            return
-        self._requeue_event(missing, lease_id, reason="incomplete")
-        send_frame(conn, {"type": "ack", "stale": False})
-        self._event(
-            {
-                "event": "complete",
-                "lease": lease_id,
-                "worker": worker,
-                "keys": merged,
-            }
-        )
-
-    # -- merge / requeue -------------------------------------------------
-    def _config_for(self, run_key) -> Optional[RunConfig]:
-        for lease in self._outstanding.values():
-            for config in lease.configs:
-                if config.run_key == run_key:
-                    return config
-        for group in self._queue:
-            for config in group:
-                if config.run_key == run_key:
-                    return config
-        return None
-
-    def _merge(self, configs, results, already_marked=False) -> None:
-        """Persist newly completed runs; caller holds the lock."""
-        if not already_marked:
-            for config in configs:
-                self._done_keys.add(config.run_key)
-            # drop the merged keys from wherever they were queued so an
-            # eventual re-lease never recomputes them
-            for group in list(self._queue):
-                group[:] = [c for c in group if c.run_key not in self._done_keys]
-                if not group:
-                    self._queue.remove(group)
-        self._emit_group(configs, results)
-        self.stats["completed"] += len(results)
-        # finished means every key MERGED (emitted to the store), not
-        # merely received: results buffered on an active lease still need
-        # their complete/disconnect/expiry merge before teardown is safe
-        if self.stats["completed"] >= self._total:
-            self.finished.set()
-
-    def _retire(self, lease):
-        """Merge a popped lease's received results and put its missing
-        keys back at the front of the queue; caller holds the lock.
-
-        Popping the lease, merging and re-queueing must be one critical
-        section: a result landing between them would find its key
-        neither leased nor queued and be dropped as a duplicate.
-        Returns ``(merged count, re-queued configs)``.
-        """
-        received = [
-            (c, lease.received[c.run_key])
-            for c in lease.configs
-            if c.run_key in lease.received
-        ]
-        if received:
-            configs, results = zip(*received)
-            self._merge(list(configs), list(results), already_marked=True)
-        missing = [c for c in lease.missing() if c.run_key not in self._done_keys]
-        if missing:
-            # front of the queue: re-queued work is the oldest work
-            self._queue.appendleft(missing)
-            self.stats["requeued"] += len(missing)
-        return len(received), missing
-
-    def _requeue(self, lease_ids: set, reason: str) -> None:
-        for lease_id in list(lease_ids):
-            with self._lock:
-                lease = self._outstanding.pop(lease_id, None)
-                missing = [] if lease is None else self._retire(lease)[1]
-            lease_ids.discard(lease_id)
-            self._requeue_event(missing, lease_id, reason)
-
-    def _requeue_event(self, configs, lease_id, reason) -> None:
-        if configs:
-            self._event(
-                {
-                    "event": "requeue",
-                    "lease": lease_id,
-                    "keys": len(configs),
-                    "reason": reason,
-                }
-            )
+            self._apply(conn_id, Disconnect())
 
     def _monitor_loop(self) -> None:
-        tick = max(0.05, min(1.0, self.lease_seconds / 4))
-        while not self._stopping.is_set() and not self.finished.is_set():
-            now = time.monotonic()
-            expired = set()
-            with self._lock:
-                for lease_id, lease in self._outstanding.items():
-                    if lease.deadline < now:
-                        expired.add(lease_id)
-            if expired:
-                self._requeue(expired, reason="expired")
-            self._stopping.wait(tick)
+        tick = max(0.05, min(1.0, self._core.lease_seconds / 4))
+        while not self._stopping.wait(tick) and not self.finished.is_set():
+            self._apply(None, Tick())
 
     def _event(self, payload: dict) -> None:
         # every lease-queue event is a telemetry event first (a counter
@@ -572,13 +316,7 @@ def worker_loop(
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     sock = socket.create_connection(address)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    stats = {
-        "worker": worker_id,
-        "runs": 0,
-        "groups": 0,
-        "prep_builds": 0,
-        "seconds": 0.0,
-    }
+    stats = {"worker": worker_id, "runs": 0, "groups": 0, "seconds": 0.0}
 
     def event(payload: dict) -> None:
         if on_event is not None:
@@ -595,9 +333,12 @@ def worker_loop(
                 "needs_manifest": plan is None,
             },
         )
-        welcome = recv_frame(sock)
-        if welcome is None or welcome.get("type") != "welcome":
-            raise ProtocolError(f"expected a welcome frame, got {welcome!r}")
+        welcome = _expect(sock, "welcome")
+        if welcome.get("protocol") != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"coordinator speaks protocol {welcome.get('protocol')!r}, "
+                f"this worker speaks {PROTOCOL_VERSION}; upgrade the older side"
+            )
         lease_seconds = float(welcome.get("lease_seconds", DEFAULT_LEASE_SECONDS))
         # a remote worker tracing into its own trace dir adopts the
         # coordinator's trace id + root span so the per-process files
@@ -616,18 +357,13 @@ def worker_loop(
 
         while True:
             send_frame(sock, {"type": "lease"})
-            reply = recv_frame(sock)
-            if reply is None:
-                raise ProtocolError("coordinator closed the connection")
-            kind = reply.get("type")
-            if kind == "done":
+            reply = _expect(sock, "work", "wait", "done")
+            if reply["type"] == "done":
                 event({"event": "done"})
                 return stats
-            if kind == "wait":
+            if reply["type"] == "wait":
                 time.sleep(float(reply.get("seconds", 0.5)))
                 continue
-            if kind != "work":
-                raise ProtocolError(f"expected work/wait/done, got {reply!r}")
 
             lease_id = reply["lease"]
             keys = reply["run_keys"]
@@ -654,43 +390,26 @@ def worker_loop(
             heartbeat.start()
             try:
                 with telemetry.span(
-                    "distributed.lease",
-                    lease=lease_id,
-                    worker=worker_id,
+                    "distributed.lease", lease=lease_id, worker=worker_id,
                     keys=len(group),
                 ):
                     for config, result in iter_config_group(plan, group):
+                        frame = {"type": "result", "lease": lease_id}
+                        frame.update(run_key=config.run_key, result=result.to_dict())
                         with send_lock:
-                            send_frame(
-                                sock,
-                                {
-                                    "type": "result",
-                                    "lease": lease_id,
-                                    "run_key": config.run_key,
-                                    "result": result.to_dict(),
-                                },
-                            )
+                            send_frame(sock, frame)
             finally:
                 stop_heartbeat.set()
                 heartbeat.join()
-            elapsed = time.monotonic() - started
-            lease_stats = {
-                "runs": len(group),
-                "groups": 1,
-                "prep_builds": 1,
-                "seconds": round(elapsed, 6),
-            }
-            for key in ("runs", "groups", "prep_builds"):
-                stats[key] += lease_stats[key]
-            stats["seconds"] += lease_stats["seconds"]
-            with send_lock:
-                send_frame(
-                    sock,
-                    {"type": "complete", "lease": lease_id, "stats": lease_stats},
-                )
-            ack = recv_frame(sock)
-            if ack is None or ack.get("type") != "ack":
-                raise ProtocolError(f"expected an ack frame, got {ack!r}")
+            elapsed = round(time.monotonic() - started, 6)
+            lease_stats = {"runs": len(group), "groups": 1, "seconds": elapsed}
+            for key, value in lease_stats.items():
+                stats[key] += value
+            # the heartbeat thread is joined: this thread is the only sender
+            send_frame(
+                sock, {"type": "complete", "lease": lease_id, "stats": lease_stats}
+            )
+            _expect(sock, "ack")
             event({"event": "complete", "lease": lease_id, "keys": len(group)})
     finally:
         try:
@@ -699,6 +418,13 @@ def worker_loop(
         # an already-torn socket changes nothing
         except OSError:
             pass
+
+
+def _expect(sock, *kinds) -> dict:
+    reply = recv_frame(sock)
+    if reply is None or reply.get("type") not in kinds:
+        raise ProtocolError(f"expected a {'/'.join(kinds)} frame, got {reply!r}")
+    return reply
 
 
 def _heartbeat_loop(sock, send_lock, stop, lease_id, lease_seconds) -> None:
@@ -788,12 +514,8 @@ class DistributedExecutor(Executor):
             # results — same policy as ParallelExecutor)
             groups = parallel.split_for_balance(groups, self.workers)
         coordinator = Coordinator(
-            self._sock,
-            groups,
-            emit_group,
-            lease_seconds=self.lease_seconds,
-            manifest=self.manifest,
-            on_event=self.on_event,
+            self._sock, groups, emit_group, self.lease_seconds, self.manifest,
+            self.on_event,
         )
         address = coordinator.address
         coordinator.start()
@@ -843,27 +565,14 @@ class DistributedExecutor(Executor):
 
     def _wait(self, coordinator, pids, threads) -> None:
         """Block until every key merged; watch local workers meanwhile."""
-        alive = dict.fromkeys(pids, True)
+        local = bool(pids or threads)
         while not coordinator.finished.wait(timeout=0.1):
-            for pid in [p for p, a in alive.items() if a]:
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    alive[pid] = False
-            if (
-                self.workers > 0
-                and pids
-                and not any(alive.values())
-                and coordinator.live_worker_count() == 0
-            ):
+            pids = [pid for pid in pids if not os.waitpid(pid, os.WNOHANG)[0]]
+            threads = [thread for thread in threads if thread.is_alive()]
+            if local and not (pids or threads or coordinator.live_worker_count()):
                 raise RuntimeError(
                     "all local grid workers exited before the grid "
                     "completed; see worker tracebacks above"
-                )
-            dead_threads = threads and not any(t.is_alive() for t in threads)
-            if dead_threads and coordinator.live_worker_count() == 0:
-                raise RuntimeError(
-                    "all local grid worker threads exited before the grid "
-                    "completed"
                 )
 
 

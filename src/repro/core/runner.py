@@ -35,7 +35,7 @@ _route_intervention = route_intervention
 
 #: Version of the run-manifest shape written by :func:`write_run_manifest`.
 #: Bump whenever a field changes meaning, so readers can detect old files.
-RUN_MANIFEST_VERSION = 1
+RUN_MANIFEST_VERSION = 2
 
 
 def open_store_dataset(

@@ -27,6 +27,7 @@ from repro.core import (
     make_executor,
 )
 from repro.core.distributed import (
+    PROTOCOL_VERSION,
     Coordinator,
     PlanMismatchError,
     ProtocolError,
@@ -35,6 +36,8 @@ from repro.core.distributed import (
     send_frame,
     worker_loop,
 )
+from repro import telemetry
+from repro.cli import main
 from repro.core.executors import EXECUTOR_BACKENDS, ExecutionPlan
 from repro.datasets import load_dataset
 
@@ -157,7 +160,10 @@ class CoordinatorHarness:
 
     def connect(self, worker="fake"):
         conn = socket.create_connection(self.coordinator.address)
-        send_frame(conn, {"type": "register", "worker": worker})
+        send_frame(
+            conn,
+            {"type": "register", "worker": worker, "protocol": PROTOCOL_VERSION},
+        )
         welcome = recv_frame(conn)
         assert welcome["type"] == "welcome"
         return conn
@@ -199,8 +205,7 @@ class TestCoordinatorProtocol:
                 {
                     "type": "complete",
                     "lease": work["lease"],
-                    "stats": {"runs": 2, "groups": 1, "prep_builds": 1,
-                              "seconds": 0.5},
+                    "stats": {"runs": 2, "groups": 1, "seconds": 0.5},
                 },
             )
             ack = recv_frame(conn)
@@ -208,7 +213,7 @@ class TestCoordinatorProtocol:
             stats = harness.coordinator.stats
             assert stats["completed"] == 2
             assert stats["workers"]["w1"]["runs"] == 2
-            assert stats["workers"]["w1"]["prep_builds"] == 1
+            assert stats["workers"]["w1"]["groups"] <= stats["workers"]["w1"]["runs"]
             assert set(harness.merged) == set(work["run_keys"])
             conn.close()
         finally:
@@ -326,91 +331,115 @@ class TestCoordinatorProtocol:
             harness.close()
 
 
-class DeliverBeforeReacquire:
-    """Lock proxy that runs ``deliver`` once, just before the coordinator
-    re-acquires its lock for the ``at``-th time — the moment another
-    thread's frame could land between two critical sections of one
-    coordinator step."""
-
-    def __init__(self, lock, deliver, at):
-        self._lock = lock
-        self._deliver = deliver
-        self._at = at
-        self._entries = 0
-        self.delivered = False
-
-    def __enter__(self):
-        if not self.delivered:
-            if self._entries == self._at:
-                self.delivered = True
-                self._deliver()
-            self._entries += 1
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
+def result_frame(lease, run_key):
+    return {
+        "type": "result",
+        "lease": lease,
+        "run_key": run_key,
+        "result": fake_result(run_key),
+    }
 
 
-class TestRequeueAtomicity:
-    """A result that lands while a lease is being retired is merged, not
-    dropped as a duplicate: the lease's pop, the merge of its received
-    results and the re-queue of its missing keys are one critical
-    section, so the late key is always findable."""
-
-    def retire_with_late_result(self, configs, at, retire):
-        emitted = []
-        coordinator = Coordinator(
-            socket.socket(), [configs[:2]],
-            lambda c, r: emitted.extend(x.run_key for x in c),
-        )
-        worker_side, coordinator_side = socket.socketpair()
+class TestCoordinatorFaults:
+    def test_result_outside_its_lease_is_merged(self, configs):
+        """The holder of lease A also sends a key of queued group B under
+        A. That key must be merged at once: it used to be recorded as done
+        on A, never merged, and filtered out of B, so the grid stopped at
+        3/4 and every later lease request got "wait"."""
+        harness = CoordinatorHarness([configs[:2], configs[2:4]])
         try:
-            held = set()
-            coordinator._grant("w1", held, coordinator_side)
-            work = recv_frame(worker_side)
-            first, late = work["run_keys"]
-            result = {"type": "result", "lease": work["lease"]}
-            coordinator._on_result(
-                dict(result, run_key=first, result=fake_result(first)), held
-            )
-            late_frame = dict(result, run_key=late, result=fake_result(late))
-            # the late result comes from the lease's previous holder
-            proxy = DeliverBeforeReacquire(
-                coordinator._lock,
-                lambda: coordinator._on_result(late_frame, set()),
-                at,
-            )
-            coordinator._lock = proxy
-            retire(coordinator, work["lease"], held, coordinator_side)
-            coordinator._lock = proxy._lock
-            if not proxy.delivered:  # no window left: deliver afterwards
-                coordinator._on_result(late_frame, set())
+            conn = harness.connect(worker="w1")
+            work = harness.lease(conn)
+            for key in [*work["run_keys"], configs[2].run_key]:
+                send_frame(conn, result_frame(work["lease"], key))
+            send_frame(conn, {"type": "complete", "lease": work["lease"]})
+            assert recv_frame(conn) == {"type": "ack", "stale": False}
+            second = harness.lease(conn)
+            assert second["run_keys"] == [configs[3].run_key]
+            send_frame(conn, result_frame(second["lease"], configs[3].run_key))
+            send_frame(conn, {"type": "complete", "lease": second["lease"]})
+            assert recv_frame(conn) == {"type": "ack", "stale": False}
+            stats = harness.coordinator.stats
+            assert (stats["completed"], stats["total"]) == (4, 4)
+            assert harness.coordinator.finished.is_set()
+            assert set(harness.merged) == {c.run_key for c in configs[:4]}
+            assert harness.lease(conn) == {"type": "done"}
+            conn.close()
         finally:
-            worker_side.close()
-            coordinator_side.close()
-        stats = coordinator.stats
-        assert stats["duplicates"] == 0
-        assert sorted(emitted) == sorted([first, late])
-        assert stats["completed"] == stats["total"] == 2
-        assert coordinator.finished.is_set()
+            harness.close()
 
-    # before the fix, expiry re-acquired the lock twice after popping
-    # the lease, and an incomplete "complete" once
-    @pytest.mark.parametrize("at", [1, 2])
-    def test_late_result_during_expiry_requeue(self, configs, at):
-        self.retire_with_late_result(
-            configs, at,
-            lambda c, lease, held, conn: c._requeue({lease}, reason="expired"),
-        )
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda lease, key: {"type": "result", "lease": lease, "run_key": key},
+            lambda lease, key: {"type": "heartbeat", "lease": [lease]},
+            lambda lease, key: {"type": "complete", "lease": lease, "stats": [1]},
+        ],
+        ids=["result-without-result", "list-valued-lease", "non-dict-stats"],
+    )
+    def test_malformed_frame_gets_an_error_and_requeues(self, configs, malformed):
+        harness = CoordinatorHarness([configs[:2]], lease_seconds=30.0)
+        try:
+            conn = harness.connect()
+            work = harness.lease(conn)
+            send_frame(conn, malformed(work["lease"], work["run_keys"][0]))
+            reply = recv_frame(conn)
+            assert reply["type"] == "error"
+            assert "malformed" in reply["message"]
+            counters = telemetry.metrics_state()["counters"]
+            assert counters.get("distributed.protocol-error", 0) >= 1
+            assert recv_frame(conn) is None  # the coordinator hung up
+            # re-queued on disconnect, long before the 30 s deadline
+            assert wait_until(lambda: harness.coordinator.stats["requeued"] == 2)
+            second = harness.connect(worker="w2")
+            assert harness.lease(second)["run_keys"] == work["run_keys"]
+            second.close()
+            conn.close()
+        finally:
+            harness.close()
 
-    @pytest.mark.parametrize("at", [1])
-    def test_late_result_during_incomplete_complete(self, configs, at):
-        self.retire_with_late_result(
-            configs, at,
-            lambda c, lease, held, conn: c._on_complete(
-                "w1", {"type": "complete", "lease": lease}, held, conn
-            ),
-        )
+    def test_register_of_another_protocol_is_refused(self, configs):
+        harness = CoordinatorHarness([configs[:2]])
+        try:
+            conn = socket.create_connection(harness.coordinator.address)
+            send_frame(conn, {"type": "register", "worker": "old", "protocol": 1})
+            reply = recv_frame(conn)
+            assert reply["type"] == "error"
+            assert "protocol 1" in reply["message"]
+            assert f"speaks {PROTOCOL_VERSION}" in reply["message"]
+            assert recv_frame(conn) is None
+            assert harness.coordinator.live_worker_count() == 0
+            conn.close()
+        finally:
+            harness.close()
+
+    def test_worker_refuses_a_welcome_of_another_protocol(self, capsys):
+        other = PROTOCOL_VERSION + 1
+        listener = socket.create_server(("127.0.0.1", 0))
+        registered = []
+
+        def coordinator_of_another_version():
+            conn, _ = listener.accept()
+            with conn:
+                registered.append(recv_frame(conn))
+                send_frame(
+                    conn,
+                    {"type": "welcome", "protocol": other, "lease_seconds": 1.0},
+                )
+                recv_frame(conn)  # the worker hangs up
+
+        thread = threading.Thread(target=coordinator_of_another_version)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        try:
+            code = main(["grid-worker", "--connect", f"{host}:{port}"])
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == 2
+        assert registered[0]["protocol"] == PROTOCOL_VERSION
+        assert f"coordinator speaks protocol {other}" in capsys.readouterr().err
 
 
 class LockProbeConn:
@@ -451,26 +480,31 @@ class TestRepliesSentOutsideLock:
     def test_done_reply(self, listener):
         coordinator = Coordinator(listener, [], lambda c, r: None)
         conn = LockProbeConn(coordinator)
-        coordinator._grant("w1", set(), conn)
+        assert coordinator._handle(1, conn, {"type": "lease"})
         assert conn.frames == [{"type": "done"}]
         assert conn.lock_free == [True]
 
     def test_wait_reply(self, listener, configs):
         coordinator = Coordinator(listener, [configs[:2]], lambda c, r: None)
         conn = LockProbeConn(coordinator)
-        coordinator._grant("w1", set(), conn)
-        # the only group is leased to w1, so w2 must wait
-        coordinator._grant("w2", set(), conn)
+        coordinator._handle(1, conn, {"type": "lease"})
+        # the only group is leased to connection 1, so connection 2 waits
+        coordinator._handle(2, conn, {"type": "lease"})
         assert [f["type"] for f in conn.frames] == ["work", "wait"]
         assert conn.lock_free == [True, True]
 
     def test_stale_ack_reply(self, listener, configs):
         coordinator = Coordinator(listener, [configs[:2]], lambda c, r: None)
         conn = LockProbeConn(coordinator)
-        coordinator._on_complete(
-            "w1", {"type": "complete", "lease": 99}, set(), conn
-        )
+        coordinator._handle(1, conn, {"type": "complete", "lease": 99})
         assert conn.frames == [{"type": "ack", "stale": True}]
+        assert conn.lock_free == [True]
+
+    def test_error_reply_to_a_malformed_frame(self, listener, configs):
+        coordinator = Coordinator(listener, [configs[:2]], lambda c, r: None)
+        conn = LockProbeConn(coordinator)
+        assert not coordinator._handle(1, conn, {"type": "heartbeat"})
+        assert [f["type"] for f in conn.frames] == ["error"]
         assert conn.lock_free == [True]
 
 
@@ -502,7 +536,7 @@ class TestDistributedEndToEnd:
         per_worker = stats["workers"].values()
         assert sum(w["runs"] for w in per_worker) == 4
         # shared preparation: each 2-run group built its splits once
-        assert all(w["prep_builds"] <= w["runs"] for w in per_worker)
+        assert all(w["groups"] <= w["runs"] for w in per_worker)
 
     def test_resume_executes_only_missing_keys(
         self, german_plan, serial_results, tmp_path

@@ -17,7 +17,7 @@ from repro.core import (
     SerialExecutor,
     run_grid,
 )
-from repro.core.runner import manifest_path, write_run_manifest
+from repro.core.runner import RUN_MANIFEST_VERSION, manifest_path
 from repro.telemetry import trace as trace_tools
 
 
@@ -53,7 +53,7 @@ class TestRunManifest:
         assert path == str(tmp_path / "results.jsonl.manifest.json")
         with open(path) as handle:
             manifest = json.load(handle)
-        assert manifest["manifest_version"] == 1
+        assert manifest["manifest_version"] == RUN_MANIFEST_VERSION == 2
         assert manifest["dataset"] == "germancredit"
         assert manifest["executor"] == "SerialExecutor"
         assert manifest["grid_size"] == len(results) == 2
@@ -153,3 +153,5 @@ class TestDistributedTraceStitching:
         assert manifest["executor"] == "DistributedExecutor"
         assert manifest["distributed"]["completed"] == 2
         assert manifest["distributed"]["total"] == 2
+        for record in manifest["distributed"]["workers"].values():
+            assert sorted(record) == ["groups", "runs", "seconds"]
