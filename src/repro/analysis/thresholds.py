@@ -12,7 +12,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..fairness import BinaryLabelDataset, ClassificationMetric
+from ..fairness import BinaryLabelDataset, BinaryLabelDatasetMetric
+from ..fairness.metrics.classification_metric import GROUP_CONTRASTS
 
 
 def threshold_sweep(
@@ -32,6 +33,9 @@ def threshold_sweep(
         raise ValueError("scores length does not match the dataset")
     if num_thresholds < 2:
         raise ValueError("need at least 2 thresholds")
+    groups = BinaryLabelDatasetMetric(
+        dataset_true, unprivileged_groups, privileged_groups
+    )
     rows = []
     for threshold in np.linspace(0.0, 1.0, num_thresholds):
         labels = np.where(
@@ -39,19 +43,19 @@ def threshold_sweep(
             dataset_true.favorable_label,
             dataset_true.unfavorable_label,
         )
-        pred = dataset_true.with_predictions(labels=labels, scores=scores)
-        metric = ClassificationMetric(
-            dataset_true, pred, unprivileged_groups, privileged_groups
+        overall, unprivileged, privileged = (
+            groups.confusion_table(labels, stratum)[1] for stratum in (None, False, True)
         )
-        measures = metric.performance_measures()
         rows.append(
             {
                 "threshold": float(threshold),
-                "accuracy": measures["accuracy"],
-                "balanced_accuracy": measures["balanced_accuracy"],
-                "selection_rate": measures["selection_rate"],
-                "statistical_parity_difference": metric.statistical_parity_difference(),
-                "disparate_impact": metric.disparate_impact(),
+                "accuracy": overall["accuracy"],
+                "balanced_accuracy": overall["balanced_accuracy"],
+                "selection_rate": overall["selection_rate"],
+                **{
+                    name: GROUP_CONTRASTS[name](unprivileged, privileged)
+                    for name in ("statistical_parity_difference", "disparate_impact")
+                },
             }
         )
     return rows

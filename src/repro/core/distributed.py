@@ -103,7 +103,10 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds the protocol limit")
     data = _recv_exact(sock, length, eof_ok=False)
-    message = json.loads(data.decode("utf-8"))
+    try:
+        message = json.loads(data.decode("utf-8"))
+    except ValueError as error:  # undecodable UTF-8 or malformed JSON
+        raise ProtocolError(f"frame is not valid JSON: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"frame is not a JSON object: {message!r}")
     return message
@@ -226,13 +229,17 @@ class Coordinator:
         try:
             event = decode_frame(frame)
         except ProtocolError as error:
-            self._event({"event": "protocol-error", "message": str(error)})
-            send_frame(conn, {"type": "error", "message": str(error)})
+            self._refuse(conn, error)
             return False
         step = self._apply(conn_id, event)
         if step.reply is not None:
             send_frame(conn, step.reply)
         return not step.close
+
+    def _refuse(self, conn, error: ProtocolError) -> None:
+        """Count a malformed frame and answer it; the caller hangs up."""
+        self._event({"event": "protocol-error", "message": str(error)})
+        send_frame(conn, {"type": "error", "message": str(error)})
 
     def _accept_loop(self) -> None:
         # a timeout on accept() lets the loop observe stop(): closing a
@@ -258,13 +265,17 @@ class Coordinator:
         conn_id = next(self._conn_ids)
         try:
             while True:
-                frame = recv_frame(conn)
+                try:
+                    frame = recv_frame(conn)
+                except ProtocolError as error:
+                    self._refuse(conn, error)
+                    return
                 if frame is None or not self._handle(conn_id, conn, frame):
                     return
         # lint: allow(silent-except) -- a torn connection is expected
         # worker churn: the finally-block requeues its leases and emits a
         # 'requeue' telemetry event with reason=disconnect
-        except (ProtocolError, OSError, ValueError):
+        except OSError:
             pass
         finally:
             try:

@@ -10,23 +10,86 @@ unprivileged groups").
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ...learn.metrics import _safe_divide
 from ..dataset import BinaryLabelDataset, GroupSpec
 from .dataset_metric import BinaryLabelDatasetMetric
 from .entropy import generalized_entropy_index_from_benefits
 
+Measures = Dict[str, float]
 
-def _safe_ratio(numerator: float, denominator: float) -> float:
-    if denominator == 0 or np.isnan(denominator):
-        return float("nan")
-    return numerator / denominator
+
+def _difference(name: str) -> Callable[[Measures, Measures], float]:
+    return lambda unprivileged, privileged: unprivileged[name] - privileged[name]
+
+
+def _ratio(name: str) -> Callable[[Measures, Measures], float]:
+    return lambda unprivileged, privileged: _safe_divide(
+        unprivileged[name], privileged[name]
+    )
+
+
+_fpr_difference = _difference("false_positive_rate")
+_tpr_difference = _difference("true_positive_rate")
+
+# the between-group contrasts: each reads the (unprivileged, privileged)
+# measures, unprivileged first, so 0 (a ratio: 1) is parity
+GROUP_CONTRASTS: Dict[str, Callable[[Measures, Measures], float]] = {
+    "statistical_parity_difference": _difference("selection_rate"),
+    "disparate_impact": _ratio("selection_rate"),
+    "equal_opportunity_difference": _tpr_difference,
+    # mean of the FPR and TPR differences (Hardt et al. relaxation)
+    "average_odds_difference": lambda u, p: 0.5
+    * (_fpr_difference(u, p) + _tpr_difference(u, p)),
+    "average_abs_odds_difference": lambda u, p: 0.5
+    * (abs(_fpr_difference(u, p)) + abs(_tpr_difference(u, p))),
+    "true_positive_rate_difference": _tpr_difference,
+    "false_positive_rate_difference": _fpr_difference,
+    "false_negative_rate_difference": _difference("false_negative_rate"),
+    "false_positive_rate_ratio": _ratio("false_positive_rate"),
+    "false_negative_rate_ratio": _ratio("false_negative_rate"),
+    "false_discovery_rate_difference": _difference("false_discovery_rate"),
+    "false_omission_rate_difference": _difference("false_omission_rate"),
+    "false_discovery_rate_ratio": _ratio("false_discovery_rate"),
+    "false_omission_rate_ratio": _ratio("false_omission_rate"),
+    "positive_predictive_value_difference": _difference("positive_predictive_value"),
+    "error_rate_difference": _difference("error_rate"),
+    "error_rate_ratio": _ratio("error_rate"),
+    "accuracy_difference": _difference("accuracy"),
+}
+
+
+def _stratum_accessor(name: str):
+    def accessor(self, privileged: Optional[bool] = None) -> float:
+        return self._table(privileged)[1][name]
+
+    accessor.__name__ = name
+    accessor.__doc__ = f"``{name}`` of a stratum; None (the default) is all rows."
+    return accessor
+
+
+def _contrast_accessor(name: str):
+    def accessor(self) -> float:
+        return GROUP_CONTRASTS[name](self._table(False)[1], self._table(True)[1])
+
+    accessor.__name__ = name
+    accessor.__doc__ = f"``{name}`` between the groups; see ``GROUP_CONTRASTS``."
+    return accessor
 
 
 class ClassificationMetric(BinaryLabelDatasetMetric):
     """Fairness and accuracy measures of predictions against ground truth.
+
+    Every measure of a stratum (all rows, the privileged or the
+    unprivileged group) is read from that stratum's one weighted
+    TP/FP/TN/FN table. Each table and its measures are built lazily, at
+    most once per instance, and every accessor reads them, so
+    :meth:`all_metrics` builds three tables. This assumes the datasets are
+    not mutated after construction; dictionaries handed to callers are
+    copies, so mutating one does not change later answers.
 
     Parameters
     ----------
@@ -47,176 +110,58 @@ class ClassificationMetric(BinaryLabelDatasetMetric):
         dataset_true.validate_compatible(dataset_pred)
         super().__init__(dataset_true, unprivileged_groups, privileged_groups)
         self.dataset_pred = dataset_pred
+        self._tables: Dict[Optional[bool], Tuple[Measures, Measures]] = {}
 
     # ------------------------------------------------------------------
     # confusion-matrix primitives
     # ------------------------------------------------------------------
+    def _table(self, privileged: Optional[bool]) -> Tuple[Measures, Measures]:
+        """The stratum's (TP/FP/TN/FN counts, measures), built once."""
+        if privileged not in self._tables:
+            self._tables[privileged] = self.confusion_table(
+                self.dataset_pred.labels, privileged
+            )
+        return self._tables[privileged]
+
     def binary_confusion_matrix(self, privileged: Optional[bool] = None) -> Dict[str, float]:
         """Weighted TP/FP/TN/FN within the requested stratum."""
-        mask = self._mask(privileged)
-        w = self.dataset.instance_weights[mask]
-        true_pos = self.dataset.favorable_mask()[mask]
-        pred_pos = (self.dataset_pred.labels == self.dataset.favorable_label)[mask]
-        return {
-            "TP": float(w[true_pos & pred_pos].sum()),
-            "FP": float(w[~true_pos & pred_pos].sum()),
-            "TN": float(w[~true_pos & ~pred_pos].sum()),
-            "FN": float(w[true_pos & ~pred_pos].sum()),
-        }
+        return dict(self._table(privileged)[0])
 
     def performance_measures(self, privileged: Optional[bool] = None) -> Dict[str, float]:
         """The 25-entry per-stratum metric dictionary."""
-        c = self.binary_confusion_matrix(privileged)
-        tp, fp, tn, fn = c["TP"], c["FP"], c["TN"], c["FN"]
-        total = tp + fp + tn + fn
-        actual_pos = tp + fn
-        actual_neg = tn + fp
-        pred_pos = tp + fp
-        pred_neg = tn + fn
-        tpr = _safe_ratio(tp, actual_pos)
-        tnr = _safe_ratio(tn, actual_neg)
-        fpr = _safe_ratio(fp, actual_neg)
-        fnr = _safe_ratio(fn, actual_pos)
-        ppv = _safe_ratio(tp, pred_pos)
-        npv = _safe_ratio(tn, pred_neg)
-        fdr = _safe_ratio(fp, pred_pos)
-        fomr = _safe_ratio(fn, pred_neg)
-        accuracy = _safe_ratio(tp + tn, total)
-        f1 = (
-            float("nan")
-            if np.isnan(ppv) or np.isnan(tpr) or (ppv + tpr) == 0
-            else 2.0 * ppv * tpr / (ppv + tpr)
-        )
-        return {
-            "num_instances": total,
-            "num_positives": actual_pos,
-            "num_negatives": actual_neg,
-            "base_rate": _safe_ratio(actual_pos, total),
-            "num_true_positives": tp,
-            "num_false_positives": fp,
-            "num_true_negatives": tn,
-            "num_false_negatives": fn,
-            "num_pred_positives": pred_pos,
-            "num_pred_negatives": pred_neg,
-            "selection_rate": _safe_ratio(pred_pos, total),
-            "true_positive_rate": tpr,
-            "true_negative_rate": tnr,
-            "false_positive_rate": fpr,
-            "false_negative_rate": fnr,
-            "positive_predictive_value": ppv,
-            "negative_predictive_value": npv,
-            "false_discovery_rate": fdr,
-            "false_omission_rate": fomr,
-            "accuracy": accuracy,
-            "error_rate": float("nan") if np.isnan(accuracy) else 1.0 - accuracy,
-            "balanced_accuracy": 0.5 * (tpr + tnr),
-            "precision": ppv,
-            "recall": tpr,
-            "f1": f1,
-        }
+        return dict(self._table(privileged)[1])
 
     # named accessors -----------------------------------------------------
-    def accuracy(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["accuracy"]
-
-    def error_rate(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["error_rate"]
-
-    def selection_rate(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["selection_rate"]
-
-    def true_positive_rate(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["true_positive_rate"]
-
-    def false_positive_rate(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["false_positive_rate"]
-
-    def false_negative_rate(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["false_negative_rate"]
-
-    def true_negative_rate(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["true_negative_rate"]
-
-    def positive_predictive_value(self, privileged: Optional[bool] = None) -> float:
-        return self.performance_measures(privileged)["positive_predictive_value"]
+    accuracy = _stratum_accessor("accuracy")
+    error_rate = _stratum_accessor("error_rate")
+    selection_rate = _stratum_accessor("selection_rate")
+    true_positive_rate = _stratum_accessor("true_positive_rate")
+    false_positive_rate = _stratum_accessor("false_positive_rate")
+    false_negative_rate = _stratum_accessor("false_negative_rate")
+    true_negative_rate = _stratum_accessor("true_negative_rate")
+    positive_predictive_value = _stratum_accessor("positive_predictive_value")
 
     # ------------------------------------------------------------------
     # group-contrast metrics
     # ------------------------------------------------------------------
-    def _difference(self, name: str) -> float:
-        return (
-            self.performance_measures(privileged=False)[name]
-            - self.performance_measures(privileged=True)[name]
-        )
-
-    def _ratio(self, name: str) -> float:
-        return _safe_ratio(
-            self.performance_measures(privileged=False)[name],
-            self.performance_measures(privileged=True)[name],
-        )
-
-    def statistical_parity_difference(self) -> float:
-        """Selection-rate difference of the *predictions* (unpriv - priv)."""
-        return self._difference("selection_rate")
-
-    def disparate_impact(self) -> float:
-        """Selection-rate ratio of the predictions (unpriv / priv)."""
-        return self._ratio("selection_rate")
-
-    def equal_opportunity_difference(self) -> float:
-        return self._difference("true_positive_rate")
-
-    def true_positive_rate_difference(self) -> float:
-        return self._difference("true_positive_rate")
-
-    def false_positive_rate_difference(self) -> float:
-        return self._difference("false_positive_rate")
-
-    def false_negative_rate_difference(self) -> float:
-        return self._difference("false_negative_rate")
-
-    def false_positive_rate_ratio(self) -> float:
-        return self._ratio("false_positive_rate")
-
-    def false_negative_rate_ratio(self) -> float:
-        return self._ratio("false_negative_rate")
-
-    def false_discovery_rate_difference(self) -> float:
-        return self._difference("false_discovery_rate")
-
-    def false_omission_rate_difference(self) -> float:
-        return self._difference("false_omission_rate")
-
-    def false_discovery_rate_ratio(self) -> float:
-        return self._ratio("false_discovery_rate")
-
-    def false_omission_rate_ratio(self) -> float:
-        return self._ratio("false_omission_rate")
-
-    def positive_predictive_value_difference(self) -> float:
-        return self._difference("positive_predictive_value")
-
-    def error_rate_difference(self) -> float:
-        return self._difference("error_rate")
-
-    def error_rate_ratio(self) -> float:
-        return self._ratio("error_rate")
-
-    def accuracy_difference(self) -> float:
-        return self._difference("accuracy")
-
-    def average_odds_difference(self) -> float:
-        """Mean of the FPR and TPR differences (Hardt et al. relaxation)."""
-        return 0.5 * (
-            self.false_positive_rate_difference()
-            + self.true_positive_rate_difference()
-        )
-
-    def average_abs_odds_difference(self) -> float:
-        return 0.5 * (
-            abs(self.false_positive_rate_difference())
-            + abs(self.true_positive_rate_difference())
-        )
+    statistical_parity_difference = _contrast_accessor("statistical_parity_difference")
+    disparate_impact = _contrast_accessor("disparate_impact")
+    equal_opportunity_difference = _contrast_accessor("equal_opportunity_difference")
+    average_odds_difference = _contrast_accessor("average_odds_difference")
+    average_abs_odds_difference = _contrast_accessor("average_abs_odds_difference")
+    true_positive_rate_difference = _contrast_accessor("true_positive_rate_difference")
+    false_positive_rate_difference = _contrast_accessor("false_positive_rate_difference")
+    false_negative_rate_difference = _contrast_accessor("false_negative_rate_difference")
+    false_positive_rate_ratio = _contrast_accessor("false_positive_rate_ratio")
+    false_negative_rate_ratio = _contrast_accessor("false_negative_rate_ratio")
+    false_discovery_rate_difference = _contrast_accessor("false_discovery_rate_difference")
+    false_omission_rate_difference = _contrast_accessor("false_omission_rate_difference")
+    false_discovery_rate_ratio = _contrast_accessor("false_discovery_rate_ratio")
+    false_omission_rate_ratio = _contrast_accessor("false_omission_rate_ratio")
+    positive_predictive_value_difference = _contrast_accessor("positive_predictive_value_difference")
+    error_rate_difference = _contrast_accessor("error_rate_difference")
+    error_rate_ratio = _contrast_accessor("error_rate_ratio")
+    accuracy_difference = _contrast_accessor("accuracy_difference")
 
     # individual / entropy-based metrics -----------------------------------
     def _benefits(self) -> np.ndarray:
@@ -266,24 +211,7 @@ class ClassificationMetric(BinaryLabelDatasetMetric):
     def group_metrics(self) -> Dict[str, float]:
         """The 22-entry global (between-group) metric dictionary."""
         return {
-            "statistical_parity_difference": self.statistical_parity_difference(),
-            "disparate_impact": self.disparate_impact(),
-            "equal_opportunity_difference": self.equal_opportunity_difference(),
-            "average_odds_difference": self.average_odds_difference(),
-            "average_abs_odds_difference": self.average_abs_odds_difference(),
-            "true_positive_rate_difference": self.true_positive_rate_difference(),
-            "false_positive_rate_difference": self.false_positive_rate_difference(),
-            "false_negative_rate_difference": self.false_negative_rate_difference(),
-            "false_positive_rate_ratio": self.false_positive_rate_ratio(),
-            "false_negative_rate_ratio": self.false_negative_rate_ratio(),
-            "false_discovery_rate_difference": self.false_discovery_rate_difference(),
-            "false_omission_rate_difference": self.false_omission_rate_difference(),
-            "false_discovery_rate_ratio": self.false_discovery_rate_ratio(),
-            "false_omission_rate_ratio": self.false_omission_rate_ratio(),
-            "positive_predictive_value_difference": self.positive_predictive_value_difference(),
-            "error_rate_difference": self.error_rate_difference(),
-            "error_rate_ratio": self.error_rate_ratio(),
-            "accuracy_difference": self.accuracy_difference(),
+            **{name: getattr(self, name)() for name in GROUP_CONTRASTS},
             "generalized_entropy_index": self.generalized_entropy_index(),
             "theil_index": self.theil_index(),
             "coefficient_of_variation": self.coefficient_of_variation(),
@@ -306,7 +234,7 @@ class ClassificationMetric(BinaryLabelDatasetMetric):
                 self.privileged_groups is None or self.unprivileged_groups is None
             ):
                 continue
-            for name, value in self.performance_measures(privileged).items():
+            for name, value in self._table(privileged)[1].items():
                 out[f"{stratum}__{name}"] = value
         if self.privileged_groups is not None and self.unprivileged_groups is not None:
             for name, value in self.group_metrics().items():

@@ -7,10 +7,11 @@ privileged/unprivileged disparities, plus the individual-fairness
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ...learn.metrics import binary_counts, confusion_measures
 from ...learn.neighbors import nearest_neighbor_indices
 from ..dataset import BinaryLabelDataset, GroupSpec
 
@@ -27,26 +28,51 @@ class BinaryLabelDatasetMetric:
         self.dataset = dataset
         self.unprivileged_groups = unprivileged_groups
         self.privileged_groups = privileged_groups
+        # stratum -> row mask: None is every row, True/False the groups
+        self._masks = {None: np.ones(dataset.num_instances, dtype=bool)}
         if unprivileged_groups is not None and privileged_groups is not None:
-            overlap = dataset.group_mask(unprivileged_groups) & dataset.group_mask(
-                privileged_groups
-            )
+            self._masks[False] = dataset.group_mask(unprivileged_groups)
+            self._masks[True] = dataset.group_mask(privileged_groups)
+            overlap = self._masks[False] & self._masks[True]
             if overlap.any():
                 raise ValueError(
                     "privileged and unprivileged groups overlap on "
                     f"{int(overlap.sum())} instances"
                 )
+        self._strata: Dict[Optional[bool], tuple] = {}
 
     # ------------------------------------------------------------------
     def _mask(self, privileged: Optional[bool]) -> np.ndarray:
-        if privileged is None:
-            return np.ones(self.dataset.num_instances, dtype=bool)
-        groups = self.privileged_groups if privileged else self.unprivileged_groups
-        if groups is None:
-            raise ValueError(
-                "privileged/unprivileged groups were not provided at construction"
+        """The stratum's row mask, built at most once per instance."""
+        if privileged not in self._masks:
+            groups = self.privileged_groups if privileged else self.unprivileged_groups
+            if groups is None:
+                raise ValueError(
+                    "privileged/unprivileged groups were not provided at construction"
+                )
+            self._masks[privileged] = self.dataset.group_mask(groups)
+        return self._masks[privileged]
+
+    def confusion_table(
+        self, labels: np.ndarray, privileged: Optional[bool] = None
+    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Weighted TP/FP/TN/FN of predicted ``labels`` (one per row)
+        against the true labels in the requested stratum, and the 25
+        measures read from that table.
+
+        The stratum's true labels and weights are sliced once per instance,
+        so a search scoring many labelings pays only for the table.
+        """
+        if privileged not in self._strata:
+            rows = self._mask(privileged)
+            self._strata[privileged] = (
+                rows,
+                self.dataset.labels[rows],
+                self.dataset.instance_weights[rows],
             )
-        return self.dataset.group_mask(groups)
+        rows, truth, weights = self._strata[privileged]
+        counts = binary_counts(truth, labels[rows], self.dataset.favorable_label, weights)
+        return counts, confusion_measures(counts)
 
     def num_instances(self, privileged: Optional[bool] = None) -> float:
         """Total instance weight in the requested stratum."""

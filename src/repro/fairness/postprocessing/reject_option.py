@@ -16,13 +16,15 @@ import numpy as np
 
 from ...serialize import serializable
 from ..dataset import BinaryLabelDataset, GroupSpec
-from ..metrics import ClassificationMetric
+from ..metrics import BinaryLabelDatasetMetric
+from ..metrics.classification_metric import GROUP_CONTRASTS
 
-_METRICS = (
-    "Statistical parity difference",
-    "Average odds difference",
-    "Equal opportunity difference",
-)
+# the fairness constraint a fit can search under, by its AIF360 name
+_METRICS = {
+    "Statistical parity difference": GROUP_CONTRASTS["statistical_parity_difference"],
+    "Average odds difference": GROUP_CONTRASTS["average_odds_difference"],
+    "Equal opportunity difference": GROUP_CONTRASTS["equal_opportunity_difference"],
+}
 
 
 @serializable
@@ -42,7 +44,7 @@ class RejectOptionClassification:
         metric_lb: float = -0.05,
     ):
         if metric_name not in _METRICS:
-            raise ValueError(f"metric_name must be one of {_METRICS}")
+            raise ValueError(f"metric_name must be one of {tuple(_METRICS)}")
         if not 0.0 <= low_class_thresh < high_class_thresh <= 1.0:
             raise ValueError("need 0 <= low_class_thresh < high_class_thresh <= 1")
         self.unprivileged_groups = unprivileged_groups
@@ -62,6 +64,12 @@ class RejectOptionClassification:
         """Search (class threshold, margin) on labeled validation data."""
         if dataset_pred.scores is None:
             raise ValueError("dataset_pred must carry prediction scores")
+        dataset_true.validate_compatible(dataset_pred)
+        groups = BinaryLabelDatasetMetric(
+            dataset_true, self.unprivileged_groups, self.privileged_groups
+        )
+        unprivileged, privileged = groups._mask(False), groups._mask(True)
+        contrast = _METRICS[self.metric_name]
         best_constrained = None  # (balanced_accuracy, thresh, margin)
         best_fallback = None  # (abs metric, balanced_accuracy, thresh, margin)
         for class_thresh in np.linspace(
@@ -69,15 +77,15 @@ class RejectOptionClassification:
         ):
             margin_cap = min(class_thresh, 1.0 - class_thresh)
             for margin in np.linspace(0.0, margin_cap, self.num_ROC_margin):
-                adjusted = self._apply(dataset_pred, class_thresh, margin)
-                metric = ClassificationMetric(
-                    dataset_true,
-                    adjusted,
-                    unprivileged_groups=self.unprivileged_groups,
-                    privileged_groups=self.privileged_groups,
+                labels = _labels(
+                    dataset_pred, unprivileged, privileged, class_thresh, margin
                 )
-                balanced = metric.performance_measures()["balanced_accuracy"]
-                fairness = self._fairness_value(metric)
+                overall, unprivileged_measures, privileged_measures = (
+                    groups.confusion_table(labels, stratum)[1]
+                    for stratum in (None, False, True)
+                )
+                balanced = overall["balanced_accuracy"]
+                fairness = contrast(unprivileged_measures, privileged_measures)
                 if np.isnan(balanced) or np.isnan(fairness):
                     continue
                 if self.metric_lb <= fairness <= self.metric_ub:
@@ -103,32 +111,19 @@ class RejectOptionClassification:
             raise RuntimeError("RejectOptionClassification must be fit first")
         if dataset_pred.scores is None:
             raise ValueError("dataset_pred must carry prediction scores")
-        return self._apply(
-            dataset_pred, self.classification_threshold_, self.ROC_margin_
+        labels = _labels(
+            dataset_pred,
+            dataset_pred.group_mask(self.unprivileged_groups),
+            dataset_pred.group_mask(self.privileged_groups),
+            self.classification_threshold_,
+            self.ROC_margin_,
         )
+        return dataset_pred.with_predictions(labels=labels)
 
     def fit_predict(
         self, dataset_true: BinaryLabelDataset, dataset_pred: BinaryLabelDataset
     ) -> BinaryLabelDataset:
         return self.fit(dataset_true, dataset_pred).predict(dataset_pred)
-
-    # ------------------------------------------------------------------
-    def _apply(
-        self, dataset_pred: BinaryLabelDataset, class_thresh: float, margin: float
-    ) -> BinaryLabelDataset:
-        scores = dataset_pred.scores
-        labels = np.where(
-            scores > class_thresh,
-            dataset_pred.favorable_label,
-            dataset_pred.unfavorable_label,
-        )
-        critical = np.abs(scores - class_thresh) <= margin
-        unprivileged = dataset_pred.group_mask(self.unprivileged_groups)
-        privileged = dataset_pred.group_mask(self.privileged_groups)
-        labels = labels.copy()
-        labels[critical & unprivileged] = dataset_pred.favorable_label
-        labels[critical & privileged] = dataset_pred.unfavorable_label
-        return dataset_pred.with_predictions(labels=labels)
 
     def to_state(self) -> dict:
         if not hasattr(self, "classification_threshold_"):
@@ -158,9 +153,17 @@ class RejectOptionClassification:
         instance.ROC_margin_ = float(state["ROC_margin_"])
         return instance
 
-    def _fairness_value(self, metric: ClassificationMetric) -> float:
-        if self.metric_name == "Statistical parity difference":
-            return metric.statistical_parity_difference()
-        if self.metric_name == "Average odds difference":
-            return metric.average_odds_difference()
-        return metric.equal_opportunity_difference()
+
+def _labels(dataset_pred, unprivileged, privileged, class_thresh, margin):
+    """Thresholded scores, overridden inside the critical region: favorable
+    for the unprivileged rows, unfavorable for the privileged ones."""
+    scores = dataset_pred.scores
+    labels = np.where(
+        scores > class_thresh,
+        dataset_pred.favorable_label,
+        dataset_pred.unfavorable_label,
+    )
+    critical = np.abs(scores - class_thresh) <= margin
+    labels[critical & unprivileged] = dataset_pred.favorable_label
+    labels[critical & privileged] = dataset_pred.unfavorable_label
+    return labels

@@ -98,17 +98,19 @@ class DisparateImpactRemover:
         if self.repair_level == 0.0:
             return out
         sensitive = dataset.protected_column(self.attribute_)
+        # fit gives every feature the same groups; rows of a group never
+        # seen in training keep their original values
+        members = [(value, sensitive == value) for value in self.group_values_]
+        members = [(value, mask) for value, mask in members if mask.any()]
         for name in self.repaired_features_:
             j = dataset.feature_names.index(name)
             column = out.features[:, j]
             repaired = column.copy()
-            for value, curve in self.group_quantiles_[name].items():
-                members = sensitive == value
-                if not members.any():
-                    continue
+            for value, mask in members:
+                curve = self.group_quantiles_[name][value]
                 # position of each value within its group's training distribution
                 quantiles = np.interp(
-                    column[members],
+                    column[mask],
                     curve,
                     self.quantile_grid_,
                     left=0.0,
@@ -117,14 +119,10 @@ class DisparateImpactRemover:
                 target = np.interp(
                     quantiles, self.quantile_grid_, self.median_quantiles_[name]
                 )
-                repaired[members] = (
-                    (1.0 - self.repair_level) * column[members]
+                repaired[mask] = (
+                    (1.0 - self.repair_level) * column[mask]
                     + self.repair_level * target
                 )
-            unseen = ~np.isin(sensitive, list(self.group_quantiles_[name].keys()))
-            if unseen.any():
-                # groups never seen in training keep their original values
-                repaired[unseen] = column[unseen]
             out.features[:, j] = repaired
         return out
 

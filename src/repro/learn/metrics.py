@@ -1,8 +1,10 @@
 """Accuracy-oriented classification metrics.
 
-These are the "company standard accuracy metrics" side of the paper; the
-fairness-specific metrics live in :mod:`repro.fairness.metrics` and build on
-the same confusion-matrix primitives.
+These are the "company standard accuracy metrics" side of the paper. The
+weighted TP/FP/TN/FN table of :func:`binary_counts` and the measures
+:func:`confusion_measures` reads from it are also the only confusion-table
+code behind :mod:`repro.fairness.metrics`, the reject-option search and the
+threshold sweep.
 """
 
 from __future__ import annotations
@@ -117,29 +119,74 @@ def _safe_divide(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator > 0 else float("nan")
 
 
+def confusion_measures(counts: dict) -> dict:
+    """The 25 measures of one :func:`binary_counts` table.
+
+    A ratio over an empty (zero-weight) denominator is NaN.
+    """
+    tp, fp, tn, fn = counts["TP"], counts["FP"], counts["TN"], counts["FN"]
+    total = tp + fp + tn + fn
+    actual_pos = tp + fn
+    actual_neg = tn + fp
+    pred_pos = tp + fp
+    pred_neg = tn + fn
+    tpr = _safe_divide(tp, actual_pos)
+    tnr = _safe_divide(tn, actual_neg)
+    ppv = _safe_divide(tp, pred_pos)
+    accuracy = _safe_divide(tp + tn, total)
+    f1 = (
+        float("nan")
+        if np.isnan(ppv) or np.isnan(tpr) or (ppv + tpr) == 0
+        else 2.0 * ppv * tpr / (ppv + tpr)
+    )
+    return {
+        "num_instances": total,
+        "num_positives": actual_pos,
+        "num_negatives": actual_neg,
+        "base_rate": _safe_divide(actual_pos, total),
+        "num_true_positives": tp,
+        "num_false_positives": fp,
+        "num_true_negatives": tn,
+        "num_false_negatives": fn,
+        "num_pred_positives": pred_pos,
+        "num_pred_negatives": pred_neg,
+        "selection_rate": _safe_divide(pred_pos, total),
+        "true_positive_rate": tpr,
+        "true_negative_rate": tnr,
+        "false_positive_rate": _safe_divide(fp, actual_neg),
+        "false_negative_rate": _safe_divide(fn, actual_pos),
+        "positive_predictive_value": ppv,
+        "negative_predictive_value": _safe_divide(tn, pred_neg),
+        "false_discovery_rate": _safe_divide(fp, pred_pos),
+        "false_omission_rate": _safe_divide(fn, pred_neg),
+        "accuracy": accuracy,
+        "error_rate": float("nan") if np.isnan(accuracy) else 1.0 - accuracy,
+        "balanced_accuracy": 0.5 * (tpr + tnr),
+        "precision": ppv,
+        "recall": tpr,
+        "f1": f1,
+    }
+
+
+def _measure(name, y_true, y_pred, positive_label, sample_weight) -> float:
+    counts = binary_counts(y_true, y_pred, positive_label, sample_weight)
+    return confusion_measures(counts)[name]
+
+
 def precision_score(y_true, y_pred, positive_label=1, sample_weight=None) -> float:
-    c = binary_counts(y_true, y_pred, positive_label, sample_weight)
-    return _safe_divide(c["TP"], c["TP"] + c["FP"])
+    return _measure("precision", y_true, y_pred, positive_label, sample_weight)
 
 
 def recall_score(y_true, y_pred, positive_label=1, sample_weight=None) -> float:
-    c = binary_counts(y_true, y_pred, positive_label, sample_weight)
-    return _safe_divide(c["TP"], c["TP"] + c["FN"])
+    return _measure("recall", y_true, y_pred, positive_label, sample_weight)
 
 
 def f1_score(y_true, y_pred, positive_label=1, sample_weight=None) -> float:
-    p = precision_score(y_true, y_pred, positive_label, sample_weight)
-    r = recall_score(y_true, y_pred, positive_label, sample_weight)
-    if np.isnan(p) or np.isnan(r) or (p + r) == 0:
-        return float("nan")
-    return 2.0 * p * r / (p + r)
+    return _measure("f1", y_true, y_pred, positive_label, sample_weight)
 
 
 def balanced_accuracy_score(y_true, y_pred, positive_label=1, sample_weight=None) -> float:
-    c = binary_counts(y_true, y_pred, positive_label, sample_weight)
-    tpr = _safe_divide(c["TP"], c["TP"] + c["FN"])
-    tnr = _safe_divide(c["TN"], c["TN"] + c["FP"])
-    return 0.5 * (tpr + tnr)
+    return _measure("balanced_accuracy", y_true, y_pred, positive_label, sample_weight)
 
 
 def roc_auc_score(y_true, scores, positive_label=1, sample_weight=None) -> float:

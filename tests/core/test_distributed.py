@@ -104,6 +104,15 @@ class TestFraming:
         a.close()
         b.close()
 
+    @pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe"])
+    def test_undecodable_frame_rejected(self, body):
+        a, b = socket.socketpair()
+        a.sendall(struct.pack(">I", len(body)) + body)
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            recv_frame(b)
+        a.close()
+        b.close()
+
     def test_non_object_frame_rejected(self):
         a, b = socket.socketpair()
         data = json.dumps([1, 2]).encode()
@@ -390,6 +399,38 @@ class TestCoordinatorFaults:
             assert counters.get("distributed.protocol-error", 0) >= 1
             assert recv_frame(conn) is None  # the coordinator hung up
             # re-queued on disconnect, long before the 30 s deadline
+            assert wait_until(lambda: harness.coordinator.stats["requeued"] == 2)
+            second = harness.connect(worker="w2")
+            assert harness.lease(second)["run_keys"] == work["run_keys"]
+            second.close()
+            conn.close()
+        finally:
+            harness.close()
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            (b"{not json", "not valid JSON"),
+            (b"\xff\xfe", "not valid JSON"),
+            (b"[1]", "not a JSON object"),
+        ],
+        ids=["not-json", "not-utf8", "not-an-object"],
+    )
+    def test_undecodable_frame_gets_an_error_and_requeues(self, configs, body, reason):
+        harness = CoordinatorHarness([configs[:2]], lease_seconds=30.0)
+        try:
+            conn = harness.connect()
+            work = harness.lease(conn)
+            before = telemetry.metrics_state()["counters"].get(
+                "distributed.protocol-error", 0
+            )
+            conn.sendall(struct.pack(">I", len(body)) + body)
+            reply = recv_frame(conn)
+            assert reply["type"] == "error"
+            assert reason in reply["message"]
+            after = telemetry.metrics_state()["counters"]["distributed.protocol-error"]
+            assert after == before + 1
+            assert recv_frame(conn) is None  # the coordinator hung up
             assert wait_until(lambda: harness.coordinator.stats["requeued"] == 2)
             second = harness.connect(worker="w2")
             assert harness.lease(second)["run_keys"] == work["run_keys"]

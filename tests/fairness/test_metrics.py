@@ -7,8 +7,10 @@ from repro.fairness import (
     BinaryLabelDataset,
     BinaryLabelDatasetMetric,
     ClassificationMetric,
+    RejectOptionClassification,
     generalized_entropy_index_from_benefits,
 )
+from repro.fairness.metrics import dataset_metric
 
 from .conftest import PRIV, UNPRIV, make_biased_dataset
 
@@ -227,3 +229,63 @@ class TestEntropyMetrics:
         ds_true, ds_pred = _handmade()
         metric = ClassificationMetric(ds_true, ds_pred, UNPRIV, PRIV)
         assert metric.between_group_theil_index() <= metric.theil_index() + 1e-12
+
+
+class TestOneConfusionTable:
+    """Every metric is read from one weighted TP/FP/TN/FN table per
+    stratum, built by ``binary_counts`` at most once per metric instance."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        calls = []
+        kernel = dataset_metric.binary_counts
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_metric, "binary_counts", counting)
+        return calls
+
+    def test_all_metrics_builds_three_tables(self, tables):
+        ds_true, ds_pred = _handmade()
+        metric = ClassificationMetric(ds_true, ds_pred, UNPRIV, PRIV)
+        assert tables == []  # lazy: construction builds none
+        metric.all_metrics()
+        assert len(tables) == 3
+        metric.all_metrics()
+        metric.group_metrics()
+        metric.binary_confusion_matrix(privileged=False)
+        metric.average_odds_difference()
+        assert len(tables) == 3
+
+    def test_without_groups_only_the_overall_table_exists(self, tables):
+        ds_true, ds_pred = _handmade()
+        metric = ClassificationMetric(ds_true, ds_pred)
+        assert set(metric.all_metrics()) == {
+            f"overall__{name}" for name in metric.performance_measures()
+        }
+        assert len(tables) == 1
+        with pytest.raises(ValueError, match="not provided"):
+            metric.statistical_parity_difference()
+
+    def test_reject_option_fit_builds_three_tables_per_candidate(
+        self, tables, monkeypatch
+    ):
+        ds = make_biased_dataset(seed=4, n=300)
+        scores = np.clip(0.6 * ds.labels + 0.2 * ds.protected_column("sex"), 0, 1)
+        ds_pred = ds.with_predictions(scores=scores)
+        constructed = []
+        init = ClassificationMetric.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClassificationMetric, "__init__", counting_init)
+        roc = RejectOptionClassification(
+            UNPRIV, PRIV, num_class_thresh=20, num_ROC_margin=15
+        )
+        roc.fit(ds, ds_pred)
+        assert len(tables) == 3 * 20 * 15
+        assert constructed == []
