@@ -46,18 +46,12 @@ def threshold_sweep(
         overall, unprivileged, privileged = (
             groups.confusion_table(labels, stratum)[1] for stratum in (None, False, True)
         )
-        rows.append(
-            {
-                "threshold": float(threshold),
-                "accuracy": overall["accuracy"],
-                "balanced_accuracy": overall["balanced_accuracy"],
-                "selection_rate": overall["selection_rate"],
-                **{
-                    name: GROUP_CONTRASTS[name](unprivileged, privileged)
-                    for name in ("statistical_parity_difference", "disparate_impact")
-                },
-            }
-        )
+        row = {"threshold": float(threshold)}
+        for name in ("accuracy", "balanced_accuracy", "selection_rate"):
+            row[name] = overall[name]
+        for name in ("statistical_parity_difference", "disparate_impact"):
+            row[name] = GROUP_CONTRASTS[name](unprivileged, privileged)
+        rows.append(row)
     return rows
 
 

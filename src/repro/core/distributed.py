@@ -237,7 +237,7 @@ class Coordinator:
         return not step.close
 
     def _refuse(self, conn, error: ProtocolError) -> None:
-        """Count a malformed frame and answer it; the caller hangs up."""
+        # every malformed frame is counted and answered; the caller hangs up
         self._event({"event": "protocol-error", "message": str(error)})
         send_frame(conn, {"type": "error", "message": str(error)})
 

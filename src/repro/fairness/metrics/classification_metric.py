@@ -158,7 +158,9 @@ class ClassificationMetric(BinaryLabelDatasetMetric):
     false_omission_rate_difference = _contrast_accessor("false_omission_rate_difference")
     false_discovery_rate_ratio = _contrast_accessor("false_discovery_rate_ratio")
     false_omission_rate_ratio = _contrast_accessor("false_omission_rate_ratio")
-    positive_predictive_value_difference = _contrast_accessor("positive_predictive_value_difference")
+    positive_predictive_value_difference = _contrast_accessor(
+        "positive_predictive_value_difference"
+    )
     error_rate_difference = _contrast_accessor("error_rate_difference")
     error_rate_ratio = _contrast_accessor("error_rate_ratio")
     accuracy_difference = _contrast_accessor("accuracy_difference")
@@ -224,19 +226,15 @@ class ClassificationMetric(BinaryLabelDatasetMetric):
         This is what an experiment run writes to disk: 25 metrics × 3 strata
         + 22 group metrics.
         """
-        out: Dict[str, float] = {}
-        for stratum, privileged in (
-            ("overall", None),
-            ("privileged", True),
-            ("unprivileged", False),
-        ):
-            if privileged is not None and (
-                self.privileged_groups is None or self.unprivileged_groups is None
-            ):
-                continue
-            for name, value in self._table(privileged)[1].items():
-                out[f"{stratum}__{name}"] = value
+        strata = {"overall": None}
         if self.privileged_groups is not None and self.unprivileged_groups is not None:
+            strata.update(privileged=True, unprivileged=False)
+        out = {
+            f"{stratum}__{name}": value
+            for stratum, privileged in strata.items()
+            for name, value in self._table(privileged)[1].items()
+        }
+        if len(strata) > 1:
             for name, value in self.group_metrics().items():
                 out[f"group__{name}"] = value
         return out

@@ -11,7 +11,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...learn.metrics import binary_counts, confusion_measures
+from ...learn.metrics import _safe_divide, binary_counts, confusion_measures
 from ...learn.neighbors import nearest_neighbor_indices
 from ..dataset import BinaryLabelDataset, GroupSpec
 
@@ -89,17 +89,12 @@ class BinaryLabelDatasetMetric:
 
     def base_rate(self, privileged: Optional[bool] = None) -> float:
         """P(label = favorable) in the requested stratum (weighted)."""
-        total = self.num_instances(privileged)
-        if total == 0:
-            return float("nan")
-        return self.num_positives(privileged) / total
+        return _safe_divide(self.num_positives(privileged), self.num_instances(privileged))
 
     def disparate_impact(self) -> float:
         """base_rate(unprivileged) / base_rate(privileged); 1.0 is parity."""
         privileged_rate = self.base_rate(privileged=True)
-        if privileged_rate == 0 or np.isnan(privileged_rate):
-            return float("nan")
-        return self.base_rate(privileged=False) / privileged_rate
+        return _safe_divide(self.base_rate(privileged=False), privileged_rate)
 
     def statistical_parity_difference(self) -> float:
         """base_rate(unprivileged) - base_rate(privileged); 0.0 is parity."""

@@ -74,21 +74,23 @@ class DisparateImpactRemover:
         # per feature: per group quantile values + the cross-group median curve
         self.group_quantiles_: Dict[str, Dict[float, np.ndarray]] = {}
         self.median_quantiles_: Dict[str, np.ndarray] = {}
+        groups = self._groups(sensitive)
         for name in names:
-            j = dataset.feature_names.index(name)
-            column = dataset.features[:, j]
-            per_group = {}
-            curves = []
-            for value in self.group_values_:
-                members = column[sensitive == value]
-                if members.size == 0:
-                    continue
-                curve = np.quantile(members, quantile_grid)
-                per_group[value] = curve
-                curves.append(curve)
+            column = dataset.features[:, dataset.feature_names.index(name)]
+            per_group = {
+                value: np.quantile(column[mask], quantile_grid) for value, mask in groups
+            }
             self.group_quantiles_[name] = per_group
-            self.median_quantiles_[name] = np.median(np.vstack(curves), axis=0)
+            self.median_quantiles_[name] = np.median(
+                np.vstack(list(per_group.values())), axis=0
+            )
         return self
+
+    def _groups(self, sensitive: np.ndarray):
+        """(value, row mask) of each fitted group that has rows, built once
+        for all features: ``fit`` gives every feature the same groups."""
+        masks = ((value, sensitive == value) for value in self.group_values_)
+        return [(value, mask) for value, mask in masks if mask.any()]
 
     def transform(self, dataset: BinaryLabelDataset) -> BinaryLabelDataset:
         """Repair a dataset's features using the fitted distributions."""
@@ -98,15 +100,13 @@ class DisparateImpactRemover:
         if self.repair_level == 0.0:
             return out
         sensitive = dataset.protected_column(self.attribute_)
-        # fit gives every feature the same groups; rows of a group never
-        # seen in training keep their original values
-        members = [(value, sensitive == value) for value in self.group_values_]
-        members = [(value, mask) for value, mask in members if mask.any()]
+        groups = self._groups(sensitive)
         for name in self.repaired_features_:
             j = dataset.feature_names.index(name)
             column = out.features[:, j]
+            # rows of a group never seen in training keep their values
             repaired = column.copy()
-            for value, mask in members:
+            for value, mask in groups:
                 curve = self.group_quantiles_[name][value]
                 # position of each value within its group's training distribution
                 quantiles = np.interp(

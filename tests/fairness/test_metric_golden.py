@@ -23,6 +23,7 @@ from repro.fairness import (
 from .conftest import PRIV, UNPRIV
 from .reference_impl import (
     ReferenceClassificationMetric,
+    _reject_option_apply,
     reference_reject_option_fit,
     reference_threshold_sweep,
 )
@@ -212,6 +213,21 @@ def check_reject_option(truth, pred, num_class_thresh, num_margin, bounds):
             assert same(outcome(fit), expected), metric_name
 
 
+def check_label_rule(pred, num_class_thresh, num_margin):
+    """``predict`` at every candidate the search scores labels each row as
+    the reference rule does."""
+    for unprivileged, privileged in GROUP_SPECS.values():
+        roc = RejectOptionClassification(unprivileged, privileged)
+        for threshold in np.linspace(0.01, 0.99, num_class_thresh):
+            cap = min(threshold, 1.0 - threshold)
+            for margin in np.linspace(0.0, cap, num_margin):
+                roc.classification_threshold_, roc.ROC_margin_ = threshold, margin
+                expected = _reject_option_apply(
+                    pred, unprivileged, privileged, threshold, margin
+                )
+                assert np.array_equal(roc.predict(pred).labels, expected.labels)
+
+
 def check_sweep(truth, pred, num_thresholds):
     for unprivileged, privileged in GROUP_SPECS.values():
         expected = outcome(
@@ -247,12 +263,28 @@ class TestRejectOptionGolden:
         num_class_thresh=st.integers(1, 8),
         num_margin=st.integers(1, 6),
         bounds=BOUNDS,
+        data=st.data(),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_chosen_operating_point_matches_reference(
-        self, case, num_class_thresh, num_margin, bounds
+        self, case, num_class_thresh, num_margin, bounds, data
     ):
-        check_reject_option(*case, num_class_thresh, num_margin, bounds)
+        truth, pred = case
+        if data.draw(st.booleans()):
+            # scores exactly on the candidate thresholds: the label rule's
+            # strict (score > threshold) and inclusive (|score - threshold|
+            # <= margin) comparisons decide these rows
+            thresholds = np.linspace(0.01, 0.99, num_class_thresh)
+            picks = data.draw(
+                st.lists(
+                    st.integers(0, num_class_thresh - 1),
+                    min_size=truth.num_instances,
+                    max_size=truth.num_instances,
+                )
+            )
+            pred = pred.with_predictions(scores=thresholds[picks])
+        check_reject_option(truth, pred, num_class_thresh, num_margin, bounds)
+        check_label_rule(pred, num_class_thresh, num_margin)
 
     @pytest.mark.parametrize("name", sorted(NAMED_CASES))
     def test_named_case_matches_reference(self, name):
