@@ -199,9 +199,11 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
 class LogisticRegressionGD(BaseEstimator, ClassifierMixin):
     """Full-batch gradient-descent logistic regression (binary or OvR).
 
-    A deliberately stable optimizer with a fixed step size; used where the
-    framework itself needs a dependable model (e.g. the learned missing-value
-    imputer) as opposed to studying optimizer pathologies.
+    A deliberately stable optimizer with a fixed step size, exported for
+    library users who want a dependable linear model rather than one for
+    studying optimizer pathologies. Nothing inside the framework fits it;
+    the learned missing-value imputer uses a decision tree for categorical
+    targets and k-nearest-neighbour means for numeric ones.
     """
 
     def __init__(

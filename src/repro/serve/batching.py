@@ -7,7 +7,7 @@ monitoring one row. :class:`MicroBatcher` replaces that with a bounded
 request queue and one dispatcher thread that coalesces whatever requests
 are waiting (up to ``max_batch``, waiting at most ``max_wait_ms`` for
 stragglers) into a single vectorized
-:meth:`~repro.serve.scoring.ScoringEngine.score_frame` call. Each request
+:meth:`~repro.serve.scoring.ScoringEngine.score_records` call. Each request
 carries a :class:`concurrent.futures.Future`; handler threads block on
 their own future and get either the same response dict ``score_record``
 would have produced or a typed error.
@@ -36,10 +36,8 @@ import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from ..telemetry.metrics import SIZE_BOUNDS, Histogram
-from .scoring import DROPPED_RECORD_ERROR, ScoringEngine, records_to_frame
+from .scoring import ScoringEngine
 
 BATCH_SIZE = "serve.batch_size"
 QUEUE_DEPTH = "serve.batch_queue_depth"
@@ -228,7 +226,7 @@ class MicroBatcher:
             self._score_individually(batch)
             return
         try:
-            results = self._score_coalesced([r.record for r in batch])
+            results = self.engine.score_records([r.record for r in batch])
         except Exception:
             # frame-level failure: re-score one by one so every request
             # gets its own typed error instead of a shared frame error
@@ -246,21 +244,3 @@ class MicroBatcher:
                 request.future.set_result(self.engine.score_record(request.record))
             except Exception as error:
                 request.future.set_exception(error)
-
-    def _score_coalesced(self, records: List[Dict[str, Any]]) -> List[Any]:
-        """One vectorized scoring pass; per-record results or typed errors."""
-        engine = self.engine
-        frame = records_to_frame(engine.pipeline.spec, records)
-        scored = engine.score_frame(frame)
-        mask = scored.row_mask
-        positions = np.cumsum(mask) - 1
-        results: List[Any] = []
-        for i, kept in enumerate(mask):
-            if not kept:
-                results.append(ValueError(DROPPED_RECORD_ERROR))
-                continue
-            j = int(positions[i])
-            label = float(scored.labels[j])
-            score = None if scored.scores is None else float(scored.scores[j])
-            results.append(engine.record_result(label, score))
-        return results

@@ -4,38 +4,45 @@ A deployed pipeline drifts: incoming traffic shifts, and a model that was
 fair on its validation split can violate the four-fifths rule in
 production. :class:`FairnessMonitor` keeps the last *N* scored records and
 recomputes, over that window, the same group metrics the experiment layer
-reports — disparate impact and the equal-opportunity gap via
-:mod:`repro.fairness.metrics` (the exact code path, not a reimplementation)
-— plus accuracy proxies (selection rate, mean score, and accuracy whenever
-ground-truth labels arrive). Configurable thresholds turn a snapshot into
-:class:`Alert` records the serving layer exposes on its ``/metrics`` route.
+reports, with the experiment layer's own code: disparate impact and
+statistical parity from :class:`BinaryLabelDatasetMetric` base rates, and —
+whenever ground-truth labels arrive — accuracy and the equal-opportunity
+and average-odds gaps from the weighted confusion tables of
+:meth:`BinaryLabelDatasetMetric.confusion_table` and ``GROUP_CONTRASTS``.
+Selection rate and mean score ride along as accuracy proxies. Configurable
+thresholds turn a snapshot into :class:`Alert` records the serving layer
+exposes on its ``/metrics`` route.
 
 The window lives in preallocated NumPy ring buffers (one per observed
-field, plus validity masks for the optional score/truth fields), so
-``observe_batch`` is a vectorized two-slice copy under the lock and
-``snapshot`` materializes the window with array slices — no Python-level
-loop ever holds the lock, which keeps ``/metrics`` cheap while scoring
-traffic hammers ``observe_batch``.
+field, plus validity masks for the optional score/truth fields). Every
+batch write — ``observe_batch`` and ``from_states`` — goes through one
+append of at most two slice copies per buffer under the lock; ``observe``
+stores its single row with scalar writes, which per call is several times
+cheaper than the array append. ``state`` and ``snapshot`` read the window
+through one oldest-first copy, so no Python-level loop ever holds the lock
+and ``/metrics`` stays cheap while scoring traffic hammers
+``observe_batch``.
 
 Monitors are also *mergeable*: :meth:`FairnessMonitor.state` captures the
 window (oldest record first) plus configuration as a JSON-serializable
-dict, and :meth:`FairnessMonitor.from_states` / :meth:`FairnessMonitor.
-merge` rebuild one monitor from many such states. Merging is defined as
-observing the states' window contents as one concatenated stream, in the
-order given — the contract the multi-worker serving fleet relies on to
-combine per-worker windows into a single fleet-wide fairness view.
+dict, and :meth:`FairnessMonitor.from_states` rebuilds one monitor from
+many such states. Merging is defined as observing the states' window
+contents as one concatenated stream, in the order given — the contract the
+multi-worker serving fleet relies on to combine per-worker windows into a
+single fleet-wide fairness view.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fairness import BinaryLabelDataset, ClassificationMetric
+from ..fairness import BinaryLabelDataset
 from ..fairness.metrics import BinaryLabelDatasetMetric
+from ..fairness.metrics.classification_metric import GROUP_CONTRASTS
 
 # metric -> (lower bound, upper bound); None disables a side. The defaults
 # encode the four-fifths rule on disparate impact and a ±0.1 band on the
@@ -45,6 +52,16 @@ DEFAULT_THRESHOLDS: Dict[str, Tuple[Optional[float], Optional[float]]] = {
     "equal_opportunity_difference": (-0.1, 0.1),
     "statistical_parity_difference": (-0.1, 0.1),
 }
+
+# the state's window fields, in ring-buffer order, with their dtypes
+_FIELDS = (
+    ("groups", np.float64),
+    ("predictions", np.float64),
+    ("scores", np.float64),
+    ("score_valid", bool),
+    ("truths", np.float64),
+    ("truth_valid", bool),
+)
 
 
 @dataclass(frozen=True)
@@ -87,13 +104,16 @@ class FairnessMonitor:
         self.min_observations = int(min_observations)
         self.favorable_label = float(favorable_label)
         self.unfavorable_label = float(unfavorable_label)
-        n = self.window_size
-        self._groups = np.empty(n, dtype=np.float64)
-        self._predictions = np.empty(n, dtype=np.float64)
-        self._scores = np.empty(n, dtype=np.float64)
-        self._score_valid = np.zeros(n, dtype=bool)
-        self._truths = np.empty(n, dtype=np.float64)
-        self._truth_valid = np.zeros(n, dtype=bool)
+        # one ring buffer per _FIELDS entry; slots past _count are never read
+        self._columns = tuple(np.empty(self.window_size, dtype) for _, dtype in _FIELDS)
+        (
+            self._groups,
+            self._predictions,
+            self._scores,
+            self._score_valid,
+            self._truths,
+            self._truth_valid,
+        ) = self._columns
         self._pos = 0  # guarded-by: _lock (next write slot)
         self._count = 0  # guarded-by: _lock (filled slots, <= window_size)
         self._total_observed = 0  # guarded-by: _lock
@@ -159,47 +179,60 @@ class FairnessMonitor:
                 raise ValueError(
                     f"true_labels length {len(true_labels)} != groups length {total}"
                 )
-        # rows beyond the window would be evicted immediately; skip them
-        if total > self.window_size:
-            start = total - self.window_size
-            groups = groups[start:]
-            predictions = predictions[start:]
-            scores = None if scores is None else scores[start:]
-            true_labels = None if true_labels is None else true_labels[start:]
-        k = len(groups)
-        with self._lock:
-            self._write_ring(self._groups, groups, k)
-            self._write_ring(self._predictions, predictions, k)
-            self._write_ring(self._scores, np.nan if scores is None else scores, k)
-            self._write_ring(self._score_valid, scores is not None, k)
-            self._write_ring(
-                self._truths, np.nan if true_labels is None else true_labels, k
-            )
-            self._write_ring(
-                self._truth_valid,
+        self._append(
+            (
+                groups,
+                predictions,
+                np.nan if scores is None else scores,
+                scores is not None,
+                np.nan if true_labels is None else true_labels,
                 False if true_labels is None else true_labels == true_labels,
-                k,
-            )
-            self._pos = (self._pos + k) % self.window_size
-            self._count = min(self.window_size, self._count + k)
+            ),
+            total,
+            total,
+        )
+
+    def _append(self, columns: Sequence[Any], k: int, total: int) -> None:
+        """Append ``k`` rows to the ring and count ``total`` observations.
+
+        ``columns`` follow ``_FIELDS``; each is a length-``k`` array or a
+        scalar filling every row. Only the last ``min(k, window_size)``
+        rows are written (earlier ones would be evicted at once), in at
+        most two slice writes per ring buffer.
+        """
+        n = self.window_size
+        start = max(0, k - n)
+        k -= start
+        with self._lock:
+            p = self._pos
+            first = min(k, n - p)
+            rest = k - first
+            for buffer, values in zip(self._columns, columns):
+                array = isinstance(values, np.ndarray)
+                buffer[p : p + first] = values[start : start + first] if array else values
+                if rest:
+                    buffer[:rest] = values[start + first :] if array else values
+            self._pos = (p + k) % n
+            self._count = min(n, self._count + k)
             self._total_observed += total
 
-    def _write_ring(self, buffer: np.ndarray, values, k: int) -> None:  # guarded-by: _lock
-        """Copy ``k`` values (array or scalar fill) into the ring at ``_pos``.
+    def _window(self) -> Tuple[int, int, List[np.ndarray]]:
+        """``(count, total observed, columns)``: a copy of the window.
 
-        Caller holds the lock and advances ``_pos`` once per batch; this
-        helper only performs the (at most two) contiguous slice writes.
+        Columns follow ``_FIELDS`` and run oldest record first, which
+        reproduces the exact float summation order of the original deque
+        implementation, keeping metrics bit-identical.
         """
-        p, n = self._pos, self.window_size
-        first = min(k, n - p)
-        scalar = np.ndim(values) == 0
-        buffer[p : p + first] = values if scalar else values[:first]
-        rest = k - first
-        if rest:
-            buffer[:rest] = values if scalar else values[first:]
+        with self._lock:
+            count, total, p = self._count, self._total_observed, self._pos
+            if count < self.window_size:
+                columns = [buffer[:count].copy() for buffer in self._columns]
+            else:
+                columns = [np.concatenate([b[p:], b[:p]]) for b in self._columns]
+        return count, total, columns
 
     # ------------------------------------------------------------------
-    # state snapshot + merge
+    # state + merge
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, Any]:
         """The monitor's window and configuration as plain Python values.
@@ -210,19 +243,12 @@ class FairnessMonitor:
         as explicit validity masks, not ``NaN`` sentinels), so states can
         cross process boundaries over the fleet's control sockets.
         """
-        with self._lock:
-            count = self._count
-            total = self._total_observed
-            groups = self._window_view(self._groups, count)
-            predictions = self._window_view(self._predictions, count)
-            scores = self._window_view(self._scores, count)
-            score_valid = self._window_view(self._score_valid, count)
-            truths = self._window_view(self._truths, count)
-            truth_valid = self._window_view(self._truth_valid, count)
+        _, total, columns = self._window()
+        window = dict(zip((name for name, _ in _FIELDS), columns))
         # NaN only ever appears in masked-out slots; zero them so the state
         # survives strict JSON encoders unchanged
-        scores = np.where(score_valid, scores, 0.0)
-        truths = np.where(truth_valid, truths, 0.0)
+        window["scores"] = np.where(window["score_valid"], window["scores"], 0.0)
+        window["truths"] = np.where(window["truth_valid"], window["truths"], 0.0)
         return {
             "protected_attribute": self.protected_attribute,
             "window_size": self.window_size,
@@ -234,39 +260,8 @@ class FairnessMonitor:
                 for metric, (lower, upper) in self.thresholds.items()
             },
             "total_observed": int(total),
-            "groups": groups.tolist(),
-            "predictions": predictions.tolist(),
-            "scores": scores.tolist(),
-            "score_valid": score_valid.tolist(),
-            "truths": truths.tolist(),
-            "truth_valid": truth_valid.tolist(),
+            **{name: values.tolist() for name, values in window.items()},
         }
-
-    def merge(
-        self, *others: Union["FairnessMonitor", Dict[str, Any]]
-    ) -> "FairnessMonitor":
-        """Ingest other monitors' windows into this one, in order.
-
-        Equivalent to this monitor having observed each other monitor's
-        window contents (oldest first) as a continuation of its own
-        stream. Accepts live monitors or :meth:`state` dicts; returns
-        ``self`` for chaining.
-        """
-        for other in others:
-            state = other.state() if isinstance(other, FairnessMonitor) else other
-            if state["protected_attribute"] != self.protected_attribute:
-                raise ValueError(
-                    "cannot merge monitors over different protected "
-                    f"attributes ({state['protected_attribute']!r} != "
-                    f"{self.protected_attribute!r})"
-                )
-            if (
-                state["favorable_label"] != self.favorable_label
-                or state["unfavorable_label"] != self.unfavorable_label
-            ):
-                raise ValueError("cannot merge monitors with different labels")
-            self._ingest(state)
-        return self
 
     @classmethod
     def from_states(
@@ -276,82 +271,59 @@ class FairnessMonitor:
     ) -> "FairnessMonitor":
         """One monitor equivalent to observing the states' windows in order.
 
-        Configuration (protected attribute, labels, thresholds,
-        ``min_observations``) comes from the first state. ``window_size``
-        defaults to the total number of windowed records across all states
-        so a fleet-wide merge drops nothing; pass an explicit size to keep
-        the per-worker semantics (last *N* of the concatenated stream).
+        Every state must share the first one's protected attribute and
+        labels; configuration (thresholds, ``min_observations``) comes from
+        the first state. ``window_size`` defaults to the total number of
+        windowed records across all states so a fleet-wide merge drops
+        nothing; pass an explicit size to keep the per-worker semantics
+        (last *N* of the concatenated stream). ``total_observed`` is the
+        sum of the states' counts, evictions included.
         """
         states = list(states)
         if not states:
             raise ValueError("from_states needs at least one state")
         first = states[0]
-        if window_size is None:
-            window_size = max(
-                1, sum(len(state["groups"]) for state in states)
-            )
-        thresholds = {
-            metric: (bounds[0], bounds[1])
-            for metric, bounds in first["thresholds"].items()
+        for state in states:
+            if state["protected_attribute"] != first["protected_attribute"]:
+                raise ValueError(
+                    "cannot merge monitors over different protected "
+                    f"attributes ({state['protected_attribute']!r} != "
+                    f"{first['protected_attribute']!r})"
+                )
+            if (
+                state["favorable_label"] != first["favorable_label"]
+                or state["unfavorable_label"] != first["unfavorable_label"]
+            ):
+                raise ValueError("cannot merge monitors with different labels")
+        window = {
+            name: np.concatenate([np.asarray(s[name], dtype=dtype) for s in states])
+            for name, dtype in _FIELDS
         }
+        for name, valid in (("scores", "score_valid"), ("truths", "truth_valid")):
+            window[name] = np.where(window[valid], window[name], np.nan)
+        k = len(window["groups"])
         monitor = cls(
             protected_attribute=first["protected_attribute"],
-            window_size=window_size,
-            thresholds=thresholds,
+            window_size=max(1, k) if window_size is None else window_size,
+            thresholds={
+                metric: (bounds[0], bounds[1])
+                for metric, bounds in first["thresholds"].items()
+            },
             min_observations=first["min_observations"],
             favorable_label=first["favorable_label"],
             unfavorable_label=first["unfavorable_label"],
         )
-        return monitor.merge(*states)
-
-    def _ingest(self, state: Dict[str, Any]) -> None:
-        """Append one state's window to this monitor's ring, vectorized."""
-        groups = np.asarray(state["groups"], dtype=np.float64)
-        predictions = np.asarray(state["predictions"], dtype=np.float64)
-        score_valid = np.asarray(state["score_valid"], dtype=bool)
-        truth_valid = np.asarray(state["truth_valid"], dtype=bool)
-        scores = np.where(
-            score_valid, np.asarray(state["scores"], dtype=np.float64), np.nan
-        )
-        truths = np.where(
-            truth_valid, np.asarray(state["truths"], dtype=np.float64), np.nan
-        )
-        total = len(groups)
-        if total > self.window_size:
-            start = total - self.window_size
-            groups = groups[start:]
-            predictions = predictions[start:]
-            scores = scores[start:]
-            score_valid = score_valid[start:]
-            truths = truths[start:]
-            truth_valid = truth_valid[start:]
-        k = len(groups)
-        with self._lock:
-            if k:
-                self._write_ring(self._groups, groups, k)
-                self._write_ring(self._predictions, predictions, k)
-                self._write_ring(self._scores, scores, k)
-                self._write_ring(self._score_valid, score_valid, k)
-                self._write_ring(self._truths, truths, k)
-                self._write_ring(self._truth_valid, truth_valid, k)
-                self._pos = (self._pos + k) % self.window_size
-                self._count = min(self.window_size, self._count + k)
-            self._total_observed += int(state["total_observed"])
+        total = sum(int(state["total_observed"]) for state in states)
+        monitor._append([window[name] for name, _ in _FIELDS], k, total)
+        return monitor
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         """Windowed metrics, via the experiment layer's own metric classes."""
-        with self._lock:
-            count = self._count
-            total = self._total_observed
-            groups = self._window_view(self._groups, count)
-            predictions = self._window_view(self._predictions, count)
-            scores = self._window_view(self._scores, count)
-            score_valid = self._window_view(self._score_valid, count)
-            truths = self._window_view(self._truths, count)
-            truth_valid = self._window_view(self._truth_valid, count)
+        count, total, columns = self._window()
+        groups, predictions, scores, score_valid, truths, truth_valid = columns
         out: Dict[str, float] = {
             "window": float(count),
             "total_observed": float(total),
@@ -359,57 +331,29 @@ class FairnessMonitor:
         if not count:
             return out
 
-        pred_data = self._dataset(predictions, groups)
-        both_groups = bool((groups == 1.0).any() and (groups == 0.0).any())
-        out["selection_rate"] = float(
-            (predictions == self.favorable_label).mean()
-        )
+        predicted = self._metric(predictions, groups)
+        out["selection_rate"] = predicted.base_rate()
         if score_valid.any():
             out["mean_score"] = float(np.mean(scores[score_valid]))
-        if both_groups:
-            dataset_metric = BinaryLabelDatasetMetric(
-                pred_data,
-                unprivileged_groups=[{self.protected_attribute: 0.0}],
-                privileged_groups=[{self.protected_attribute: 1.0}],
-            )
-            out["disparate_impact"] = dataset_metric.disparate_impact()
+        if _both_groups(groups):
+            out["disparate_impact"] = predicted.disparate_impact()
             out["statistical_parity_difference"] = (
-                dataset_metric.statistical_parity_difference()
+                predicted.statistical_parity_difference()
             )
 
         out["labeled_fraction"] = float(truth_valid.mean())
         if truth_valid.any():
-            true_labels = truths[truth_valid]
+            labeled = predictions[truth_valid]
             sub_groups = groups[truth_valid]
-            sub_predictions = predictions[truth_valid]
-            truth_data = self._dataset(true_labels, sub_groups)
-            pred_sub = self._dataset(sub_predictions, sub_groups)
-            out["accuracy"] = float((sub_predictions == true_labels).mean())
-            if (sub_groups == 1.0).any() and (sub_groups == 0.0).any():
-                metric = ClassificationMetric(
-                    truth_data,
-                    pred_sub,
-                    unprivileged_groups=[{self.protected_attribute: 0.0}],
-                    privileged_groups=[{self.protected_attribute: 1.0}],
+            truth = self._metric(truths[truth_valid], sub_groups)
+            out["accuracy"] = truth.confusion_table(labeled)[1]["accuracy"]
+            if _both_groups(sub_groups):
+                unprivileged, privileged = (
+                    truth.confusion_table(labeled, side)[1] for side in (False, True)
                 )
-                out["equal_opportunity_difference"] = (
-                    metric.equal_opportunity_difference()
-                )
-                out["average_odds_difference"] = metric.average_odds_difference()
+                for name in ("equal_opportunity_difference", "average_odds_difference"):
+                    out[name] = GROUP_CONTRASTS[name](unprivileged, privileged)
         return out
-
-    def _window_view(self, buffer: np.ndarray, count: int) -> np.ndarray:
-        """The window contents, oldest record first (caller holds the lock).
-
-        Oldest-first ordering reproduces the exact float summation order of
-        the original deque implementation, keeping metrics bit-identical.
-        """
-        if count < self.window_size:
-            return buffer[:count].copy()
-        p = self._pos
-        if p == 0:
-            return buffer.copy()
-        return np.concatenate([buffer[p:], buffer[:p]])
 
     def check(self, snapshot: Optional[Dict[str, float]] = None) -> List[Alert]:
         """Threshold violations over the current window (empty = healthy).
@@ -444,18 +388,27 @@ class FairnessMonitor:
         with self._lock:
             self._pos = 0
             self._count = 0
-            self._score_valid[:] = False
-            self._truth_valid[:] = False
 
     # ------------------------------------------------------------------
-    def _dataset(self, labels: np.ndarray, groups: np.ndarray) -> BinaryLabelDataset:
-        """Wrap window columns as a (feature-less) BinaryLabelDataset."""
-        n = len(labels)
-        return BinaryLabelDataset(
-            features=np.zeros((n, 0)),
+    def _metric(
+        self, labels: np.ndarray, groups: np.ndarray
+    ) -> BinaryLabelDatasetMetric:
+        """Window columns as a (feature-less) dataset's metric, with the
+        protected value 1.0 privileged and 0.0 unprivileged."""
+        dataset = BinaryLabelDataset(
+            features=np.zeros((len(labels), 0)),
             labels=labels,
             protected_attributes=groups.reshape(-1, 1),
             protected_attribute_names=[self.protected_attribute],
             favorable_label=self.favorable_label,
             unfavorable_label=self.unfavorable_label,
         )
+        return BinaryLabelDatasetMetric(
+            dataset,
+            unprivileged_groups=[{self.protected_attribute: 0.0}],
+            privileged_groups=[{self.protected_attribute: 1.0}],
+        )
+
+
+def _both_groups(groups: np.ndarray) -> bool:
+    return bool((groups == 1.0).any() and (groups == 0.0).any())

@@ -181,12 +181,10 @@ class ScoringEngine:
             self._row_scorer = _RowScorer(self.pipeline)
         scorer = self._row_scorer
         if scorer.needs_frame_fallback(record):
-            batch = self.score_frame(records_to_frame(self.pipeline.spec, [record]))
-            if batch.num_scored == 0:
-                raise ValueError(DROPPED_RECORD_ERROR)
-            label = float(batch.labels[0])
-            score = None if batch.scores is None else float(batch.scores[0])
-            return self.record_result(label, score)
+            (result,) = self.score_records([record])
+            if isinstance(result, Exception):
+                raise result
+            return result
 
         features = scorer.featurize(record)
         protected = scorer.protected_value(record)
@@ -215,6 +213,20 @@ class ScoringEngine:
                 true_label=true_label,
             )
         return self.record_result(label, score)
+
+    def score_records(self, records: List[Dict[str, Any]]) -> List[Any]:
+        """Score records in one :meth:`score_frame` pass: per input record,
+        its :meth:`record_result` or, where the pipeline's handler dropped
+        it, a ``ValueError(DROPPED_RECORD_ERROR)``."""
+        scored = self.score_frame(records_to_frame(self.pipeline.spec, records))
+        results: List[Any] = []
+        for kept, j in zip(scored.row_mask, np.cumsum(scored.row_mask) - 1):
+            if not kept:
+                results.append(ValueError(DROPPED_RECORD_ERROR))
+                continue
+            score = None if scored.scores is None else float(scored.scores[j])
+            results.append(self.record_result(float(scored.labels[j]), score))
+        return results
 
     def record_result(self, label: float, score: Optional[float]) -> Dict[str, Any]:
         """The single-record response payload for a scored (label, score)."""

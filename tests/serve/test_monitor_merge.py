@@ -116,27 +116,27 @@ class TestMergeSemantics:
         rebuilt = FairnessMonitor.from_states([json.loads(encoded)], window_size=8)
         _assert_snapshots_equal(rebuilt.snapshot(), monitor.snapshot())
 
-    def test_instance_merge_accepts_monitors_and_states(self):
+    def test_from_states_appends_every_state(self):
         left = FairnessMonitor("sex", window_size=16)
         right = FairnessMonitor("sex", window_size=16)
         left.observe(1.0, 1.0)
         right.observe(0.0, 0.0)
-        merged = FairnessMonitor("sex", window_size=16)
-        merged.merge(left, right.state())
+        merged = FairnessMonitor.from_states(
+            [left.state(), right.state()], window_size=16
+        )
         snap = merged.snapshot()
         assert snap["window"] == 2.0
         assert snap["total_observed"] == 2.0
-        assert merged is merged.merge()  # chainable no-op
 
-    def test_merge_rejects_mismatched_configuration(self):
+    def test_from_states_rejects_mismatched_configuration(self):
         sex = FairnessMonitor("sex", window_size=8)
         race = FairnessMonitor("race", window_size=8)
         with pytest.raises(ValueError, match="protected"):
-            sex.merge(race)
+            FairnessMonitor.from_states([sex.state(), race.state()])
         flipped = FairnessMonitor("sex", window_size=8, favorable_label=0.0,
                                   unfavorable_label=1.0)
         with pytest.raises(ValueError, match="labels"):
-            sex.merge(flipped)
+            FairnessMonitor.from_states([sex.state(), flipped.state()])
         with pytest.raises(ValueError, match="at least one"):
             FairnessMonitor.from_states([])
 

@@ -4,6 +4,8 @@ implementation, and the observe_batch input-validation regression."""
 import numpy as np
 import pytest
 
+from repro.fairness import ClassificationMetric
+from repro.fairness.metrics import dataset_metric
 from repro.serve import FairnessMonitor
 
 from .reference_monitor import ReferenceFairnessMonitor
@@ -153,3 +155,40 @@ class TestObserveBatchValidation:
         with pytest.raises(ValueError, match="length"):
             monitor.observe_batch(np.ones(4), np.ones(3))
         assert monitor.snapshot()["window"] == 0.0
+
+
+class TestSnapshotReadsOneConfusionTable:
+    def test_labeled_window_builds_three_tables_and_no_classification_metric(
+        self, monkeypatch
+    ):
+        """Accuracy comes from the overall table and the two gaps from the
+        two group tables: three ``binary_counts`` calls per snapshot."""
+        rng = np.random.default_rng(5)
+        ring, deque_ref = _pair(window_size=64)
+        groups = (rng.random(40) < 0.5).astype(float)
+        truths = (rng.random(40) < 0.5).astype(float)
+        truths[::7] = np.nan  # partially labeled
+        predictions = (rng.random(40) < 0.4).astype(float)
+        for monitor in (ring, deque_ref):
+            monitor.observe_batch(groups, predictions, None, truths)
+        want = deque_ref.snapshot()
+
+        tables, built = [], []
+        kernel = dataset_metric.binary_counts
+        init = ClassificationMetric.__init__
+
+        def counting(*args, **kwargs):
+            tables.append(args)
+            return kernel(*args, **kwargs)
+
+        def building(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_metric, "binary_counts", counting)
+        monkeypatch.setattr(ClassificationMetric, "__init__", building)
+        snap = ring.snapshot()
+        assert built == []
+        assert len(tables) == 3
+        assert "equal_opportunity_difference" in snap and "accuracy" in snap
+        _assert_snapshots_equal(snap, want)

@@ -136,6 +136,32 @@ class TestRowDroppingHandlers:
         with pytest.raises(ValueError, match="drops incomplete"):
             engine.score_record(record)
 
+    def test_score_records_answers_each_record_in_order(self, tmp_path):
+        frame, spec = load_dataset("adult", n=1500)
+        experiment = Experiment(
+            frame=frame,
+            spec=spec,
+            random_seed=2,
+            learner=DecisionTree(tuned=False),
+            missing_value_handler=CompleteCaseAnalysis(),
+        )
+        engine, _, _, _ = _exported_engine(tmp_path, experiment)
+        raw_test = _raw_test(frame, 2)
+        rows = np.flatnonzero(~raw_test.missing_mask(spec.feature_columns))[:2]
+        complete = [
+            {c: raw_test.col(c).values[i] for c in raw_test.columns} for i in rows
+        ]
+        incomplete = dict(complete[0], **{spec.categorical_features[0]: None})
+        results = engine.score_records([complete[0], incomplete, complete[1]])
+        assert isinstance(results[1], ValueError)
+        assert "drops incomplete" in str(results[1])
+        batch = engine.score_frame(records_to_frame(spec, complete))
+        expected = [
+            engine.record_result(float(label), float(score))
+            for label, score in zip(batch.labels, batch.scores)
+        ]
+        assert [results[0], results[2]] == expected
+
 
 class TestSingleRecordFastPath:
     def test_fast_path_matches_batch_exactly_for_trees(self, tmp_path, germancredit):
