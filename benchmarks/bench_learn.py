@@ -280,13 +280,13 @@ def check_invariants(n_rows: int) -> None:
 
     X, y = _featurized("germancredit", n_rows)
 
-    # 1. an externally supplied presort hint must not change the tree
+    # 1. a tree fit on a prepared Presort must equal the plain fit
     plain = DecisionTreeClassifier(criterion="entropy", max_depth=8).fit(X, y)
-    hinted = DecisionTreeClassifier(criterion="entropy", max_depth=8).fit(
-        X, y, presort=Presort(X)
+    prepared = DecisionTreeClassifier(criterion="entropy", max_depth=8).fit(
+        Presort(X), y
     )
-    assert _tree_signature(plain) == _tree_signature(hinted), (
-        "presort hint changed the induced tree"
+    assert _tree_signature(plain) == _tree_signature(prepared), (
+        "a prepared Presort changed the induced tree"
     )
 
     # 2. n_jobs fan-out must reproduce the serial search exactly

@@ -33,6 +33,7 @@ from ..learn import StandardScaler
 from .components import Learner, MissingValueHandler, PostProcessor, PreProcessor, Resampler
 from .featurization import Featurizer
 from .interventions import NoIntervention
+from .learners import predict_with_scores
 from .missing_values import NoMissingValues
 from .resamplers import NoResampling
 from .results import CandidateResult, ResultsStore, RunResult
@@ -308,15 +309,17 @@ class Experiment:
         fitted: List[FittedLearner] = []
         for learner in self.learners:
             model = learner.fit_model(prepared.train_data, seed)
-            features = prepared.validation_data_eval.features
             train_pred = self._predict(model, prepared.train_data, prepared.train_data)
+            labels, scores = predict_with_scores(
+                model, prepared.validation_data_eval.features
+            )
             fitted.append(
                 FittedLearner(
                     learner=learner.name(),
                     model=model,
                     best_params=self._best_params(learner),
-                    validation_labels=_read_only(model.predict(features)),
-                    validation_scores=_read_only(model.predict_scores(features)),
+                    validation_labels=_read_only(labels),
+                    validation_scores=_read_only(scores),
                     train_metrics=self._metrics(prepared.train_data, train_pred),
                 )
             )
@@ -529,8 +532,7 @@ class Experiment:
         annotation_source: BinaryLabelDataset,
     ) -> BinaryLabelDataset:
         """Prediction dataset aligned to the *unrepaired* annotations."""
-        labels = model.predict(eval_data.features)
-        scores = model.predict_scores(eval_data.features)
+        labels, scores = predict_with_scores(model, eval_data.features)
         return annotation_source.with_predictions(labels=labels, scores=scores)
 
     def _metrics(

@@ -44,6 +44,15 @@ DECISION_TREE_GRID: Dict[str, list] = {
 }
 
 
+def predict_with_scores(model, features: np.ndarray):
+    """Labels and scores (None without them) of a fitted learner's model,
+    in one pass where the model offers one: the one prediction call of
+    experiments and of the scoring service alike."""
+    if hasattr(model, "predict_with_scores"):
+        return model.predict_with_scores(features)
+    return model.predict(features), model.predict_scores(features)
+
+
 @serializable
 class _FittedModel:
     """Uniform wrapper: predictions as favorable/unfavorable float labels."""

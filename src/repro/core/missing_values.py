@@ -225,48 +225,32 @@ class LearnedImputer(MissingValueHandler):
         return self
 
     def handle_missing(self, frame: DataFrame) -> DataFrame:
+        """The fallback's fill of every feature column, each modelled
+        target's missing rows overwritten by predictions. Encoding is
+        row-wise, so only rows some modelled target misses are encoded."""
         if not hasattr(self, "_models"):
             raise RuntimeError("LearnedImputer must be fit before handle_missing")
-        out = frame
-        completed_predictors = self._fallback.handle_missing(frame)
-        full_matrix = None  # encoded lazily, once, shared by every target
-        for target in self._targets:
-            column = out.col(target)
-            mask = column.missing_mask()
+        completed = self._fallback.handle_missing(frame)
+        modelled = [t for t in self._targets if self._models[t]["kind"] != "fallback"]
+        rows = frame.missing_mask(modelled)
+        if not rows.any():
+            return completed
+        matrix = self._encoder.transform(completed.mask(rows))
+        out = completed
+        for target in modelled:
+            mask = frame.col(target).missing_mask()
             if not mask.any():
                 continue
             spec = self._models[target]
-            if spec["kind"] == "fallback":
-                out = out.with_column(
-                    column.fill_missing(self._fallback._fill_values[target])
-                )
-                continue
-            if full_matrix is None:
-                full_matrix = self._encoder.transform(completed_predictors)
-            X = self._encoder.submatrix(full_matrix, exclude=target)[mask]
+            X = self._encoder.submatrix(matrix, exclude=target)[mask[rows]]
             if spec["kind"] == "classifier":
                 predictions = spec["model"].predict(X)
-                out = out.with_column(column.set_where(mask, predictions))
             else:
                 neighbors = nearest_neighbor_indices(
-                    spec["train_X"],
-                    X,
-                    self.n_neighbors,
-                    train_sq=spec["train_sq"],
+                    spec["train_X"], X, self.n_neighbors, train_sq=spec["train_sq"]
                 )
                 predictions = spec["train_y"][neighbors].mean(axis=1)
-                out = out.with_column(column.set_where(mask, predictions))
-        # any remaining missing feature values (non-target columns) get the
-        # fallback statistics so downstream featurization never sees NaN
-        residual = [
-            name
-            for name in self._feature_columns
-            if out.col(name).has_missing()
-        ]
-        for name in residual:
-            out = out.with_column(
-                out.col(name).fill_missing(self._fallback._fill_values[name])
-            )
+            out = out.with_column(frame.col(target).set_where(mask, predictions))
         return out
 
     def name(self) -> str:

@@ -63,27 +63,25 @@ class BaseEstimator:
         params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
         return f"{type(self).__name__}({params})"
 
+    def fit_candidates(self, candidates, X, y, sample_weight=None) -> list:
+        """One fitted clone per parameter dict, in order.
+
+        Grid search makes one call per fold chunk. This default fits each
+        candidate on its own (``sample_weight`` is passed only when given);
+        estimators override it to share work across the candidates.
+        """
+        fit_kwargs = {} if sample_weight is None else {"sample_weight": sample_weight}
+        models = [clone(self).set_params(**params) for params in candidates]
+        for model in models:
+            model.fit(X, y, **fit_kwargs)
+        return models
+
     def _check_fitted(self, *attributes: str) -> None:
         for attribute in attributes:
             if not hasattr(self, attribute):
                 raise NotFittedError(
                     f"{type(self).__name__} is not fitted yet; call fit() first"
                 )
-
-
-def supports_fit_param(estimator, name: str) -> bool:
-    """Whether the estimator's ``fit`` accepts a keyword argument.
-
-    This is the fit-context hint protocol: callers that hold shared
-    per-dataset state (e.g. a precomputed presort for a cross-validation
-    fold) offer it to every estimator whose ``fit`` signature declares
-    the hint, and simply skip the ones that don't.
-    """
-    try:
-        signature = inspect.signature(type(estimator).fit)
-    except (AttributeError, TypeError, ValueError):
-        return False
-    return name in signature.parameters
 
 
 def clone(estimator: BaseEstimator) -> BaseEstimator:

@@ -7,13 +7,13 @@ scale (≤33k rows), but the per-level gather traffic alone dominates the
 fit long before a million rows. This module trades exact thresholds on
 high-cardinality features for bounded per-node work:
 
-* :class:`HistogramBinning` discretizes the matrix **once per fit** into
-  at most 256 bins per feature (uint8 codes). Features with at most 256
-  distinct values keep one bin per value — the split search over them is
-  *exact*, byte-identical to the presort backend (one-hot columns and the
-  int32-coded categoricals from the frame layer are already in this
-  regime). Denser features get an equal-count quantile sketch of the
-  sorted values.
+* :class:`HistogramBinning` discretizes the matrix **once** (per fit, or
+  per ``fit_candidates`` call) into at most 256 bins per feature (uint8
+  codes). Features with at most 256 distinct values keep one bin per
+  value — the split search over them is *exact*, byte-identical to the
+  presort backend (one-hot columns and the int32-coded categoricals from
+  the frame layer are already in this regime). Denser features get an
+  equal-count quantile sketch of the sorted values.
 * :class:`HistogramSplitter` accumulates per-node class-count histograms
   with ``bincount`` and scores gains only at bin boundaries through the
   same search the presort backend uses — O(d·n_bins) candidates per
@@ -45,17 +45,16 @@ MAX_BINS = 256
 
 
 class HistogramBinning:
-    """Per-feature uint8 bin codes of a matrix, built once per fit.
+    """Per-feature uint8 bin codes of a matrix, built once.
 
     ``codes`` is feature-major ``(d, n)``. For feature j, ``n_bins[j]``
     bins are described by ``lower[j]`` / ``upper[j]``: the smallest and
     largest raw value falling in each bin (so the threshold between two
     bins is the midpoint of ``upper`` of the left one and ``lower`` of
     the right one — exactly the presort boundary midpoint whenever each
-    bin holds a single distinct value).
-
-    Like :class:`~repro.learn.splitter.Presort`, an instance is trusted
-    only for the matrix object it was built from (:meth:`is_for`).
+    bin holds a single distinct value). Like
+    :class:`~repro.learn.splitter.Presort`, it carries the float64
+    ``matrix`` it was built from.
     """
 
     __slots__ = ("matrix", "codes", "n_bins", "lower", "upper")
@@ -110,9 +109,6 @@ class HistogramBinning:
             self.upper.append(cuts)
             self.lower.append(ordered[np.minimum(starts, n - 1)])
 
-    def is_for(self, X) -> bool:
-        return X is self.matrix
-
 
 class HistogramSplitter(SplitterBase):
     """Best-split search over per-node class-count histograms.
@@ -126,11 +122,11 @@ class HistogramSplitter(SplitterBase):
     only the candidate bins, their left statistics and the thresholds.
     """
 
-    def __init__(self, X, onehot, criterion, min_samples_leaf, binning=None):
-        super().__init__(X, onehot, criterion, min_samples_leaf)
-        self._binning = self._fit_hint(binning, HistogramBinning)
-        self._codes = self._binning.codes
-        self._max_bins = int(self._binning.n_bins.max()) if self.n_features else 1
+    def __init__(self, binning, onehot, criterion, min_samples_leaf):
+        super().__init__(binning, onehot, criterion, min_samples_leaf)
+        self._binning = binning
+        self._codes = binning.codes
+        self._max_bins = int(binning.n_bins.max()) if self.n_features else 1
 
     # ------------------------------------------------------------------
     # node context: histograms

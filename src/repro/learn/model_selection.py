@@ -17,9 +17,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..parallel import run_groups, split_for_balance
-from .base import BaseEstimator, clone, supports_fit_param
+from .base import BaseEstimator, clone
 from .metrics import accuracy_score
-from .tree import presort_hint
 
 
 class KFold:
@@ -134,11 +133,10 @@ def _score_fold_chunk(context: _SearchContext, task) -> List[float]:
     """Fit and score a chunk of candidates on one fold.
 
     This is the fold-major hot path: the fold's training matrix is sliced
-    once, its presort is computed once (when the estimator accepts the
-    ``presort`` fit-context hint), and both are shared by every candidate
-    in the chunk. Estimators exposing ``fit_candidates`` additionally
-    share work across each parameter family (one tree induction per
-    family, one stacked SGD epoch loop per compatible set of candidates).
+    once and handed to one ``fit_candidates`` call for the whole chunk,
+    which shares what it can across the candidates (the tree prepares
+    the matrix once and grows one induction per parameter family; SGD
+    runs one stacked epoch loop per compatible set of candidates).
     """
     fold_index, candidate_ids = task
     train_idx, valid_idx = context.folds[fold_index]
@@ -148,24 +146,12 @@ def _score_fold_chunk(context: _SearchContext, task) -> List[float]:
     y_valid = context.y[valid_idx]
     weight = context.sample_weight
     w_train = None if weight is None else weight[train_idx]
-    template = context.estimator
-    hints = {}
-    if supports_fit_param(template, "presort"):
-        hints["presort"] = presort_hint(X_train)
-    params_list = [context.candidates[i] for i in candidate_ids]
-    if hasattr(type(template), "fit_candidates"):
-        models = template.fit_candidates(
-            params_list, X_train, y_train, sample_weight=w_train, **hints
-        )
-    else:
-        models = []
-        for params in params_list:
-            model = clone(template).set_params(**params)
-            fit_kwargs = dict(hints)
-            if w_train is not None:
-                fit_kwargs["sample_weight"] = w_train
-            model.fit(X_train, y_train, **fit_kwargs)
-            models.append(model)
+    models = context.estimator.fit_candidates(
+        [context.candidates[i] for i in candidate_ids],
+        X_train,
+        y_train,
+        sample_weight=w_train,
+    )
     return [context.score_fn(model, X_valid, y_valid) for model in models]
 
 
@@ -178,10 +164,11 @@ class GridSearchCV(BaseEstimator):
     configuration is refit on the full training data.
 
     The search loop is fold-major: each fold's training matrix is sliced
-    (and, for estimators that accept the ``presort`` fit-context hint,
-    presorted) exactly once and shared across every candidate, instead of
-    being recomputed candidates × folds times. Scores are identical to
-    the candidate-major loop because every fit is independent.
+    exactly once and passed to one ``fit_candidates`` call per chunk of
+    candidates, so whatever the estimator prepares from it (the tree's
+    presort) is built once per fold, not candidates × folds times. Scores
+    are identical to the candidate-major loop because every fit is
+    independent.
 
     Parameters
     ----------
@@ -237,7 +224,7 @@ class GridSearchCV(BaseEstimator):
         jobs = 1 if self.n_jobs is None else max(1, int(self.n_jobs))
         if jobs > 1 and len(tasks) < jobs:
             # fewer folds than workers: split candidate chunks so every
-            # worker gets something (each chunk re-presorts its fold,
+            # worker gets something (each chunk re-prepares its fold,
             # which never changes the scores)
             tasks = [
                 (fold, chunk)
@@ -319,17 +306,13 @@ def cross_val_score(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     score_fn = scoring or _accuracy_scorer
-    use_presort = supports_fit_param(estimator, "presort")
     scores = []
     for train_idx, valid_idx in KFold(cv, shuffle=True, random_state=random_state).split(len(y)):
         model = clone(estimator)
-        X_train = X[train_idx]
         fit_kwargs = {}
-        if use_presort:
-            fit_kwargs["presort"] = presort_hint(X_train)
         if sample_weight is not None:
             fit_kwargs["sample_weight"] = np.asarray(sample_weight)[train_idx]
-        model.fit(X_train, y[train_idx], **fit_kwargs)
+        model.fit(X[train_idx], y[train_idx], **fit_kwargs)
         scores.append(score_fn(model, X[valid_idx], y[valid_idx]))
     return np.asarray(scores)
 

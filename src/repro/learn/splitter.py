@@ -4,10 +4,11 @@ The original tree re-argsorted every feature at every node, making each
 node O(d·n·log n). This module removes that redundancy in three steps:
 
 * :class:`Presort` computes the per-feature stable sort order of the
-  training matrix **once per fit** — or once per cross-validation fold,
-  shared by every tuning candidate through the ``fit(..., presort=...)``
-  hint — together with the per-sample value *ranks* (order-isomorphic to
-  the raw values, so every comparison on them is exact);
+  training matrix **once** — per fit, or per ``fit_candidates`` call,
+  whose tuning families all grow from it — together with the per-sample
+  value *ranks* (order-isomorphic to the raw values, so every comparison
+  on them is exact); it carries the matrix it was built from, so it is
+  the training matrix ``fit`` reads;
 * :class:`PresortSplitter` maintains the per-feature order through the
   recursion by **stable boolean partition** (each child's order is the
   parent's order filtered by membership), turning per-node work into
@@ -40,8 +41,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .. import telemetry
-
 
 class Presort:
     """Per-feature sort order and value ranks of a matrix, built once.
@@ -50,11 +49,9 @@ class Presort:
     feature j's values in ascending order (mergesort-stable, ties in row
     order — exactly like the per-node argsort it replaces). ``ranks`` is
     ``(d, n)`` indexed by sample id: ``ranks[j, s]`` is the rank of
-    ``X[s, j]`` among feature j's distinct values.
-
-    The hint is trusted only for the exact matrix object it was built
-    from (:meth:`is_for`), so a stale hint degrades to a fresh argsort
-    inside the estimator, never to a wrong tree.
+    ``X[s, j]`` among feature j's distinct values. ``matrix`` is the
+    float64 matrix both were built from, so the tables cannot describe
+    another one.
     """
 
     __slots__ = ("matrix", "order", "ranks")
@@ -77,9 +74,6 @@ class Presort:
         self.ranks = np.empty_like(sorted_ranks)
         np.put_along_axis(self.ranks, self.order, sorted_ranks, axis=1)
 
-    def is_for(self, X) -> bool:
-        return X is self.matrix
-
 
 class SplitterBase:
     """Configuration, per-sample class payload, node distribution and the
@@ -91,11 +85,12 @@ class SplitterBase:
     ``(feat, cut, left_n, left_p, left_w or None)`` or None,
     ``_multiclass_candidates(n, context, k)`` → ``(lo, feat, cut,
     left_counts)`` blocks in feature order, and ``_threshold(context,
-    feature, cut)``.
+    feature, cut)``. ``prepared`` is the backend's prepared matrix
+    (:class:`Presort` or a histogram binning); its ``matrix`` is ``X``.
     """
 
-    def __init__(self, X, onehot, criterion, min_samples_leaf):
-        self.X = X
+    def __init__(self, prepared, onehot, criterion, min_samples_leaf):
+        self.X = X = prepared.matrix
         self.onehot = onehot
         self.criterion = criterion
         self.min_leaf = int(min_samples_leaf)
@@ -110,18 +105,6 @@ class SplitterBase:
             # exact 0/1 payload: int8 keeps the per-node gather and cumsum
             # traffic small; the partial sums are exact integers in any dtype
             self._positive = positive.astype(np.int8) if self.unit_weight else positive
-
-    def _fit_hint(self, hint, build):
-        """``hint`` when it was built for this ``X``, else ``build(X)``.
-
-        A hint that was passed but fails ``is_for`` is counted as stale:
-        the fit stays correct, it only loses the shared preparation.
-        """
-        if hint is not None and hint.is_for(self.X):
-            return hint
-        if hint is not None:
-            telemetry.counter("learn.tree.stale_hint").inc()
-        return build(self.X)
 
     # ------------------------------------------------------------------
     # the split search both backends share
@@ -230,14 +213,14 @@ class SplitterBase:
 class PresortSplitter(SplitterBase):
     """Split candidates and thresholds from presorted per-feature orders.
 
-    One instance serves one ``fit``: it owns the presort tables, the
-    membership scratch buffer used by :meth:`partition`, and the
+    One instance serves one ``fit``: it reads the :class:`Presort`'s
+    tables (never writes them, so one presort serves many fits) and owns
+    the membership scratch buffer used by :meth:`partition` and the
     criterion/minimum-leaf configuration shared by every node.
     """
 
-    def __init__(self, X, onehot, criterion, min_samples_leaf, presort=None):
-        super().__init__(X, onehot, criterion, min_samples_leaf)
-        presort = self._fit_hint(presort, Presort)
+    def __init__(self, presort, onehot, criterion, min_samples_leaf):
+        super().__init__(presort, onehot, criterion, min_samples_leaf)
         self._ranks = presort.ranks
         self._root_order = presort.order
         self._member = np.zeros(self.n_samples, dtype=bool)

@@ -5,23 +5,24 @@ feature rescaling, which is exactly the property Figure 3(b) demonstrates;
 our implementation preserves it because split quality depends only on the
 ordering of feature values.
 
-Split search runs on one of two interchangeable backends selected by the
-``fit(..., presort=...)`` hint:
+Split search runs on one of two interchangeable backends, each growing
+from a *prepared matrix* that carries the matrix it was built from:
 
-* the exact presorted backend (:mod:`repro.learn.splitter`): per-feature
-  sort order computed once per fit — or supplied by the caller, which
-  grid search uses to share one presort per cross-validation fold across
-  every tuning candidate — and maintained through the recursion by
-  stable partition instead of re-argsorting at every node;
-* the histogram backend (:mod:`repro.learn.histogram`): features binned
-  once per fit into ≤256 uint8 codes, per-node class-count histograms
-  accumulated with ``bincount`` and siblings derived by subtraction, so
-  per-node candidate scoring is O(n_bins) per feature instead of O(n).
+* the exact presorted backend (:mod:`repro.learn.splitter`): a
+  :class:`Presort`'s per-feature sort order, maintained through the
+  recursion by stable partition instead of re-argsorting at every node;
+* the histogram backend (:mod:`repro.learn.histogram`): a
+  :class:`HistogramBinning`'s ≤256 uint8 codes per feature, per-node
+  class-count histograms accumulated with ``bincount`` and siblings
+  derived by subtraction, so per-node candidate scoring is O(n_bins) per
+  feature instead of O(n).
 
-``presort="auto"`` (the default) picks histogram at or above
-:data:`HISTOGRAM_AUTO_THRESHOLD` rows and exact presort below it, so
-paper-scale fits stay byte-identical to the seed implementation while
-million-row fits get the bounded-work path.
+``fit`` prepares a plain matrix or takes a prepared one; ``fit_candidates``
+prepares once and grows every tuning family from it. ``presort="auto"``
+(the default) picks histogram at or above :data:`HISTOGRAM_AUTO_THRESHOLD`
+rows and exact presort below it, so paper-scale fits stay byte-identical
+to the seed implementation while million-row fits get the bounded-work
+path.
 
 A fitted tree is six parallel node arrays (:data:`TREE_DTYPES`), the same
 ones ``to_state`` writes into an artifact, laid out in preorder: node,
@@ -69,17 +70,25 @@ TREE_DTYPES = {
 }
 
 
-def presort_hint(X):
-    """Shareable fit-context hint matching what ``presort="auto"`` picks.
+#: prepared-matrix type -> (backend name, split backend)
+_BACKENDS = {
+    Presort: ("exact", PresortSplitter),
+    HistogramBinning: ("histogram", HistogramSplitter),
+}
 
-    Cross-validation builds this once per fold and passes it to every
-    tuning candidate: a :class:`Presort` below the auto threshold, a
-    :class:`HistogramBinning` at or above it — so fold-major grid search
-    keeps its shared-preparation win on both backends.
-    """
-    if X.shape[0] >= HISTOGRAM_AUTO_THRESHOLD:
+
+def _prepare(X, presort):
+    """The prepared matrix of a checked ``X`` for the backend ``presort``
+    names (``"auto"``: the row-count rule above)."""
+    if presort == "auto":
+        presort = "histogram" if X.shape[0] >= HISTOGRAM_AUTO_THRESHOLD else "exact"
+    if presort == "exact":
+        return Presort(X)
+    if presort == "histogram":
         return HistogramBinning(X)
-    return Presort(X)
+    raise ValueError(
+        f"presort must be 'auto', 'exact' or 'histogram', got {presort!r}"
+    )
 
 
 @serializable
@@ -112,20 +121,13 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def fit(
         self, X, y, sample_weight=None, presort="auto"
     ) -> "DecisionTreeClassifier":
-        """Fit the tree; ``presort`` selects/hints the split backend.
+        """Fit the tree on a matrix or on a prepared matrix.
 
-        Accepted values:
-
-        * ``"auto"`` (default) — exact presort below
-          :data:`HISTOGRAM_AUTO_THRESHOLD` rows, histogram at or above;
-        * ``"exact"`` / ``"histogram"`` — force a backend;
-        * a :class:`~repro.learn.splitter.Presort` built for this exact
-          ``X`` — use the exact backend and skip its once-per-fit
-          argsort (the grid-search fold hint); a stale hint degrades to
-          a fresh argsort, never a wrong tree;
-        * a :class:`~repro.learn.histogram.HistogramBinning` for this
-          exact ``X`` — use the histogram backend and skip its
-          once-per-fit binning.
+        A prepared ``X`` (a :class:`Presort` or a :class:`HistogramBinning`)
+        picks the backend by its type and is grown from as it is; its
+        ``matrix`` is the training matrix, and ``presort`` must stay
+        ``"auto"``. A plain matrix is prepared here for the backend
+        ``presort`` names: ``"auto"``, ``"exact"`` or ``"histogram"``.
         """
         if self.criterion not in _CRITERIA:
             raise ValueError(
@@ -135,42 +137,31 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        X = check_matrix(X)
+        if type(X) in _BACKENDS:
+            if presort != "auto":
+                raise ValueError(
+                    f"presort must be 'auto' when X is prepared, got {presort!r}"
+                )
+            prepared, X = X, check_matrix(X.matrix)
+        else:
+            X = check_matrix(X)
+            prepared = _prepare(X, presort)
         y = check_labels(y, X.shape[0])
         sample_weight = check_sample_weight(sample_weight, X.shape[0])
         self.classes_, y_codes = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
         onehot = np.zeros((X.shape[0], len(self.classes_)))
         onehot[np.arange(X.shape[0]), y_codes] = sample_weight
-        splitter = self._make_splitter(X, onehot, presort)
+        # the resolved backend, recorded for benches and manifests
+        self.fit_backend_, backend = _BACKENDS[type(prepared)]
+        telemetry.counter(f"learn.tree_fit.{self.fit_backend_}").inc()
+        splitter = backend(prepared, onehot, self.criterion, self.min_samples_leaf)
         with telemetry.span(
             "learn.tree_fit", backend=self.fit_backend_, rows=int(X.shape[0])
         ):
             tree, depth = self._grow(X, onehot, splitter)
         self._set_tree(tree, depth)
         return self
-
-    def _make_splitter(self, X, onehot, presort):
-        """Resolve the ``presort`` hint to a split backend (see ``fit``)."""
-        mode, hint = presort, None
-        if isinstance(presort, Presort):
-            mode, hint = "exact", presort
-        elif isinstance(presort, HistogramBinning):
-            mode, hint = "histogram", presort
-        if mode == "auto":
-            mode = (
-                "histogram" if X.shape[0] >= HISTOGRAM_AUTO_THRESHOLD else "exact"
-            )
-        backends = {"exact": PresortSplitter, "histogram": HistogramSplitter}
-        if mode not in backends:
-            raise ValueError(
-                "presort must be 'auto', 'exact', 'histogram', a Presort, or a "
-                f"HistogramBinning, got {presort!r}"
-            )
-        # the resolved backend, recorded for benches and manifests
-        self.fit_backend_ = mode
-        telemetry.counter(f"learn.tree_fit.{mode}").inc()
-        return backends[mode](X, onehot, self.criterion, self.min_samples_leaf, hint)
 
     def _grow(self, X, onehot, splitter):
         """Build the node arrays with an explicit stack (deep trees can
@@ -253,12 +244,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self._proba = np.divide(distribution, totals, out=uniform, where=totals > 0)
 
     def fit_candidates(
-        self,
-        candidates,
-        X,
-        y,
-        sample_weight=None,
-        presort="auto",
+        self, candidates, X, y, sample_weight=None, presort="auto"
     ):
         """Fit one tree per parameter dict, sharing work across the family.
 
@@ -269,7 +255,11 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         of the tree fit at the family's deepest ``max_depth`` and smallest
         ``min_samples_split`` (internal nodes record their distributions).
         Every returned estimator is node-for-node identical to its ``fit``.
+
+        ``X`` is prepared once, for the backend ``presort`` names (see
+        ``fit``), and every family grows from that one preparation.
         """
+        prepared = _prepare(check_matrix(X), presort)
         models = [clone(self).set_params(**params) for params in candidates]
         families: dict = {}
         for model in models:
@@ -283,7 +273,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             deepest = None if None in depths else max(depths)
             smallest = min(model.min_samples_split for model in members)
             deep = clone(members[0]).set_params(max_depth=deepest, min_samples_split=smallest)
-            deep.fit(X, y, sample_weight=sample_weight, presort=presort)
+            deep.fit(prepared, y, sample_weight=sample_weight)
             for model in members:
                 model.classes_, model.n_features_ = deep.classes_, deep.n_features_
                 tree, depth = deep.tree_, deep._node_depth

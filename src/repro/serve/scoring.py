@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..core.interventions import NoIntervention
+from ..core.learners import predict_with_scores
 from ..fairness import BinaryLabelDataset, ClassificationMetric
 from ..frame import DataFrame
 from ..learn import OneHotEncoder
@@ -112,7 +113,7 @@ class ScoringEngine:
             label_known = None
             fully_labeled = False
         eval_data = pipeline.pre_processor.transform_eval(data)
-        labels, scores = _predict_both(pipeline.model, eval_data.features)
+        labels, scores = predict_with_scores(pipeline.model, eval_data.features)
         if scores is None and not isinstance(pipeline.post_processor, NoIntervention):
             raise ValueError(
                 f"post-processor {pipeline.post_processor.name()} requires "
@@ -197,7 +198,7 @@ class ScoringEngine:
             feature_names=pipeline.featurizer.feature_names_,
         )
         eval_data = pipeline.pre_processor.transform_eval(data)
-        labels, scores = _predict_both(pipeline.model, eval_data.features)
+        labels, scores = predict_with_scores(pipeline.model, eval_data.features)
         predictions = data.with_predictions(labels=labels, scores=scores)
         predictions = pipeline.post_processor.apply(predictions)
         label = float(predictions.labels[0])
@@ -329,13 +330,6 @@ class _RowScorer:
         if _is_missing(value):
             return 0.0
         return 1.0 if str(value) in self.privileged_values else 0.0
-
-
-def _predict_both(model, features: np.ndarray):
-    """Labels and scores, in one model pass when the model supports it."""
-    if hasattr(model, "predict_with_scores"):
-        return model.predict_with_scores(features)
-    return model.predict(features), model.predict_scores(features)
 
 
 def _is_missing(value) -> bool:

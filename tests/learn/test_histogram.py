@@ -18,15 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.learn import (
     DecisionTreeClassifier,
     HistogramBinning,
     HistogramSplitter,
     Presort,
 )
-from repro.learn.tree import HISTOGRAM_AUTO_THRESHOLD, TREE_DTYPES, presort_hint
-from repro.learn.splitter import PresortSplitter
+from repro.learn.tree import HISTOGRAM_AUTO_THRESHOLD, TREE_DTYPES
 
 from .reference_impl import ReferenceDecisionTree
 from .test_splitter_golden import DATASETS, featurized, tree_signature
@@ -142,61 +140,77 @@ def small_problem(n=400, seed=0):
     return X, y
 
 
+def counting(function, calls):
+    """``function``, appending itself to ``calls`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(function)
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
 class TestDispatch:
     def test_auto_picks_exact_below_threshold(self):
         X, y = small_problem()
-        model = DecisionTreeClassifier()
-        onehot = np.zeros((len(y), 2))
-        onehot[np.arange(len(y)), y] = 1.0
-        assert isinstance(
-            model._make_splitter(X, onehot, "auto"), PresortSplitter
-        )
+        assert DecisionTreeClassifier().fit(X, y).fit_backend_ == "exact"
         # None is no longer an alias of "auto"
         with pytest.raises(ValueError, match="presort must be"):
-            model._make_splitter(X, onehot, None)
+            DecisionTreeClassifier().fit(X, y, presort=None)
 
     def test_auto_picks_histogram_above_threshold(self, monkeypatch):
         monkeypatch.setattr("repro.learn.tree.HISTOGRAM_AUTO_THRESHOLD", 100)
         X, y = small_problem()
-        model = DecisionTreeClassifier()
-        onehot = np.zeros((len(y), 2))
-        onehot[np.arange(len(y)), y] = 1.0
-        assert isinstance(
-            model._make_splitter(X, onehot, "auto"), HistogramSplitter
-        )
+        assert DecisionTreeClassifier().fit(X, y).fit_backend_ == "histogram"
 
-    def test_hint_objects_select_their_backend(self):
+    def test_prepared_matrix_selects_its_backend(self, monkeypatch):
         X, y = small_problem()
-        model = DecisionTreeClassifier()
-        onehot = np.zeros((len(y), 2))
-        onehot[np.arange(len(y)), y] = 1.0
-        exact = model._make_splitter(X, onehot, Presort(X))
-        assert isinstance(exact, PresortSplitter)
-        binning = HistogramBinning(X)
-        histogram = model._make_splitter(X, onehot, binning)
-        assert isinstance(histogram, HistogramSplitter)
-        assert histogram._binning is binning
+        prepared = [Presort(X), HistogramBinning(X)]
+        builds = []
+        for cls in (Presort, HistogramBinning):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__, builds))
+        backends = [DecisionTreeClassifier().fit(p, y).fit_backend_ for p in prepared]
+        assert backends == ["exact", "histogram"]
+        assert builds == []  # grown from as it is, never rebuilt
 
-    def test_stale_binning_hint_degrades_to_fresh_binning(self):
+    def test_prepared_binning_equals_histogram_fit(self):
         X, y = small_problem()
-        stale = HistogramBinning(np.ascontiguousarray(X[:100]))
-        counter = telemetry.counter("learn.tree.stale_hint")
-        before = counter.value
-        model = DecisionTreeClassifier(max_depth=4).fit(X, y, presort=stale)
-        fresh = DecisionTreeClassifier(max_depth=4).fit(X, y, presort="histogram")
-        assert tree_signature(model) == tree_signature(fresh)
-        assert counter.value - before == 1
+        weights = np.random.default_rng(4).uniform(0.5, 2.0, len(y))
+        for sample_weight in (None, weights):
+            prepared = DecisionTreeClassifier(max_depth=6).fit(
+                HistogramBinning(X), y, sample_weight=sample_weight
+            )
+            plain = DecisionTreeClassifier(max_depth=6).fit(
+                X, y, sample_weight=sample_weight, presort="histogram"
+            )
+            assert prepared.fit_backend_ == "histogram"
+            for key in TREE_DTYPES:
+                np.testing.assert_array_equal(prepared.tree_[key], plain.tree_[key])
+
+    @pytest.mark.parametrize("presort", ["exact", "histogram"])
+    def test_presort_with_prepared_matrix_rejected(self, presort):
+        X, y = small_problem()
+        for prepared in (Presort(X), HistogramBinning(X)):
+            with pytest.raises(ValueError, match="presort must be 'auto'"):
+                DecisionTreeClassifier().fit(prepared, y, presort=presort)
 
     def test_invalid_presort_value_rejected(self):
         X, y = small_problem()
         with pytest.raises(ValueError, match="presort must be"):
             DecisionTreeClassifier().fit(X, y, presort="sometimes")
 
-    def test_presort_hint_matches_auto_choice(self, monkeypatch):
-        X, _ = small_problem()
-        assert isinstance(presort_hint(X), Presort)
+    def test_fit_candidates_prepares_once_what_auto_picks(self, monkeypatch):
+        X, y = small_problem()
+        # two families, so two inductions grow from the one preparation
+        candidates = [{"max_depth": 2}, {"criterion": "entropy"}]
+        originals = [Presort.__init__, HistogramBinning.__init__]
+        builds = []
+        for cls in (Presort, HistogramBinning):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__, builds))
+        DecisionTreeClassifier().fit_candidates(candidates, X, y)
         monkeypatch.setattr("repro.learn.tree.HISTOGRAM_AUTO_THRESHOLD", 100)
-        assert isinstance(presort_hint(X), HistogramBinning)
+        DecisionTreeClassifier().fit_candidates(candidates, X, y)
+        assert builds == originals
 
     def test_fit_candidates_accepts_histogram_backend(self):
         X, y = small_problem()
@@ -323,7 +337,7 @@ class TestSubtractionTrick:
         X, y = small_problem(800, seed=13)
         onehot = np.zeros((len(y), 2))
         onehot[np.arange(len(y)), y] = 1.0
-        splitter = HistogramSplitter(X, onehot, "gini", 1)
+        splitter = HistogramSplitter(HistogramBinning(X), onehot, "gini", 1)
         root = splitter.root_context()
         indices = np.arange(len(y))
         left = indices[X[:, 1] <= 4.0]

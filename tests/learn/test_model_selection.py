@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.learn import (
+    BaseEstimator,
     DecisionTreeClassifier,
+    GaussianNB,
     GridSearchCV,
     KFold,
     ParameterGrid,
@@ -193,6 +195,49 @@ class TestGridSearchCV:
             random_state=0,
         ).fit(X, y)
         assert search.best_params_["max_depth"] == 1
+
+
+class TestDefaultFitCandidates:
+    def test_equals_per_candidate_fits_for_weighted_naive_bayes(self):
+        X, y = _data()
+        weights = np.random.default_rng(1).uniform(0.2, 3.0, len(y))
+        candidates = [{"var_smoothing": v} for v in (1e-9, 1e-3, 0.5)]
+        template = GaussianNB()
+        models = template.fit_candidates(candidates, X, y, sample_weight=weights)
+        assert not any(model is template for model in models)
+        for params, model in zip(candidates, models):
+            solo = GaussianNB(**params).fit(X, y, sample_weight=weights)
+            assert model.get_params() == solo.get_params()
+            for name in ("classes_", "theta_", "var_", "class_prior_"):
+                np.testing.assert_array_equal(getattr(model, name), getattr(solo, name))
+
+    def test_no_weight_is_not_passed(self):
+        class Unweighted(BaseEstimator):
+            def __init__(self, c=0):
+                self.c = c
+
+            def fit(self, X, y):  # no sample_weight keyword
+                self.rows_ = len(y)
+                return self
+
+        X, y = _data()
+        models = Unweighted().fit_candidates([{"c": 1}, {"c": 2}], X, y)
+        assert [(m.c, m.rows_) for m in models] == [(1, len(y)), (2, len(y))]
+
+    def test_grid_search_calls_it_once_per_fold(self, monkeypatch):
+        calls = []
+        default = BaseEstimator.fit_candidates
+
+        def counting(self, candidates, *args, **kwargs):
+            calls.append(len(candidates))
+            return default(self, candidates, *args, **kwargs)
+
+        monkeypatch.setattr(BaseEstimator, "fit_candidates", counting)
+        X, y = _data()
+        GridSearchCV(
+            GaussianNB(), {"var_smoothing": [1e-9, 1e-3]}, cv=3, random_state=0
+        ).fit(X, y)
+        assert calls == [2, 2, 2]
 
 
 class TestCrossValScore:

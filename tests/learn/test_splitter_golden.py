@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.core import missing_values
 from repro.core.featurization import Featurizer
 from repro.core.learners import DECISION_TREE_GRID, LOGISTIC_REGRESSION_GRID
@@ -275,38 +274,22 @@ class TestMulticlassKernel:
             )
 
 
-class TestPresortHint:
-    def test_hint_does_not_change_the_tree(self):
+class TestPreparedMatrix:
+    def test_prepared_presort_does_not_change_the_tree(self):
         X, y, _ = featurized("germancredit", 500)
-        hinted = DecisionTreeClassifier(criterion="entropy", max_depth=10).fit(
-            X, y, presort=Presort(X)
+        prepared = DecisionTreeClassifier(criterion="entropy", max_depth=10).fit(
+            Presort(X), y
         )
         plain = DecisionTreeClassifier(criterion="entropy", max_depth=10).fit(X, y)
-        assert_same_tree(hinted, plain)
+        assert_same_tree(prepared, plain)
 
     def test_one_presort_serves_many_candidates(self):
         X, y, _ = featurized("germancredit", 500)
         shared = Presort(X)
         for params in (dict(max_depth=3), dict(max_depth=8), dict(criterion="entropy")):
-            hinted = DecisionTreeClassifier(**params).fit(X, y, presort=shared)
+            prepared = DecisionTreeClassifier(**params).fit(shared, y)
             plain = DecisionTreeClassifier(**params).fit(X, y)
-            assert_same_tree(hinted, plain)
-
-    def test_stale_hint_for_other_matrix_is_ignored(self):
-        X, y, _ = featurized("germancredit", 500)
-        other = Presort(np.ascontiguousarray(X[:250]))
-        stale = telemetry.counter("learn.tree.stale_hint")
-        before = stale.value
-        model = DecisionTreeClassifier(max_depth=6).fit(X, y, presort=other)
-        assert_same_tree(model, DecisionTreeClassifier(max_depth=6).fit(X, y))
-        assert stale.value - before == 1
-
-    def test_fold_major_search_passes_no_stale_hint(self):
-        X, y, _ = featurized("germancredit", 300)
-        stale = telemetry.counter("learn.tree.stale_hint")
-        before = stale.value
-        GridSearchCV(DecisionTreeClassifier(), TUNING_GRID, cv=3, random_state=0).fit(X, y)
-        assert stale.value == before
+            assert_same_tree(prepared, plain)
 
     def test_presort_rejects_non_matrix(self):
         with pytest.raises(ValueError, match="2-D"):
