@@ -10,32 +10,22 @@ repository root for the rule catalog and waiver syntax.
 
 from .checkers import CHECKER_NAMES
 from .engine import (
-    BASELINE_VERSION,
-    BaselineResult,
     Checker,
     Finding,
     LintReport,
     ModuleInfo,
-    apply_baseline,
     lint_paths,
-    load_baseline,
     register,
     registered_checkers,
-    write_baseline,
 )
 
 __all__ = [
-    "BASELINE_VERSION",
-    "BaselineResult",
     "CHECKER_NAMES",
     "Checker",
     "Finding",
     "LintReport",
     "ModuleInfo",
-    "apply_baseline",
     "lint_paths",
-    "load_baseline",
     "register",
     "registered_checkers",
-    "write_baseline",
 ]

@@ -18,24 +18,18 @@ Architecture (zero dependencies, stdlib ``ast`` only):
   finding on their own line (or, for a standalone comment line, on the
   next line). A waiver **must** carry a reason; a reasonless or unused
   waiver is itself a finding, so the waiver set can only shrink along
-  with the findings it explains.
-* baseline — a committed JSON file of known findings acts as a ratchet:
-  findings absent from the baseline fail the run, and baseline entries
-  that no longer fire are reported stale (failing under ``--strict``)
-  so the file may only shrink.
+  with the findings it explains. A waiver is the only way to accept a
+  finding: every finding left after waivers fails the run.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
-
-BASELINE_VERSION = 1
 
 #: waiver comments: ``lint: allow(rule-a, rule-b) -- reason`` after a
 #: hash mark (the reason is mandatory, but matched optionally so a
@@ -56,11 +50,7 @@ class Finding:
     line: int
     col: int
     message: str
-    context: str = ""  # stripped source line, the line-number-free identity
-
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line-number drift."""
-        return (self.rule, self.path, self.context)
+    context: str = ""  # stripped source line
 
     def to_dict(self) -> dict:
         return {
@@ -270,7 +260,7 @@ def _ensure_builtin_checkers() -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class LintReport:
-    """Everything one lint pass produced, before baseline comparison."""
+    """Everything one lint pass produced."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
@@ -395,92 +385,3 @@ def _apply_waivers(module: ModuleInfo, raw: List[Finding]) -> List[Finding]:
                 )
             )
     return kept
-
-
-# ----------------------------------------------------------------------
-# baseline ratchet
-# ----------------------------------------------------------------------
-@dataclass
-class BaselineResult:
-    """Findings split against a committed baseline."""
-
-    new: List[Finding] = field(default_factory=list)
-    known: List[Finding] = field(default_factory=list)
-    stale: List[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "new": [finding.to_dict() for finding in self.new],
-            "known": [finding.to_dict() for finding in self.known],
-            "stale": list(self.stale),
-        }
-
-
-def load_baseline(path: str) -> List[dict]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"{path}: not a lint baseline "
-            f"(expected {{'version': {BASELINE_VERSION}, ...}})"
-        )
-    entries = payload.get("findings", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: 'findings' must be a list")
-    return entries
-
-
-def write_baseline(path: str, findings: List[Finding]) -> None:
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": [
-            {
-                "rule": finding.rule,
-                "path": finding.path,
-                "context": finding.context,
-                "message": finding.message,
-            }
-            for finding in findings
-        ],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def apply_baseline(
-    findings: List[Finding], baseline: List[dict]
-) -> BaselineResult:
-    """Ratchet: consume baseline slots per finding key; the rest are new.
-
-    Each baseline entry absorbs at most one current finding with the same
-    ``(rule, path, context)`` key, so duplicating a known-bad pattern
-    still fails. Entries nothing matched are reported stale — the
-    baseline may only shrink.
-    """
-    slots: Dict[Tuple[str, str, str], List[dict]] = {}
-    for entry in baseline:
-        key = (
-            str(entry.get("rule", "")),
-            str(entry.get("path", "")),
-            str(entry.get("context", "")),
-        )
-        slots.setdefault(key, []).append(entry)
-    result = BaselineResult()
-    for finding in findings:
-        bucket = slots.get(finding.key())
-        if bucket:
-            bucket.pop()
-            result.known.append(finding)
-        else:
-            result.new.append(finding)
-    for bucket in slots.values():
-        result.stale.extend(bucket)
-    result.stale.sort(
-        key=lambda e: (e.get("path", ""), e.get("rule", ""), e.get("context", ""))
-    )
-    return result

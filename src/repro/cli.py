@@ -37,13 +37,13 @@ Commands
     --trace-dir`` or ``REPRO_TRACE_DIR``): per-stage time totals across
     every process and the run's critical path; ``--strict`` verifies the
     spans stitch into exactly one tree.
-``lint [--strict --json --baseline FILE --write-baseline --select RULES]``
+``lint [--root DIR --json --select RULES]``
     Run the project-native static-analysis pass (see ``INVARIANTS.md``)
     over the installed ``repro`` package: no-pickle serialization,
     strict-JSON serving, crash-safe writes, fork-safe locks,
     deterministic fingerprints, lock discipline, observable failures,
-    versioned wire shapes. ``--baseline`` ratchets against a committed
-    findings file; ``--strict`` also fails on stale baseline entries.
+    versioned wire shapes. Any finding fails (exit 1); a finding is
+    accepted only by a reasoned inline waiver.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .core import (
     ReweighingPreProcessor,
     run_grid,
 )
+from .core.plan import route_intervention
 from .datasets import dataset_names, load_dataset
 from .frame import describe
 from .learn import MinMaxScaler, NoOpScaler, StandardScaler
@@ -368,24 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="package directory to lint (default: the installed repro package)",
     )
     p_lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="committed baseline of known findings; new findings fail, "
-        "baseline entries may only shrink",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries (findings that no longer "
-        "fire must be removed from the baseline)",
-    )
-    p_lint.add_argument(
         "--json",
         action="store_true",
         help="print the machine-readable report instead of text",
@@ -539,19 +522,13 @@ def _cmd_describe(args) -> int:
 
 
 def _pick_handler(args, frame, spec):
-    if args.missing != "auto":
-        return _HANDLERS[args.missing]()
-    if frame.missing_mask(spec.feature_columns).any():
-        return ModeImputer()
-    return None
+    name = _resolve_missing(args.missing, frame, spec)
+    return name and _HANDLERS[name]()
 
 
 def _build_experiment(args) -> Experiment:
     frame, spec = load_dataset(args.dataset, n=args.size)
-    intervention = _INTERVENTIONS[args.intervention]()
-    from .core.runner import _route_intervention
-
-    pre, post = _route_intervention(intervention)
+    pre, post = route_intervention(_INTERVENTIONS[args.intervention]())
     return Experiment(
         frame=frame,
         spec=spec,
@@ -929,58 +906,20 @@ def _cmd_lint(args) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        if not args.baseline:
-            print("--write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        lint_tools.write_baseline(args.baseline, report.findings)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {args.baseline}"
-        )
-        return 0
-
-    baseline_entries = []
-    if args.baseline:
-        try:
-            baseline_entries = lint_tools.load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(f"no baseline file at {args.baseline}", file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-    split = lint_tools.apply_baseline(report.findings, baseline_entries)
-    failed = bool(split.new) or (args.strict and bool(split.stale))
+    failed = bool(report.findings)
 
     if args.json:
-        payload = {
-            "files_checked": report.files_checked,
-            "checkers_run": report.checkers_run,
-            "new": [finding.to_dict() for finding in split.new],
-            "baselined": [finding.to_dict() for finding in split.known],
-            "stale_baseline": split.stale,
-            "ok": not failed,
-        }
+        payload = dict(report.to_dict(), ok=not failed)
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 1 if failed else 0
 
-    for finding in split.new:
+    for finding in report.findings:
         print(finding.render())
-    for entry in split.stale:
-        print(
-            f"stale baseline entry: {entry.get('path')} "
-            f"[{entry.get('rule')}] {entry.get('context', '')!r} no longer "
-            "fires; shrink the baseline (repro lint --write-baseline)"
-        )
-    summary_bits = [
-        f"{report.files_checked} files",
-        f"{report.checkers_run} checkers",
-        f"{len(split.new)} new finding(s)",
-    ]
-    if baseline_entries or split.stale:
-        summary_bits.append(f"{len(split.known)} baselined")
-        summary_bits.append(f"{len(split.stale)} stale")
-    print(("FAIL: " if failed else "ok: ") + ", ".join(summary_bits))
+    print(
+        ("FAIL: " if failed else "ok: ")
+        + f"{report.files_checked} files, {report.checkers_run} checkers, "
+        f"{len(report.findings)} finding(s)"
+    )
     return 1 if failed else 0
 
 

@@ -19,6 +19,69 @@ from ..learn import NoOpScaler, OneHotEncoder, clone
 from ..serialize import restore, serializable, state_of
 
 
+class ColumnEncoder:
+    """A frame's ``[scaled numerics | encoded categoricals]`` matrix.
+
+    ``scaler`` and ``encoder`` are unfitted templates: :meth:`fit` fits a
+    clone of each on the ``numeric`` and ``categorical`` columns of the
+    frame it is given, and :meth:`transform` replays those statistics.
+    Numeric values must already be complete.
+    """
+
+    def __init__(self, numeric, categorical, scaler, encoder):
+        self.numeric = list(numeric)
+        self.categorical = list(categorical)
+        self.scaler = scaler
+        self.encoder = encoder
+
+    def fit(self, frame: DataFrame, y=None) -> "ColumnEncoder":
+        if self.numeric:
+            self.scaler_ = clone(self.scaler).fit(self._numeric_matrix(frame))
+        if self.categorical:
+            # columns are passed whole so the encoders work on dictionary
+            # codes, not decoded object arrays
+            self.encoder_ = clone(self.encoder).fit(
+                [frame.col(c) for c in self.categorical], y=y
+            )
+        return self
+
+    def transform(self, frame: DataFrame) -> np.ndarray:
+        blocks: List[np.ndarray] = []
+        if self.numeric:
+            blocks.append(self.scaler_.transform(self._numeric_matrix(frame)))
+        if self.categorical:
+            blocks.append(
+                self.encoder_.transform([frame.col(c) for c in self.categorical])
+            )
+        return np.hstack(blocks) if blocks else np.zeros((frame.num_rows, 0))
+
+    def _numeric_matrix(self, frame: DataFrame) -> np.ndarray:
+        matrix = frame.to_matrix(self.numeric)
+        if np.isnan(matrix).any():
+            raise ValueError(
+                "missing numeric values reached featurization; run a "
+                "missing-value handler first"
+            )
+        return matrix
+
+    def to_state(self) -> dict:
+        return {
+            "numeric": list(self.numeric),
+            "categorical": list(self.categorical),
+            "scaler_": state_of(self.scaler_) if self.numeric else None,
+            "encoder_": state_of(self.encoder_) if self.categorical else None,
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ColumnEncoder":
+        columns = cls(state["numeric"], state["categorical"], None, None)
+        if state["scaler_"] is not None:
+            columns.scaler_ = restore(state["scaler_"])
+        if state["encoder_"] is not None:
+            columns.encoder_ = restore(state["encoder_"])
+        return columns
+
+
 @serializable
 class Featurizer:
     """Fit-once/apply-many conversion of raw frames into model inputs.
@@ -50,29 +113,19 @@ class Featurizer:
     # ------------------------------------------------------------------
     def fit(self, train_frame: DataFrame) -> "Featurizer":
         """Fit scaler and encoder statistics on the training frame."""
-        self._numeric = list(self.spec.numeric_features)
-        self._categorical = list(self.spec.categorical_features)
-        if self._numeric:
-            matrix = train_frame.to_matrix(self._numeric)
-            if np.isnan(matrix).any():
-                raise ValueError(
-                    "missing numeric values reached featurization; run a "
-                    "missing-value handler first"
-                )
-            self.scaler_ = clone(self.numeric_scaler).fit(matrix)
-        if self._categorical:
-            template = (
-                OneHotEncoder(handle_missing="category")
-                if self.categorical_encoder is None
-                else self.categorical_encoder
-            )
-            # target-style encoders consume the training labels; one-hot and
-            # frequency encoders ignore them. Columns are passed whole so the
-            # encoders work on dictionary codes, not decoded object arrays.
-            self.encoder_ = clone(template).fit(
-                [train_frame.col(c) for c in self._categorical],
-                y=self.spec.label_binary(train_frame),
-            )
+        template = (
+            OneHotEncoder(handle_missing="category")
+            if self.categorical_encoder is None
+            else self.categorical_encoder
+        )
+        # target-style encoders consume the training labels; one-hot and
+        # frequency encoders ignore them
+        self.columns_ = ColumnEncoder(
+            self.spec.numeric_features,
+            self.spec.categorical_features,
+            self.numeric_scaler,
+            template,
+        ).fit(train_frame, y=self.spec.label_binary(train_frame))
         self.feature_names_ = self._build_feature_names()
         return self
 
@@ -80,20 +133,7 @@ class Featurizer:
         """The scaled/encoded feature matrix of a frame (no annotations)."""
         if not hasattr(self, "feature_names_"):
             raise RuntimeError("Featurizer must be fit before transform")
-        blocks: List[np.ndarray] = []
-        if self._numeric:
-            matrix = frame.to_matrix(self._numeric)
-            if np.isnan(matrix).any():
-                raise ValueError(
-                    "missing numeric values reached featurization; run a "
-                    "missing-value handler first"
-                )
-            blocks.append(self.scaler_.transform(matrix))
-        if self._categorical:
-            blocks.append(
-                self.encoder_.transform([frame.col(c) for c in self._categorical])
-            )
-        return np.hstack(blocks) if blocks else np.zeros((frame.num_rows, 0))
+        return self.columns_.transform(frame)
 
     def transform(
         self, frame: DataFrame, require_label: bool = True
@@ -123,9 +163,10 @@ class Featurizer:
 
     # ------------------------------------------------------------------
     def _build_feature_names(self) -> List[str]:
-        names = list(self._numeric)
-        if self._categorical:
-            names.extend(self.encoder_.feature_names(self._categorical))
+        columns = self.columns_
+        names = list(columns.numeric)
+        if columns.categorical:
+            names.extend(columns.encoder_.feature_names(columns.categorical))
         return names
 
     @property
@@ -145,10 +186,7 @@ class Featurizer:
         return {
             "spec": self.spec.to_dict(),
             "protected_attribute": self.protected_attribute,
-            "numeric": list(self._numeric),
-            "categorical": list(self._categorical),
-            "scaler_": state_of(self.scaler_) if self._numeric else None,
-            "encoder_": state_of(self.encoder_) if self._categorical else None,
+            **self.columns_.to_state(),
             "feature_names_": list(self.feature_names_),
         }
 
@@ -158,11 +196,6 @@ class Featurizer:
             DatasetSpec.from_dict(state["spec"]),
             protected_attribute=state["protected_attribute"],
         )
-        featurizer._numeric = list(state["numeric"])
-        featurizer._categorical = list(state["categorical"])
-        if state["scaler_"] is not None:
-            featurizer.scaler_ = restore(state["scaler_"])
-        if state["encoder_"] is not None:
-            featurizer.encoder_ = restore(state["encoder_"])
+        featurizer.columns_ = ColumnEncoder.from_state(state)
         featurizer.feature_names_ = list(state["feature_names_"])
         return featurizer

@@ -14,7 +14,7 @@ Three strategies, matching Section 4:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ..learn import (
 )
 from ..serialize import serializable
 from .components import MissingValueHandler
+from .featurization import ColumnEncoder
 
 
 @serializable
@@ -188,7 +189,12 @@ class LearnedImputer(MissingValueHandler):
         self._encoder = None
         if targets:
             completed = self._fallback.handle_missing(train_frame)
-            self._encoder = _PredictorEncoder(self._feature_columns).fit(completed)
+            self._encoder = _PredictorEncoder(
+                [c for c in self._feature_columns if completed.col(c).is_numeric],
+                [c for c in self._feature_columns if completed.col(c).is_categorical],
+                StandardScaler(),
+                OneHotEncoder(),
+            ).fit(completed)
             full_matrix = self._encoder.transform(completed)
         for target in targets:
             observed = ~train_frame.col(target).missing_mask()
@@ -325,12 +331,10 @@ class DatawigImputer(LearnedImputer):
 
 
 @serializable
-class _PredictorEncoder:
-    """Encode a frame's predictor columns to a numeric matrix.
-
-    Numeric columns are standardized; categorical columns are one-hot
-    encoded with the unseen-category dimension. Statistics come from the
-    frame passed to :meth:`fit` (the completed training split).
+class _PredictorEncoder(ColumnEncoder):
+    """The learned imputer's predictor matrix: standardized numerics and
+    one-hot categoricals with the unseen-category dimension, fit on the
+    completed training split.
 
     Because both transforms are per-column and row-wise, one encoder fit on
     *all* feature columns serves every imputation target: the matrix a
@@ -339,44 +343,6 @@ class _PredictorEncoder:
     instead of once per target.
     """
 
-    def __init__(self, columns: List[str]):
-        self.columns = columns
-
-    def fit(self, frame: DataFrame) -> "_PredictorEncoder":
-        self.numeric_ = [c for c in self.columns if frame.col(c).is_numeric]
-        self.categorical_ = [c for c in self.columns if frame.col(c).is_categorical]
-        if self.numeric_:
-            self.scaler_ = StandardScaler().fit(frame.to_matrix(self.numeric_))
-        if self.categorical_:
-            self.encoder_ = OneHotEncoder().fit(
-                [frame.col(c) for c in self.categorical_]
-            )
-        # output-column span of every input column, for submatrix slicing
-        self.spans_: Dict[str, np.ndarray] = {}
-        start = 0
-        for name in self.numeric_:
-            self.spans_[name] = np.arange(start, start + 1)
-            start += 1
-        if self.categorical_:
-            for name, categories in zip(self.categorical_, self.encoder_.categories_):
-                width = len(categories) + 1  # + the unseen slot
-                self.spans_[name] = np.arange(start, start + width)
-                start += width
-        self.n_outputs_ = start
-        return self
-
-    def transform(self, frame: DataFrame) -> np.ndarray:
-        blocks = []
-        if self.numeric_:
-            blocks.append(self.scaler_.transform(frame.to_matrix(self.numeric_)))
-        if self.categorical_:
-            blocks.append(
-                self.encoder_.transform([frame.col(c) for c in self.categorical_])
-            )
-        if not blocks:
-            return np.zeros((frame.num_rows, 1))
-        return np.hstack(blocks)
-
     def submatrix(self, matrix: np.ndarray, exclude: str) -> np.ndarray:
         """The encoded matrix with ``exclude``'s output columns dropped.
 
@@ -384,37 +350,17 @@ class _PredictorEncoder:
         would transform to — including the all-zeros single column an empty
         predictor set produces.
         """
-        span = self.spans_.get(exclude)
-        if span is None:
+        names = self.numeric + self.categorical
+        if exclude not in names:
             return matrix
-        keep = np.ones(self.n_outputs_, dtype=bool)
-        keep[span] = False
-        if not keep.any():
+        if len(names) == 1:
             return np.zeros((matrix.shape[0], 1))
+        widths = [1] * len(self.numeric)
+        if self.categorical:
+            # + the unseen slot
+            widths += [len(c) + 1 for c in self.encoder_.categories_]
+        index = names.index(exclude)
+        start = sum(widths[:index])
+        keep = np.ones(sum(widths), dtype=bool)
+        keep[start : start + widths[index]] = False
         return matrix[:, keep]
-
-    def to_state(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "numeric_": list(self.numeric_),
-            "categorical_": list(self.categorical_),
-            "scaler_": self.scaler_.to_state() if self.numeric_ else None,
-            "encoder_": self.encoder_.to_state() if self.categorical_ else None,
-            "spans_": [[name, span] for name, span in self.spans_.items()],
-            "n_outputs_": int(self.n_outputs_),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_PredictorEncoder":
-        encoder = cls(list(state["columns"]))
-        encoder.numeric_ = list(state["numeric_"])
-        encoder.categorical_ = list(state["categorical_"])
-        if state["scaler_"] is not None:
-            encoder.scaler_ = StandardScaler.from_state(state["scaler_"])
-        if state["encoder_"] is not None:
-            encoder.encoder_ = OneHotEncoder.from_state(state["encoder_"])
-        encoder.spans_ = {
-            name: np.asarray(span, dtype=np.int64) for name, span in state["spans_"]
-        }
-        encoder.n_outputs_ = int(state["n_outputs_"])
-        return encoder

@@ -29,10 +29,6 @@ from .executors import (
 from .plan import GridSpec, Intervention, route_intervention
 from .results import ResultsStore, RunResult
 
-# backward-compatible aliases: GridSpec and the intervention router lived
-# here before the plan/executor split
-_route_intervention = route_intervention
-
 #: Version of the run-manifest shape written by :func:`write_run_manifest`.
 #: Bump whenever a field changes meaning, so readers can detect old files.
 RUN_MANIFEST_VERSION = 2

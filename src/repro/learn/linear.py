@@ -32,11 +32,6 @@ _PENALTIES = ("l2", "l1", "elasticnet", "none")
 # differ; every other parameter is shared by the whole stack
 _STACKED = ("penalty", "alpha", "l1_ratio", "tol")
 
-# full-batch one-vs-rest: stack targets into one (targets × samples)
-# problem only while the intermediates stay cache-sized; beyond this the
-# per-target loop is faster (both paths are byte-identical)
-_OVR_STACK_LIMIT = 16384
-
 _SCHEDULE_BLOCK = 1024  # batches per block of the SGD schedule built at once
 
 
@@ -233,44 +228,8 @@ class LogisticRegressionGD(BaseEstimator, ClassifierMixin):
         onehot = np.empty((len(targets), X.shape[0]))
         for row, klass in enumerate(targets):
             onehot[row] = (y == klass).astype(np.float64)
-        if onehot.size <= _OVR_STACK_LIMIT:
-            self.coef_, self.intercept_ = self._fit_ovr(X, onehot, sample_weight)
-        else:
-            # the stacked (targets × samples) intermediates would fall
-            # out of cache; per-target vectors are faster there and the
-            # two paths produce byte-identical coefficients
-            coefs, intercepts = [], []
-            for row in range(onehot.shape[0]):
-                w, b = self._fit_one(X, onehot[row], sample_weight)
-                coefs.append(w)
-                intercepts.append(b)
-            self.coef_ = np.vstack(coefs)
-            self.intercept_ = np.asarray(intercepts)
+        self.coef_, self.intercept_ = self._fit_ovr(X, onehot, sample_weight)
         return self
-
-    def _fit_one(self, X, t, sample_weight):
-        n_samples, n_features = X.shape
-        w = np.zeros(n_features)
-        b = 0.0
-        weights = sample_weight / sample_weight.sum()
-        previous = np.inf
-        for _ in range(int(self.max_iter)):
-            p = _sigmoid(X @ w + b)
-            error = (p - t) * weights
-            grad_w = X.T @ error + self.alpha * w
-            grad_b = error.sum()
-            w -= self.learning_rate * grad_w
-            b -= self.learning_rate * grad_b
-            loss = float(
-                -(
-                    weights
-                    * (t * np.log(p + 1e-12) + (1 - t) * np.log(1 - p + 1e-12))
-                ).sum()
-            )
-            if previous - loss < self.tol:
-                break
-            previous = loss
-        return w, b
 
     def _fit_ovr(self, X, targets, sample_weight):
         """Full-batch gradient descent over all targets at once.

@@ -39,7 +39,7 @@ from ..core.featurization import Featurizer  # noqa: F401
 from ..learn import encoders as _encoders  # noqa: F401
 
 ARTIFACT_FORMAT = "fairprep-pipeline"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"

@@ -248,11 +248,11 @@ class _RowScorer:
 
     def __init__(self, pipeline: PipelineArtifact):
         self.pipeline = pipeline
-        featurizer = pipeline.featurizer
-        self.numeric = list(featurizer._numeric)
-        self.categorical = list(featurizer._categorical)
-        self.scaler = getattr(featurizer, "scaler_", None)
-        self.encoder = getattr(featurizer, "encoder_", None)
+        columns = pipeline.featurizer.columns_
+        self.numeric = columns.numeric
+        self.categorical = columns.categorical
+        self.scaler = getattr(columns, "scaler_", None)
+        self.encoder = getattr(columns, "encoder_", None)
         handler = pipeline.handler
         self.fill_values = dict(getattr(handler, "_fill_values", {}) or {})
         self.handler_drops = bool(getattr(handler, "drops_rows", False))

@@ -1,22 +1,17 @@
-"""Lint engine mechanics: waivers, the baseline ratchet, reporting.
+"""Lint engine mechanics: waivers, reporting, the ``repro lint`` exit contract.
 
 The checkers themselves are covered in ``test_lint_checkers.py``; these
 tests pin down the engine contracts every checker relies on — a waiver
 without a reason suppresses nothing, an unused waiver is itself a
-finding, and the committed baseline may only shrink.
+finding, and any finding left after waivers fails the command.
 """
 
 import json
 
 import pytest
 
-from repro.analysis.lint import (
-    BASELINE_VERSION,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.lint import lint_paths
+from repro.cli import main
 
 SILENT = (
     "def f(g):\n"
@@ -27,12 +22,17 @@ SILENT = (
 )
 
 
-def run_lint(tmp_path, files, select=("silent-except",)):
+def write_package(tmp_path, files):
     pkg = tmp_path / "pkg"
     for rel, source in files.items():
         target = pkg / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source)
+    return pkg
+
+
+def run_lint(tmp_path, files, select=("silent-except",)):
+    pkg = write_package(tmp_path, files)
     return lint_paths(
         str(pkg), select=list(select) if select else None, rel_prefix=""
     )
@@ -128,50 +128,29 @@ class TestEngine:
         assert report.files_checked == 3
 
 
-class TestBaselineRatchet:
-    def test_known_findings_are_absorbed(self, tmp_path):
-        report = run_lint(tmp_path, {"mod.py": SILENT})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), report.findings)
-        entries = load_baseline(str(baseline_path))
-        split = apply_baseline(report.findings, entries)
-        assert split.new == [] and split.stale == []
-        assert len(split.known) == 1
+class TestLintCommand:
+    def test_finding_fails_the_command(self, tmp_path, capsys):
+        pkg = write_package(tmp_path, {"mod.py": SILENT})
+        assert main(["lint", "--root", str(pkg)]) == 1
+        out = capsys.readouterr().out
+        assert "error[silent-except]" in out
+        assert "pkg/mod.py:4:" in out
+        assert out.splitlines()[-1].startswith("FAIL: 1 files")
 
-    def test_baseline_survives_line_drift(self, tmp_path):
-        report = run_lint(tmp_path, {"mod.py": SILENT})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), report.findings)
-        # the same offending line, pushed down by unrelated edits above
-        drifted = run_lint(tmp_path, {"mod.py": "import os\n\n\n" + SILENT})
-        split = apply_baseline(
-            drifted.findings, load_baseline(str(baseline_path))
-        )
-        assert split.new == [] and split.stale == []
+    def test_clean_package_passes(self, tmp_path, capsys):
+        pkg = write_package(tmp_path, {"mod.py": "x = 1\n"})
+        assert main(["lint", "--root", str(pkg)]) == 0
+        assert capsys.readouterr().out.startswith("ok: 1 files")
 
-    def test_growth_is_rejected(self, tmp_path):
-        report = run_lint(tmp_path, {"mod.py": SILENT})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), report.findings)
-        # duplicating the known-bad pattern must NOT ride on its baseline
-        # slot: each entry absorbs at most one finding
-        grown = run_lint(tmp_path, {"mod.py": SILENT + "\n\n" + SILENT})
-        split = apply_baseline(grown.findings, load_baseline(str(baseline_path)))
-        assert len(split.known) == 1
-        assert len(split.new) == 1
+    def test_json_report(self, tmp_path, capsys):
+        pkg = write_package(tmp_path, {"mod.py": SILENT})
+        assert main(["lint", "--root", str(pkg), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["files_checked"] == 1
+        assert [f["rule"] for f in payload["findings"]] == ["silent-except"]
 
-    def test_fixed_findings_go_stale(self, tmp_path):
-        report = run_lint(tmp_path, {"mod.py": SILENT})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), report.findings)
-        clean = run_lint(tmp_path, {"mod.py": "x = 1\n"})
-        split = apply_baseline(clean.findings, load_baseline(str(baseline_path)))
-        assert split.new == [] and split.known == []
-        assert len(split.stale) == 1
-        assert split.stale[0]["rule"] == "silent-except"
-
-    def test_baseline_version_is_checked(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": BASELINE_VERSION + 1}))
-        with pytest.raises(ValueError, match="not a lint baseline"):
-            load_baseline(str(bad))
+    def test_baseline_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--root", str(tmp_path), "--baseline", "x.json"])
+        assert excinfo.value.code == 2

@@ -5,19 +5,16 @@ the test suite too means a plain ``pytest`` run catches an invariant
 regression (or an undocumented waiver) without needing the CLI.
 """
 
-import json
 import os
 
 import pytest
 
 import repro
-from repro.analysis.lint import apply_baseline, lint_paths, load_baseline
+from repro.analysis.lint import lint_paths
 
 # repro is a namespace package (no src/repro/__init__.py), so the package
 # directory comes from __path__, not __file__
 PACKAGE_ROOT = os.path.abspath(list(repro.__path__)[0])
-REPO_ROOT = os.path.dirname(os.path.dirname(PACKAGE_ROOT))
-BASELINE = os.path.join(REPO_ROOT, ".lint-baseline.json")
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +38,6 @@ def test_analysis_package_lints_itself_clean():
     assert sub.findings == [], f"the linter fails its own rules:\n{rendered}"
 
 
-def test_committed_baseline_is_empty_and_not_stale(report):
-    entries = load_baseline(BASELINE)
-    assert entries == [], (
-        "the committed baseline must stay empty: fix or waive findings "
-        "instead of baselining them"
-    )
-    split = apply_baseline(report.findings, entries)
-    assert split.new == [] and split.stale == []
-
-
 def test_every_waiver_in_tree_carries_a_reason():
     # _apply_waivers turns reasonless waivers into waiver-syntax findings,
     # so a clean run already implies this; assert it directly anyway so
@@ -71,9 +58,3 @@ def test_every_waiver_in_tree_carries_a_reason():
                             violations.append(f"{path}:{lineno}")
     assert violations == [], f"reasonless waivers: {violations}"
 
-
-def test_baseline_file_is_valid_json_with_version():
-    with open(BASELINE, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["version"] == 1
-    assert isinstance(payload["findings"], list)

@@ -20,7 +20,7 @@ from repro.core import (
     results_to_rows,
     run_grid,
 )
-from repro.core.runner import _route_intervention
+from repro.core.plan import route_intervention
 from repro.core.standard_experiments import (
     GermanCreditExperiment,
     PaymentOptionGenderExperiment,
@@ -123,22 +123,22 @@ class TestResults:
 
 class TestRouting:
     def test_no_intervention_goes_pre(self):
-        pre, post = _route_intervention(NoIntervention())
+        pre, post = route_intervention(NoIntervention())
         assert isinstance(pre, NoIntervention) and post is None
 
     def test_preprocessor_routed(self):
-        pre, post = _route_intervention(ReweighingPreProcessor())
+        pre, post = route_intervention(ReweighingPreProcessor())
         assert pre is not None and post is None
 
     def test_postprocessor_routed(self):
-        pre, post = _route_intervention(
+        pre, post = route_intervention(
             RejectOptionPostProcessor(num_class_thresh=5, num_ROC_margin=5)
         )
         assert pre is None and post is not None
 
     def test_garbage_rejected(self):
         with pytest.raises(TypeError):
-            _route_intervention(object())
+            route_intervention(object())
 
 
 class TestRunGrid:

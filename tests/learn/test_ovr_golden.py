@@ -95,3 +95,13 @@ class TestLogisticRegressionGDOneVsRest:
         coef, intercept = fit_gd_per_target(LogisticRegressionGD(**spec), X, y)
         assert np.array_equal(model.coef_, coef)
         assert np.array_equal(model.intercept_, intercept)
+
+    def test_large_problem_byte_identical(self):
+        # 4 targets × 5000 samples = 20,000 stacked cells: larger than any
+        # other case here, so the stacked fit is pinned beyond cache size
+        X, y = multiclass(5000, 6, 4, seed=12)
+        spec = dict(max_iter=30, random_state=0)
+        model = LogisticRegressionGD(**spec).fit(X, y)
+        coef, intercept = fit_gd_per_target(LogisticRegressionGD(**spec), X, y)
+        assert np.array_equal(model.coef_, coef)
+        assert np.array_equal(model.intercept_, intercept)

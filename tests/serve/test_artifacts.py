@@ -60,7 +60,7 @@ class TestPacking:
         with open(os.path.join(directory, MANIFEST_NAME)) as handle:
             manifest = json.load(handle)
         assert manifest["format"] == "fairprep-pipeline"
-        assert manifest["version"] == 1
+        assert manifest["version"] == 2
 
 
 class TestPipelineArtifact:
@@ -127,11 +127,14 @@ class TestPipelineArtifact:
             PipelineArtifact.load(directory)
 
     def test_version_gate(self, fitted, tmp_path):
+        # version 1 artifacts stored the learned imputer's encoder in the
+        # pre-ColumnEncoder shape, so they are refused, not half-read
         _, _, _, _, pipeline = fitted
-        manifest = pipeline.to_manifest()
-        manifest["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            PipelineArtifact.from_manifest(manifest)
+        for version in (1, 99):
+            manifest = pipeline.to_manifest()
+            manifest["version"] = version
+            with pytest.raises(ValueError, match="unsupported artifact version"):
+                PipelineArtifact.from_manifest(manifest)
 
     def test_metadata_carries_verification_predictions(self, fitted):
         _, prepared, trained, result, pipeline = fitted
