@@ -154,3 +154,13 @@ class TestLintCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["lint", "--root", str(tmp_path), "--baseline", "x.json"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--write-baseline", "x.json"], ["--strict"]],
+        ids=["write-baseline", "strict"],
+    )
+    def test_other_baseline_options_are_gone(self, tmp_path, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--root", str(tmp_path), *option])
+        assert excinfo.value.code == 2

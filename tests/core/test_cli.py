@@ -84,6 +84,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "imputed records" in out
 
+    def test_auto_missing_picks_mode_only_when_values_are_missing(self):
+        from repro.cli import _pick_handler
+        from repro.core import ModeImputer
+        from repro.datasets import load_dataset
+
+        args = build_parser().parse_args(["run", "--dataset", "adult"])
+        adult, adult_spec = load_dataset("adult", n=1500)
+        ricci, ricci_spec = load_dataset("ricci")
+        assert isinstance(_pick_handler(args, adult, adult_spec), ModeImputer)
+        assert _pick_handler(args, ricci, ricci_spec) is None
+
     def test_run_protected_override(self, capsys):
         code = main([
             "run", "--dataset", "adult", "--size", "1500", "--no-tuning",

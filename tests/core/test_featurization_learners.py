@@ -16,9 +16,10 @@ from repro.core import (
     RejectOptionPostProcessor,
     ReweighingPreProcessor,
 )
+from repro.core.featurization import ColumnEncoder
 from repro.datasets import RICCI_SPEC, generate_germancredit, generate_ricci, GERMANCREDIT_SPEC
 from repro.fairness import BinaryLabelDatasetMetric
-from repro.learn import MinMaxScaler, NoOpScaler, StandardScaler
+from repro.learn import MinMaxScaler, NoOpScaler, OneHotEncoder, StandardScaler
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,27 @@ class TestFeaturizer:
 def _annotated(german):
     featurizer = Featurizer(GERMANCREDIT_SPEC, StandardScaler()).fit(german)
     return featurizer.transform(german), featurizer
+
+
+class TestColumnEncoder:
+    def test_state_roundtrip_replays_the_matrix(self, german):
+        featurizer = Featurizer(GERMANCREDIT_SPEC, StandardScaler()).fit(german)
+        restored = ColumnEncoder.from_state(featurizer.columns_.to_state())
+        np.testing.assert_array_equal(
+            restored.transform(german), featurizer.columns_.transform(german)
+        )
+
+    def test_fits_clones_and_lays_numerics_first(self, ricci):
+        scaler, encoder = StandardScaler(), OneHotEncoder()
+        columns = ColumnEncoder(
+            RICCI_SPEC.numeric_features, RICCI_SPEC.categorical_features,
+            scaler, encoder,
+        ).fit(ricci)
+        assert columns.scaler_ is not scaler and columns.encoder_ is not encoder
+        matrix = columns.transform(ricci)
+        numeric = len(RICCI_SPEC.numeric_features)
+        np.testing.assert_allclose(matrix[:, :numeric].mean(axis=0), 0.0, atol=1e-9)
+        assert matrix.shape[1] > numeric
 
 
 class TestLearners:
