@@ -3,9 +3,9 @@
 Trains the adult-dataset tuned decision-tree pipeline with mode imputation,
 publishes the fitted pipeline into a file-backed model registry, reloads it
 the way a serving process would, scores the held-out batch through the
-batch engine and the single-record fast path, and prints the sliding-window
-fairness metrics (with four-fifths-rule alerting) the runtime monitor
-collects along the way.
+frame path and one record through the compiled records path, and prints
+the sliding-window fairness metrics (with four-fifths-rule alerting) the
+runtime monitor collects along the way.
 
 Run with:  python examples/serving_demo.py
 """
@@ -74,7 +74,7 @@ def main() -> None:
         print("reloaded accuracy matches the in-process run exactly: "
               f"{metrics['overall__accuracy']:.4f}")
 
-        # ---- 5. single-record fast path ----------------------------------
+        # ---- 5. one record, no frame: the compiled records path ---------
         record_row = {c: raw_test.col(c).values[0] for c in raw_test.columns}
         out = engine.score_record(record_row)
         print(f"\nsingle-record fast path: label={out['label']} "

@@ -8,7 +8,7 @@ reports (variance reduction, failure rates, significance calls).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import functools
 import inspect
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

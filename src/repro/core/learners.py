@@ -14,7 +14,7 @@ and model training (Section 2.5's reproducibility requirement).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..frame import CATEGORICAL, NUMERIC, Column, DataFrame
+from ..frame import DataFrame
 from ..learn import (
     DecisionTreeClassifier,
     OneHotEncoder,

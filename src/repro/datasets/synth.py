@@ -19,7 +19,7 @@ Everything is driven by one ``np.random.default_rng(seed)``: the same
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

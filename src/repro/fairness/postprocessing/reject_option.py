@@ -10,8 +10,6 @@ AIF360 implementation the paper uses.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ...serialize import serializable

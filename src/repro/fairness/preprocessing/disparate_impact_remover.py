@@ -13,12 +13,12 @@ estimated on the training data only, then applied to any split.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ...serialize import serializable
-from ..dataset import BinaryLabelDataset, GroupSpec
+from ..dataset import BinaryLabelDataset
 
 
 @serializable

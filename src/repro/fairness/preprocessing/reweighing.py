@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
 from ...serialize import serializable
 from ..dataset import BinaryLabelDataset, GroupSpec
 

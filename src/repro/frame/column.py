@@ -91,9 +91,11 @@ def _encode_values(values) -> Tuple[np.ndarray, np.ndarray]:
         )
     if not index:
         return provisional, np.empty(0, dtype=object)
-    strings = [str(k) for k in index]
-    categories = np.unique(np.asarray(strings, dtype=str)).astype(object)
-    positions = np.searchsorted(categories, strings).astype(np.int32)
+    # table and positions read one str array, which drops trailing NULs:
+    # "a\0" codes as "a" instead of past the end of the table
+    strings = np.asarray([str(k) for k in index], dtype=str)
+    categories = np.unique(strings).astype(object)
+    positions = np.searchsorted(categories, strings.astype(object)).astype(np.int32)
     lut = np.append(positions, np.int32(-1))
     return lut[provisional], categories
 

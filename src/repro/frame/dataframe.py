@@ -9,11 +9,11 @@ introspection, adding/replacing columns, and conversion to numpy matrices.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .column import CATEGORICAL, NUMERIC, Column, concat_columns
+from .column import Column, concat_columns
 
 
 class DataFrame:

@@ -37,8 +37,6 @@ they produce are identical bit patterns.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 import numpy as np
 
 

@@ -7,8 +7,9 @@ with the process. This subsystem makes them durable and usable:
   serialization of a complete fitted pipeline (no pickle anywhere);
 * :mod:`~repro.serve.registry` — file-backed model registry with
   promote/tag/rollback, keyed by the plan layer's ``run_key`` fingerprints;
-* :mod:`~repro.serve.scoring` — batch scoring engine over the vectorized
-  featurization paths plus a single-record fast path;
+* :mod:`~repro.serve.scoring` — scoring engine: frames through the
+  vectorized featurization paths, JSON records through the pipeline
+  compiled into per-column lookup tables;
 * :mod:`~repro.serve.monitor` — sliding-window runtime monitoring of
   accuracy proxies and group fairness metrics with alert thresholds,
   backed by preallocated NumPy ring buffers;

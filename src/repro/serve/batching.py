@@ -19,7 +19,7 @@ Failure semantics:
   instead of unbounded latency;
 * a record the pipeline's handler drops (complete-case analysis) gets the
   same :class:`ValueError` the single-record path raises;
-* if the coalesced frame itself fails to score, the batch falls back to
+* if the coalesced batch itself fails to score, it falls back to
   per-record ``score_record`` calls so each request receives its *own*
   typed error — one malformed record cannot poison its batch-mates;
 * :meth:`MicroBatcher.close` has a drain contract: new submissions are

@@ -1,7 +1,7 @@
 """Multi-core serving: a pre-forked worker fleet behind one listen port.
 
 One Python process cannot use more than one core for scoring — the GIL
-serializes every ``score_frame`` pass no matter how many handler threads
+serializes every scoring pass no matter how many handler threads
 the HTTP layer spawns. :class:`ServingFleet` scales the serving layer the
 way the paper's "millions of users" framing demands: a supervisor forks
 ``workers`` processes that *share one port*, each running the full

@@ -1,11 +1,15 @@
-"""Batch + single-record scoring over a frozen pipeline.
+"""Frame and record scoring over a frozen pipeline.
 
-The batch path replays the exact featurization/intervention path an
+``score_frame`` replays the exact featurization/intervention path an
 :class:`~repro.core.experiment.Experiment` applies to its held-out test
-split — same fitted components, same vectorized code — so a reloaded
-pipeline reproduces in-process predictions byte for byte. The single-record
-fast path featurizes one record straight from a dict (no DataFrame, no
-per-column dictionary encoding) for low-latency point queries.
+split, so a reloaded pipeline reproduces in-process predictions byte for
+byte; it is the general path and the records path's oracle. JSON records
+(``score_batch``, ``score_records``, ``score_record``) never become a
+frame: the engine compiles the built-in handlers and fitted encoders into
+per-column lookup tables at construction and scores records straight into
+the matrix ``score_frame`` would build, bit for bit. A pipeline it does not
+cover (a custom handler, an SVD embedding) takes the frame path, counted as
+``serve.scoring.frame_path``.
 """
 
 from __future__ import annotations
@@ -15,17 +19,26 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from .. import telemetry
 from ..core.interventions import NoIntervention
 from ..core.learners import predict_with_scores
+from ..core.missing_values import (
+    CompleteCaseAnalysis,
+    DatawigImputer,
+    LearnedImputer,
+    ModeImputer,
+    NoMissingValues,
+)
 from ..fairness import BinaryLabelDataset, ClassificationMetric
-from ..frame import DataFrame
-from ..learn import OneHotEncoder
+from ..frame import CATEGORICAL, NUMERIC, Column, DataFrame
+from ..learn import FrequencyEncoder, OneHotEncoder, TargetEncoder, nearest_neighbor_indices
 from .artifacts import PipelineArtifact
 
 DROPPED_RECORD_ERROR = (
     "record has missing values and the pipeline's handler drops "
     "incomplete records"
 )
+FRAME_PATH = "serve.scoring.frame_path"
 
 
 @dataclass
@@ -54,13 +67,17 @@ class ScoringEngine:
     def __init__(self, pipeline: PipelineArtifact, monitor=None):
         self.pipeline = pipeline
         self.monitor = monitor
-        self._row_scorer: Optional[_RowScorer] = None
+        self._compiled = _CompiledPipeline.of(pipeline)
 
     # ------------------------------------------------------------------
     # batch path
     # ------------------------------------------------------------------
     def score_frame(self, frame: DataFrame) -> BatchScores:
         """Score every (complete) row of a raw-schema DataFrame."""
+        return self._score(*self._prepare_frame(frame))
+
+    def _prepare_frame(self, frame: DataFrame):
+        """A frame's ``(data, label_known, row_mask)`` for :meth:`_score`."""
         pipeline = self.pipeline
         spec = pipeline.spec
         required = spec.feature_columns + [
@@ -86,32 +103,27 @@ class ScoringEngine:
                 "to match its own drop decision"
             )
         if handled.num_rows == 0:
-            # every row was incomplete and the handler drops such rows
-            empty = np.empty(0, dtype=np.float64)
-            placeholder = BinaryLabelDataset(
-                features=np.zeros((0, len(pipeline.featurizer.feature_names_))),
-                labels=empty,
-                protected_attributes=np.zeros((0, 1)),
-                protected_attribute_names=[pipeline.protected_attribute],
-            )
-            return BatchScores(
-                labels=empty,
-                scores=None,
-                row_mask=row_mask,
-                predictions=placeholder,
-            )
-
+            return None, None, row_mask
         data = pipeline.featurizer.transform(handled, require_label=False)
         # ground truth is only trusted where the label is actually present;
         # spec.label_binary maps a *missing* label to 0.0, which must never
         # be fed to metrics or the monitor as a real unfavorable outcome
-        has_label_column = spec.label_column in frame
-        if has_label_column:
+        label_known = None
+        if spec.label_column in frame:
             label_known = ~handled.col(spec.label_column).missing_mask()
-            fully_labeled = bool(label_known.all())
-        else:
-            label_known = None
-            fully_labeled = False
+        return data, label_known, row_mask
+
+    def _score(self, data, label_known, row_mask, observe: bool = True) -> BatchScores:
+        """Intervene, predict and post-process prepared rows; the monitor
+        sees them in one ``observe_batch`` unless ``observe`` is False."""
+        pipeline = self.pipeline
+        if data is None:  # the handler dropped every (incomplete) row
+            empty = np.empty(0, dtype=np.float64)
+            width = len(pipeline.featurizer.feature_names_)
+            placeholder = BinaryLabelDataset(
+                np.zeros((0, width)), empty, np.zeros((0, 1)), [pipeline.protected_attribute]
+            )
+            return BatchScores(empty, None, row_mask, placeholder)
         eval_data = pipeline.pre_processor.transform_eval(data)
         labels, scores = predict_with_scores(pipeline.model, eval_data.features)
         if scores is None and not isinstance(pipeline.post_processor, NoIntervention):
@@ -122,9 +134,9 @@ class ScoringEngine:
         predictions = data.with_predictions(labels=labels, scores=scores)
         predictions = pipeline.post_processor.apply(predictions)
 
-        if self.monitor is not None:
+        if observe and self.monitor is not None:
             true_labels = None
-            if has_label_column:
+            if label_known is not None:
                 true_labels = data.labels.copy()
                 true_labels[~label_known] = np.nan  # unlabeled, not unfavorable
             self.monitor.observe_batch(
@@ -133,6 +145,7 @@ class ScoringEngine:
                 scores=predictions.scores,
                 true_labels=true_labels,
             )
+        fully_labeled = label_known is not None and bool(label_known.all())
         return BatchScores(
             labels=predictions.labels,
             scores=predictions.scores,
@@ -168,58 +181,39 @@ class ScoringEngine:
         return metric.all_metrics()
 
     # ------------------------------------------------------------------
-    # single-record fast path
+    # records path
     # ------------------------------------------------------------------
+    def score_batch(self, records: List[Dict[str, Any]]) -> BatchScores:
+        """What ``score_frame(records_to_frame(spec, records))`` gives,
+        through the compiled pipeline when there is one."""
+        return self._score(*self._prepare_records(records))
+
+    def _prepare_records(self, records: List[Dict[str, Any]]):
+        if self._compiled is not None:
+            return self._compiled.prepare(records)
+        telemetry.counter(FRAME_PATH).inc()
+        return self._prepare_frame(records_to_frame(self.pipeline.spec, records))
+
     def score_record(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Score one record (a plain dict) without materializing a frame.
-
-        Missing-value handlers with per-record semantics (mode imputation,
-        pass-through) are applied inline; handlers that need frame context
-        (learned imputation) fall back to the one-row frame path, and
-        row-dropping handlers reject incomplete records outright.
-        """
-        if self._row_scorer is None:
-            self._row_scorer = _RowScorer(self.pipeline)
-        scorer = self._row_scorer
-        if scorer.needs_frame_fallback(record):
-            (result,) = self.score_records([record])
-            if isinstance(result, Exception):
-                raise result
-            return result
-
-        features = scorer.featurize(record)
-        protected = scorer.protected_value(record)
-        pipeline = self.pipeline
-        data = BinaryLabelDataset(
-            features=features,
-            labels=np.zeros(1, dtype=np.float64),
-            protected_attributes=np.asarray([[protected]], dtype=np.float64),
-            protected_attribute_names=[pipeline.protected_attribute],
-            feature_names=pipeline.featurizer.feature_names_,
-        )
-        eval_data = pipeline.pre_processor.transform_eval(data)
-        labels, scores = predict_with_scores(pipeline.model, eval_data.features)
-        predictions = data.with_predictions(labels=labels, scores=scores)
-        predictions = pipeline.post_processor.apply(predictions)
-        label = float(predictions.labels[0])
-        score = (
-            None if predictions.scores is None else float(predictions.scores[0])
-        )
+        """Score one record (a plain dict): the one-row :meth:`score_batch`,
+        its monitor feed one ``observe``. A record the handler drops raises
+        ``ValueError(DROPPED_RECORD_ERROR)``."""
+        scored = self._score(*self._prepare_records([record]), observe=False)
+        if not scored.row_mask[0]:
+            raise ValueError(DROPPED_RECORD_ERROR)
+        label = float(scored.labels[0])
+        score = None if scored.scores is None else float(scored.scores[0])
         if self.monitor is not None:
-            true_label = _true_label(pipeline.spec, record)
-            self.monitor.observe(
-                group=protected,
-                prediction=label,
-                score=score,
-                true_label=true_label,
-            )
+            truth = None if scored.truth is None else scored.truth.labels[0]
+            group = scored.predictions.protected_attributes[0, 0]
+            self.monitor.observe(group, label, score=score, true_label=truth)
         return self.record_result(label, score)
 
     def score_records(self, records: List[Dict[str, Any]]) -> List[Any]:
-        """Score records in one :meth:`score_frame` pass: per input record,
+        """Score records in one :meth:`score_batch` pass: per input record,
         its :meth:`record_result` or, where the pipeline's handler dropped
         it, a ``ValueError(DROPPED_RECORD_ERROR)``."""
-        scored = self.score_frame(records_to_frame(self.pipeline.spec, records))
+        scored = self.score_batch(records)
         results: List[Any] = []
         for kept, j in zip(scored.row_mask, np.cumsum(scored.row_mask) - 1):
             if not kept:
@@ -240,113 +234,6 @@ class ScoringEngine:
         }
 
 
-# ----------------------------------------------------------------------
-# per-record featurization
-# ----------------------------------------------------------------------
-class _RowScorer:
-    """Precomputed per-column transforms for frame-free featurization."""
-
-    def __init__(self, pipeline: PipelineArtifact):
-        self.pipeline = pipeline
-        columns = pipeline.featurizer.columns_
-        self.numeric = columns.numeric
-        self.categorical = columns.categorical
-        self.scaler = getattr(columns, "scaler_", None)
-        self.encoder = getattr(columns, "encoder_", None)
-        handler = pipeline.handler
-        self.fill_values = dict(getattr(handler, "_fill_values", {}) or {})
-        self.handler_drops = bool(getattr(handler, "drops_rows", False))
-        # learned imputation needs the shared predictor matrix: no fast path
-        self.handler_needs_frame = hasattr(handler, "_models")
-        protected = pipeline.spec.protected(pipeline.protected_attribute)
-        self.protected_column = protected.column
-        self.privileged_values = set(protected.privileged_values)
-        # missing record values never reach these tables: _value() either
-        # imputes them (handler fill statistics) or raises first
-        self.onehot_tables: Optional[List[dict]] = None
-        if isinstance(self.encoder, OneHotEncoder):
-            self.onehot_tables = []
-            offset = 0
-            for categories in self.encoder.categories_:
-                width = len(categories) + 1
-                slots = {category: offset + i for i, category in enumerate(categories)}
-                self.onehot_tables.append(
-                    {"slots": slots, "unseen": offset + width - 1}
-                )
-                offset += width
-            self.onehot_width = offset
-
-    # ------------------------------------------------------------------
-    def needs_frame_fallback(self, record: Dict[str, Any]) -> bool:
-        if self.handler_needs_frame:
-            return True
-        if self.handler_drops and any(
-            _is_missing(record.get(name))
-            for name in self.numeric + self.categorical
-        ):
-            return True
-        return False
-
-    def _value(self, record: Dict[str, Any], name: str):
-        value = record.get(name)
-        if _is_missing(value):
-            if name in self.fill_values:
-                return self.fill_values[name]
-            raise ValueError(
-                f"record is missing feature {name!r} and the pipeline's "
-                "handler cannot impute it"
-            )
-        return value
-
-    def featurize(self, record: Dict[str, Any]) -> np.ndarray:
-        blocks: List[np.ndarray] = []
-        if self.numeric:
-            row = np.asarray(
-                [[float(self._value(record, name)) for name in self.numeric]],
-                dtype=np.float64,
-            )
-            blocks.append(self.scaler.transform(row))
-        if self.categorical:
-            values = [str(self._value(record, name)) for name in self.categorical]
-            if self.onehot_tables is not None:
-                row = np.zeros((1, self.onehot_width), dtype=np.float64)
-                for value, table in zip(values, self.onehot_tables):
-                    row[0, table["slots"].get(value, table["unseen"])] = 1.0
-                blocks.append(row)
-            else:
-                from ..frame import Column
-
-                columns = [
-                    Column.categorical(name, [value])
-                    for name, value in zip(self.categorical, values)
-                ]
-                blocks.append(self.encoder.transform(columns))
-        if not blocks:
-            return np.zeros((1, 0))
-        return np.hstack(blocks)
-
-    def protected_value(self, record: Dict[str, Any]) -> float:
-        value = record.get(self.protected_column)
-        if _is_missing(value):
-            return 0.0
-        return 1.0 if str(value) in self.privileged_values else 0.0
-
-
-def _is_missing(value) -> bool:
-    if value is None:
-        return True
-    if isinstance(value, float) and value != value:
-        return True
-    return False
-
-
-def _true_label(spec, record: Dict[str, Any]) -> Optional[float]:
-    value = record.get(spec.label_column)
-    if _is_missing(value):
-        return None
-    return 1.0 if str(value) == str(spec.favorable_value) else 0.0
-
-
 def records_to_frame(spec, records: List[Dict[str, Any]]) -> DataFrame:
     """Coalesce record dicts into one raw-schema frame (spec column kinds).
 
@@ -361,3 +248,177 @@ def records_to_frame(spec, records: List[Dict[str, Any]]) -> DataFrame:
     names = [n for n in kinds if n != label or any(label in r for r in records)]
     data = {name: [r.get(name) for r in records] for name in names}
     return DataFrame.from_dict(data, kinds={name: kinds[name] for name in names})
+
+
+# ----------------------------------------------------------------------
+# the compiled records path
+# ----------------------------------------------------------------------
+def _layout(columns) -> Optional[list]:
+    """Each categorical column's fitted keys and output width in a fitted
+    ColumnEncoder; None for an encoder the compiler does not cover (a
+    one-hot encoder that refuses missing values among them)."""
+    if not columns.categorical:
+        return []
+    encoder = columns.encoder_
+    if type(encoder) is OneHotEncoder and encoder.handle_missing == "category":
+        return [(list(keys), len(keys) + 1) for keys in encoder.categories_]
+    tables = {FrequencyEncoder: "frequencies_", TargetEncoder: "tables_"}.get(type(encoder))
+    return None if tables is None else [(list(t), 1) for t in getattr(encoder, tables)]
+
+
+class _EncoderTables:
+    """A fitted ColumnEncoder compiled: its fitted scaler, and per
+    categorical column a lookup into the rows its own encoder's
+    ``transform`` gives each fitted key, a missing entry and an unseen one."""
+
+    def __init__(self, columns, layout):
+        self.numeric, self.categorical = columns.numeric, columns.categorical
+        self.scaler = getattr(columns, "scaler_", None)
+        self.tables = []
+        if not layout:
+            return
+        unseen = max((k for keys, _ in layout for k in keys), key=len, default="") + "?"
+        size = max(len(keys) for keys, _ in layout) + 2
+        probe = columns.encoder_.transform([
+            Column.categorical(name, keys + [None] + [unseen] * (size - len(keys) - 1))
+            for name, (keys, _) in zip(self.categorical, layout)
+        ])
+        start = 0
+        for keys, width in layout:
+            slots = {**{key: i for i, key in enumerate(keys)}, None: len(keys)}
+            table = probe[: len(keys) + 2, start : start + width]
+            self.tables.append((slots, len(keys) + 1, table))
+            start += width
+
+    def encode(self, columns: Dict[str, np.ndarray], n: int) -> np.ndarray:
+        """The matrix ``ColumnEncoder.transform`` gives these ``n`` rows."""
+        blocks = []
+        if self.numeric:
+            matrix = np.column_stack([columns[name] for name in self.numeric])
+            if np.isnan(matrix).any():
+                raise ValueError("missing numeric values reached featurization; "
+                                 "run a missing-value handler first")
+            blocks.append(self.scaler.transform(matrix))
+        for name, (slots, unseen, table) in zip(self.categorical, self.tables):
+            blocks.append(table[[slots.get(v, unseen) for v in columns[name]]])
+        return np.hstack(blocks) if blocks else np.zeros((n, 0))
+
+
+def _missing(values: np.ndarray) -> np.ndarray:
+    return np.isnan(values) if values.dtype.kind == "f" else np.equal(values, None)
+
+
+_HANDLERS = (NoMissingValues, CompleteCaseAnalysis, ModeImputer, LearnedImputer, DatawigImputer)
+
+
+class _CompiledPipeline:
+    """A pipeline's preparation of JSON records on per-column arrays:
+    ``records_to_frame``'s coercion, a built-in handler, the featurizer."""
+
+    @classmethod
+    def of(cls, pipeline: PipelineArtifact) -> Optional["_CompiledPipeline"]:
+        """The compiled pipeline, or None where the frame path must run."""
+        handler, featurizer = pipeline.handler, pipeline.featurizer
+        encoders = [featurizer.columns_]
+        if isinstance(handler, LearnedImputer) and handler._encoder is not None:
+            encoders.append(handler._encoder)
+        layouts = [_layout(columns) for columns in encoders]
+        protected = featurizer.spec.protected(featurizer.protected_attribute).column
+        categorical = pipeline.spec.column_kinds()[protected] == CATEGORICAL
+        if type(handler) not in _HANDLERS or None in layouts or not categorical:
+            return None
+        return cls(pipeline, [_EncoderTables(*pair) for pair in zip(encoders, layouts)])
+
+    def __init__(self, pipeline: PipelineArtifact, encoders):
+        handler, featurizer = pipeline.handler, pipeline.featurizer
+        self.kinds = pipeline.spec.column_kinds()
+        self.label = pipeline.spec.label_column
+        self.featurizer = featurizer
+        self.features, *predictors = encoders
+        protected = featurizer.spec.protected(featurizer.protected_attribute)
+        self.protected = protected.column
+        self.privileged = {str(value): 1.0 for value in protected.privileged_values}
+        self.favorable = str(featurizer.spec.favorable_value)
+        complete = type(handler) in (NoMissingValues, CompleteCaseAnalysis)
+        self.complete = handler._feature_columns if complete else []
+        self.drops = type(handler) is CompleteCaseAnalysis
+        fallback = handler._fallback if isinstance(handler, LearnedImputer) else handler
+        self.fills = fallback._fill_values if isinstance(fallback, ModeImputer) else {}
+        self.imputer, self.predictors = (handler, *predictors) if predictors else (None, None)
+
+    def prepare(self, records: List[Dict[str, Any]]):
+        """``(data, label_known, row_mask)`` as ``_prepare_frame`` gives
+        them for ``records_to_frame(spec, records)``."""
+        label = self.label
+        has_label = any(label in r for r in records)
+        columns = {}
+        for name, kind in self.kinds.items():
+            if name == label and not has_label:
+                continue
+            if kind == NUMERIC:  # Column.numeric's coercion
+                values = [np.nan if (v := r.get(name)) is None else float(v) for r in records]
+                columns[name] = np.array(values, dtype=np.float64)
+            else:  # _encode_values': None and NaN are missing, the rest a str
+                # without trailing NULs, as a frame's category table drops them
+                values = [
+                    None if (v := r.get(name)) is None or v != v else str(v).rstrip("\x00")
+                    for r in records
+                ]
+                columns[name] = np.array(values, dtype=object)
+        kept = self._handle(columns, len(records))
+        n = int(kept.sum())
+        if not n:
+            return None, None, kept
+        labels, label_known = np.zeros(n), None
+        if has_label:
+            labels = (columns[label] == self.favorable).astype(np.float64)
+            label_known = ~_missing(columns[label])
+        data = BinaryLabelDataset(
+            self.features.encode(columns, n),
+            labels,
+            np.array([self.privileged.get(v, 0.0) for v in columns[self.protected]]),
+            [self.featurizer.protected_attribute],
+            feature_names=self.featurizer.feature_names_,
+        )
+        return data, label_known, kept
+
+    def _handle(self, columns: Dict[str, np.ndarray], n: int) -> np.ndarray:
+        """The handler's ``handle_missing`` on ``columns``, in place; returns
+        its ``kept_mask``. A learned imputer encodes only the rows some
+        modelled target misses, and queries its models as it does."""
+        kept = np.ones(n, dtype=bool)
+        if self.complete:
+            incomplete = np.logical_or.reduce([_missing(columns[c]) for c in self.complete])
+            if incomplete.any() and not self.drops:
+                raise ValueError(
+                    f"{int(incomplete.sum())} records have missing values but "
+                    "the experiment is configured with NoMissingValues"
+                )
+            kept = ~incomplete
+            for name, values in columns.items():
+                columns[name] = values[kept]
+        missing = {name: m for name in self.fills if (m := _missing(columns[name])).any()}
+        for name, mask in missing.items():
+            values, fill = columns[name], self.fills[name]
+            values[mask] = float(fill) if values.dtype.kind == "f" else str(fill)
+        imputer = self.imputer
+        targets, models = ([], {}) if imputer is None else (imputer._targets, imputer._models)
+        modelled = [t for t in targets if t in missing and models[t]["kind"] != "fallback"]
+        rows = np.logical_or.reduce([missing[t] for t in modelled], initial=False)
+        if not rows.any():
+            return kept
+        encoder = self.predictors
+        names = encoder.numeric + encoder.categorical
+        matrix = encoder.encode({name: columns[name][rows] for name in names}, int(rows.sum()))
+        for target in modelled:
+            mask, spec = missing[target], models[target]
+            X = imputer._encoder.submatrix(matrix, exclude=target)[mask[rows]]
+            if spec["kind"] == "classifier":
+                predictions = [str(p) for p in spec["model"].predict(X)]
+            else:
+                neighbors = nearest_neighbor_indices(
+                    spec["train_X"], X, imputer.n_neighbors, train_sq=spec["train_sq"]
+                )
+                predictions = spec["train_y"][neighbors].mean(axis=1)
+            columns[target][mask] = predictions
+        return kept

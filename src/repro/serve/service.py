@@ -13,9 +13,9 @@ unbuffered header writes of the stdlib handler interact with Nagle's
 algorithm and delayed ACKs to stall every persistent-connection response
 by tens of milliseconds. Connection threads only parse HTTP and wait;
 single-record scoring is coalesced by a :class:`~repro.serve.batching.
-MicroBatcher` into vectorized ``score_frame`` calls (set ``max_batch=1``
+MicroBatcher` into vectorized ``score_records`` calls (set ``max_batch=1``
 to score inline, thread-per-request style). Batch payloads are already
-vectorized and go straight to the engine.
+vectorized and go straight to the engine's ``score_batch``.
 
 All responses are strict JSON: non-finite floats (NaN/Infinity) are
 encoded as ``null``, never as the bare ``NaN`` tokens ``json.dumps``
@@ -47,7 +47,7 @@ from .batching import (
     batching_stats,
 )
 from .monitor import FairnessMonitor
-from .scoring import ScoringEngine, records_to_frame
+from .scoring import ScoringEngine
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
@@ -220,7 +220,7 @@ class ScoringService:
         try:
             if isinstance(payload, dict) and "records" in payload:
                 records = payload["records"]
-                if not isinstance(records, list):
+                if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
                     raise ValueError('"records" must be a list of objects')
                 result = self._score_batch(records)
             elif isinstance(payload, dict):
@@ -249,14 +249,11 @@ class ScoringService:
     def _score_batch(self, records: List[Dict[str, Any]]) -> Dict[str, Any]:
         if not records:
             return {"records_scored": 0, "labels": [], "scores": []}
-        frame = records_to_frame(self.engine.pipeline.spec, records)
-        batch = self.engine.score_frame(frame)
+        batch = self.engine.score_batch(records)
         out: Dict[str, Any] = {
             "records_scored": batch.num_scored,
             "labels": [float(v) for v in batch.labels],
-            "scores": None
-            if batch.scores is None
-            else [float(v) for v in batch.scores],
+            "scores": None if batch.scores is None else [float(v) for v in batch.scores],
         }
         if not batch.row_mask.all():
             out["scored_rows"] = [int(i) for i in batch.row_mask.nonzero()[0]]

@@ -28,6 +28,16 @@ class TestConstruction:
         col = Column.categorical("code", [1, 2])
         assert list(col.values) == ["1", "2"]
 
+    def test_trailing_nul_codes_as_the_shortened_string(self):
+        """The category table is built through a numpy str array, which
+        drops trailing NULs; codes must follow the same table. They used
+        to come out past its end ("b\\0" alone) or on a neighbour's
+        category ("b\\0" beside "c" read as "c")."""
+        assert list(Column.categorical("x", ["b\x00"]).values) == ["b"]
+        col = Column.categorical("x", ["b\x00", "c", "b", None])
+        assert list(col.categories) == ["b", "c"]
+        assert col.codes.tolist() == [0, 1, 0, -1]
+
     def test_from_values_infers_numeric(self):
         col = Column.from_values("x", [1, 2.5, None])
         assert col.kind == NUMERIC

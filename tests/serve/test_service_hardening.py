@@ -1,9 +1,11 @@
-"""Serving-layer hardening regressions: strict (RFC 8259) JSON responses
-and row masks derived from the handler's own drop decision."""
+"""Serving-layer hardening regressions: strict (RFC 8259) JSON responses,
+row masks derived from the handler's own drop decision, and batch
+payloads whose "records" entries must be objects."""
 
 import copy
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -252,3 +254,41 @@ class TestRowMaskFromHandler:
         batch = engine.score_frame(records_to_frame(spec, records))
         assert batch.row_mask.tolist() == [True, True, False, True, True]
         assert int(batch.row_mask.sum()) == len(batch.labels)
+
+
+# ----------------------------------------------------------------------
+# "records" entries must be objects
+# ----------------------------------------------------------------------
+class TestRecordsMustBeObjects:
+    @pytest.mark.parametrize("records", [[[1]], ["a"], [1, 2], [{}, None]])
+    def test_non_object_entry_is_a_value_error(self, adult_pipeline, records):
+        """Regression: a non-dict entry raised AttributeError (an HTTP 500)
+        or a confusing TypeError instead of the 422 ValueError."""
+        pipeline, _, _ = adult_pipeline
+        service = ScoringService(ScoringEngine(pipeline))
+        with pytest.raises(ValueError, match="list of objects"):
+            service.score({"records": records})
+        assert service.state()["telemetry"]["counters"]["serve.errors"] == 1
+
+    def test_non_object_entry_answers_422_over_http(self, adult_pipeline):
+        pipeline, _, _ = adult_pipeline
+        service = ScoringService(ScoringEngine(pipeline))
+        server = make_server(service, port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/score",
+                data=json.dumps({"records": [[1]]}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request)
+            assert caught.value.code == 422
+            body = _strict_loads(caught.value.read())
+            assert body == {"error": '"records" must be a list of objects'}
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
