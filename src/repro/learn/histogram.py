@@ -1,10 +1,10 @@
 """Histogram-based split finding for million-row tree induction.
 
-The exact presorted backend (:mod:`repro.learn.splitter`) is O(d·n) *per
-level* just to maintain its sorted-order matrix, with float64 cumsums over
-every node's full columns to score candidates — the right trade at paper
-scale (≤33k rows), but the per-level gather traffic alone dominates the
-fit long before a million rows. This module trades exact thresholds on
+The exact presorted backend (:mod:`repro.learn.splitter`) is O(m·n) *per
+level* just to carry its sorted columns' order, with cumsums over every
+node's full columns to score candidates — the right trade at paper scale
+(≤33k rows), but the per-level gather traffic alone dominates the fit
+long before a million rows. This module trades exact thresholds on
 high-cardinality features for bounded per-node work:
 
 * :class:`HistogramBinning` discretizes the matrix **once** (per fit, or
@@ -14,14 +14,22 @@ high-cardinality features for bounded per-node work:
   presort backend (one-hot columns and the int32-coded categoricals from
   the frame layer are already in this regime). Denser features get an
   equal-count quantile sketch of the sorted values.
-* :class:`HistogramSplitter` accumulates per-node class-count histograms
-  with ``bincount`` and scores gains only at bin boundaries through the
-  same search the presort backend uses — O(d·n_bins) candidates per
-  node instead of O(d·n).
-* Sibling histograms come from the **subtraction trick**: only the
-  smaller child is ever re-accumulated; the larger child's histogram is
+* :class:`HistogramSplitter` keeps one class-count histogram per frontier
+  node, built by one offset ``bincount`` per statistic over the keys
+  ``(node · d + feature) · B + bin`` (times K plus the class for
+  multi-class labels), and scores gains only at bin boundaries through the
+  same level-wide search the presort backend uses — O(d·n_bins)
+  candidates per node instead of O(d·n).
+* Sibling histograms come from the **subtraction trick**: only each split
+  node's smaller child is accumulated; the larger child's histogram is
   ``parent − smaller``, exact in the integer unit-weight counts. Per
-  level, at most half the node's rows are touched.
+  level, at most half the frontier's rows are touched.
+* A frontier stores its histograms only while they fit in
+  :data:`HISTOGRAM_CELLS`. A wider one, and every level below it, is
+  scored in blocks of nodes whose histograms are accumulated directly and
+  dropped once scored, and every search scores at most
+  :data:`SEARCH_CELLS` cells at once, so an unbounded-depth fit holds a
+  bounded amount whatever its frontier's width.
 
 Below the bin-degeneracy limit (every feature ≤256 distinct values, unit
 sample weights) the induced tree is node-for-node identical to
@@ -43,6 +51,19 @@ from .splitter import SplitterBase
 
 MAX_BINS = 256
 
+# (feature, row) keys one accumulation block may hold: bounds the key and
+# weight temporaries of a million-row level to a few MB each
+ACCUMULATE_CELLS = 1 << 20
+
+# histogram cells, over all statistics, a frontier may store for the
+# subtraction trick (8 MB of 8-byte cells): a wider frontier is scored in
+# blocks of nodes accumulated directly, so no fit holds more at once
+HISTOGRAM_CELLS = 1 << 20
+
+# histogram cells the search scores at once: its candidate arrays, one
+# entry per occupied bin, are its largest temporaries
+SEARCH_CELLS = 1 << 18
+
 
 class HistogramBinning:
     """Per-feature uint8 bin codes of a matrix, built once.
@@ -52,15 +73,15 @@ class HistogramBinning:
     largest raw value falling in each bin (so the threshold between two
     bins is the midpoint of ``upper`` of the left one and ``lower`` of
     the right one — exactly the presort boundary midpoint whenever each
-    bin holds a single distinct value). Like
-    :class:`~repro.learn.splitter.Presort`, it carries the float64
-    ``matrix`` it was built from.
+    bin holds a single distinct value); both are ``(d, max_bins)``, NaN
+    past a feature's bins. Like :class:`~repro.learn.splitter.Presort`,
+    it carries the C-ordered float64 ``matrix`` it was built from.
     """
 
     __slots__ = ("matrix", "codes", "n_bins", "lower", "upper")
 
     def __init__(self, X, max_bins: int = MAX_BINS):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"HistogramBinning expects a 2-D matrix, got {X.shape}")
         if not 2 <= max_bins <= MAX_BINS:
@@ -73,8 +94,8 @@ class HistogramBinning:
     def _build(self, X, n, d, max_bins):
         self.codes = np.empty((d, n), dtype=np.uint8)
         self.n_bins = np.empty(d, dtype=np.int32)
-        self.lower = []
-        self.upper = []
+        self.lower = np.full((d, max_bins), np.nan)
+        self.upper = np.full((d, max_bins), np.nan)
         for j in range(d):
             column = X[:, j]
             ordered = np.sort(column)
@@ -106,134 +127,209 @@ class HistogramBinning:
             starts[0] = 0
             starts[1:] = ends[:-1]
             # every cut is a data value, so each bin is globally non-empty
-            self.upper.append(cuts)
-            self.lower.append(ordered[np.minimum(starts, n - 1)])
+            self.upper[j, : len(cuts)] = cuts
+            if n:
+                self.lower[j, : len(cuts)] = ordered[np.minimum(starts, n - 1)]
 
 
 class HistogramSplitter(SplitterBase):
-    """Best-split search over per-node class-count histograms.
+    """Best-split search over the frontier's class-count histograms.
 
-    Drop-in peer of :class:`~repro.learn.splitter.PresortSplitter` for
-    the tree-growing loop: the same ``root_context`` /
-    ``node_distribution`` / ``best_split_*`` / ``partition`` surface,
-    with the per-node context being class-count histograms instead of a
-    sorted-order matrix. The search itself is
-    :class:`~repro.learn.splitter.SplitterBase`'s; this backend supplies
-    only the candidate bins, their left statistics and the thresholds.
+    Peer of :class:`~repro.learn.splitter.PresortSplitter` for the
+    level-wise grower: the same ``root_context`` / ``best_splits`` /
+    ``partition`` surface, with the level context being the frontier
+    nodes' histograms instead of a sorted-order matrix. The search itself
+    is :class:`~repro.learn.splitter.SplitterBase`'s; this backend
+    supplies only the candidate bins, their left statistics and the
+    thresholds.
     """
 
     def __init__(self, binning, onehot, criterion, min_samples_leaf):
         super().__init__(binning, onehot, criterion, min_samples_leaf)
-        self._binning = binning
-        self._codes = binning.codes
-        self._max_bins = int(binning.n_bins.max()) if self.n_features else 1
+        self._bins = binning.codes
+        self._max_bins = B = int(binning.n_bins.max()) if self.n_features else 1
+        self._lower = binning.lower[:, :B]
+        self._upper = binning.upper[:, :B]
+        # statistics per node: count and positive (and weight); count and
+        # the K class weights
+        stats = (2 if self.unit_weight else 3) if self.binary else 1 + self.n_classes
+        cells = stats * max(self.n_features, 1) * B
+        self._max_nodes = max(1, HISTOGRAM_CELLS // cells)
+        self._search_nodes = max(1, SEARCH_CELLS // cells)
 
     # ------------------------------------------------------------------
-    # node context: histograms
+    # level context: histograms
     # ------------------------------------------------------------------
     def root_context(self):
-        return self._accumulate(np.arange(self.n_samples))
+        return self._accumulate(
+            np.arange(self.n_samples), np.zeros(self.n_samples, dtype=np.int64), 1
+        )
 
-    def _accumulate(self, indices):
-        """Histogram tuple of a node given its sample indices.
+    def _accumulate(self, rows, node, n_nodes):
+        """Histogram tuple of ``n_nodes`` nodes, given their rows (each
+        node's ascending) and each row's node.
 
-        Binary: ``(count, weight_or_None, positive)`` each ``(d, B)``;
+        Binary: ``(count, weight_or_None, positive)`` each ``(S, d, B)``;
         general: ``(count, class_weights)`` with class weights
-        ``(d, B, K)``. Unit-weight statistics stay integral (int64), so
-        sibling subtraction is exact.
+        ``(S, d, B, K)``. Each statistic is one offset ``bincount`` per
+        block of features (one block below :data:`ACCUMULATE_CELLS`
+        keys), which adds every cell's rows in row order. Unit-weight
+        statistics stay integral (int64), so sibling subtraction is exact.
         """
-        d, B = self.n_features, self._max_bins
-        sub = self._codes[:, indices]
-        count = np.empty((d, B), dtype=np.int64)
-        if self.binary:
-            if self.unit_weight:
-                positive = np.empty((d, B), dtype=np.int64)
-                pos_rows = np.asarray(self._positive[indices], dtype=bool)
-                pos_sub = sub[:, pos_rows]
-                for j in range(d):
-                    count[j] = np.bincount(sub[j], minlength=B)
-                    positive[j] = np.bincount(pos_sub[j], minlength=B)
-                return count, None, positive
-            positive = np.empty((d, B), dtype=np.float64)
-            weight = np.empty((d, B), dtype=np.float64)
-            w = self._weight[indices]
-            p = self._positive[indices]
-            for j in range(d):
-                count[j] = np.bincount(sub[j], minlength=B)
-                weight[j] = np.bincount(sub[j], weights=w, minlength=B)
-                positive[j] = np.bincount(sub[j], weights=p, minlength=B)
-            return count, weight, positive
-        K = self.onehot.shape[1]
+        d, B, K = self.n_features, self._max_bins, self.n_classes
+        count = np.empty((n_nodes, d, B), dtype=np.int64)
         dtype = np.int64 if self.unit_weight else np.float64
-        class_w = np.empty((d, B, K), dtype=dtype)
-        sub_onehot = self.onehot[indices]
-        for j in range(d):
-            count[j] = np.bincount(sub[j], minlength=B)
-            for k in range(K):
-                column = np.bincount(sub[j], weights=sub_onehot[:, k], minlength=B)
-                class_w[j, :, k] = column if dtype is np.float64 else column.astype(np.int64)
-        return count, class_w
+        if self.binary:
+            positive = np.empty(count.shape, dtype=dtype)
+            weight = None if self.unit_weight else np.empty(count.shape)
+            parts = (count, weight, positive)
+        else:
+            class_w = np.empty(count.shape + (K,), dtype=dtype)
+            parts = (count, class_w)
+        codes, every_bin = self._codes[rows], np.take(self._bins, rows, axis=1)
+        by_class = (node * K + codes) * B
+        by_node = None if self.unit_weight else node * B
+        step = max(1, min(d, ACCUMULATE_CELLS // max(len(rows), 1)))
+        for lo in range(0, d, step):
+            hi = min(lo + step, d)
+            bins = every_bin[lo:hi]
+            if self.unit_weight:
+                # one (node, class, bin) count table per feature; a bin's
+                # rows are its sum over the classes
+                key = _keys(bins, by_class, n_nodes * K * B)
+                table = _tally(key, (hi - lo, n_nodes, K, B)).transpose(1, 0, 3, 2)
+                count[:, lo:hi] = table.sum(axis=-1)
+                if self.binary:
+                    positive[:, lo:hi] = table[..., 1]
+                else:
+                    class_w[:, lo:hi] = table
+                continue
+            key = _keys(bins, by_node, n_nodes * B)
+            shape = (hi - lo, n_nodes, B)
+            count[:, lo:hi] = _tally(key, shape).swapaxes(0, 1)
+            if self.binary:
+                pairs = ((weight, self._weight), (positive, self._positive))
+                for part, payload in pairs:
+                    part[:, lo:hi] = _tally(key, shape, payload[rows]).swapaxes(0, 1)
+            else:
+                key = _keys(bins, by_class, n_nodes * K * B)
+                table = _tally(key, (hi - lo, n_nodes, K, B), self._weight[rows])
+                class_w[:, lo:hi] = table.transpose(1, 0, 3, 2)
+        return parts
 
-    def partition(self, context, left_indices, right_indices):
-        """Child contexts via the subtraction trick.
+    def best_splits(self, context, level, distribution):
+        """The shared search, over blocks of at most ``_search_nodes``
+        nodes: slices of the stored histograms, or, for a frontier too wide
+        to store (``context`` is None), histograms accumulated directly and
+        dropped once scored."""
+        step, parts = self._search_nodes, []
+        for a in range(0, len(level.sizes), step):
+            block = level.nodes(a, a + step)
+            if context is None:
+                histograms = self._accumulate(block.rows, block.node, len(block.sizes))
+            else:
+                histograms = tuple(
+                    None if part is None else part[a:a + step] for part in context
+                )
+            parts.append(super().best_splits(histograms, block, distribution[a:a + step]))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-        Only the smaller child is re-accumulated; its sibling's
-        histograms are the parent's minus the child's — exact for the
-        integral unit-weight statistics, and clipped at zero for float
-        weights so accumulated rounding can never produce a (tiny)
+    def partition(self, context, level, side, go_left):
+        """The kept children's histograms (lefts, then rights, as in the
+        next ``Level``), via the subtraction trick; None once a frontier
+        holds more than ``_max_nodes`` nodes, and below such a frontier.
+
+        Only each split node's smaller child is accumulated; its
+        sibling's histograms are the parent's minus the child's — exact
+        for the integral unit-weight statistics, and clipped at zero for
+        float weights so accumulated rounding can never produce a (tiny)
         negative bin mass.
         """
-        left_small = left_indices.size <= right_indices.size
-        small = self._accumulate(left_indices if left_small else right_indices)
-        big = tuple(
-            None
-            if part is None
-            else (
-                parent - part
-                if parent.dtype == np.int64
-                else np.maximum(parent - part, 0.0)
-            )
-            for parent, part in zip(context, small)
+        kept = np.logical_or.reduceat(
+            np.stack((side == 1, side == 2)), level.starts, axis=1
         )
-        return (small, big) if left_small else (big, small)
+        if context is None or np.count_nonzero(kept) > self._max_nodes:
+            return None
+        need = kept[0] | kept[1]
+        left_n = np.add.reduceat(go_left, level.starts, dtype=np.int64)
+        small_is_left = left_n <= level.sizes - left_n
+        # each needed node's smaller child's rows, node after node
+        in_small = np.repeat(need, level.sizes)
+        in_small &= go_left == np.repeat(small_is_left, level.sizes)
+        small_n = np.minimum(left_n, level.sizes - left_n)[need]
+        small = self._accumulate(
+            level.rows.take(np.flatnonzero(in_small)),
+            np.repeat(np.arange(len(small_n)), small_n),
+            len(small_n),
+        )
+        choose = small_is_left[need]
+        children = []
+        for parent, part in zip(context, small):
+            if parent is None:
+                children.append(None)
+                continue
+            big = parent[need]
+            big -= part
+            if big.dtype != np.int64:
+                np.maximum(big, 0.0, out=big)
+            small_left = choose.reshape((-1,) + (1,) * (part.ndim - 1))
+            left = np.where(small_left, part, big)[kept[0][need]]
+            right = np.where(small_left, big, part)[kept[1][need]]
+            children.append(np.concatenate((left, right)))
+        return tuple(children)
 
     # ------------------------------------------------------------------
     # candidate bins and thresholds
     # ------------------------------------------------------------------
-    def _candidate_bins(self, n, count):
-        """``(feat, bins, left_n)`` of every candidate: a boundary sits
-        after each non-empty bin inside the min-leaf window of split
+    def _candidate_bins(self, level, count):
+        """``(node, feat, bins, left_n)`` of every candidate: a boundary
+        sits after each non-empty bin inside the min-leaf window of split
         *positions* — the feasibility rule the presort window encodes."""
-        left_n = np.cumsum(count, axis=1)
-        feat, bins = np.nonzero(
-            (count > 0) & (left_n >= self.min_leaf) & (left_n <= n - self.min_leaf)
+        left_n = np.cumsum(count, axis=2)
+        room = level.sizes[:, None, None] - self.min_leaf
+        node, feat, bins = np.nonzero(
+            (count > 0) & (left_n >= self.min_leaf) & (left_n <= room)
         )
-        return feat, bins, left_n[feat, bins]
+        return node, feat, bins, left_n[node, feat, bins]
 
-    def _binary_candidates(self, n, context):
+    def _binary_candidates(self, context, level):
         count, weight, positive = context
-        feat, bins, left_n = self._candidate_bins(n, count)
-        if feat.size == 0:
-            return None
-        left_p = np.cumsum(positive, axis=1, dtype=np.float64)[feat, bins]
-        left_w = None if weight is None else np.cumsum(weight, axis=1)[feat, bins]
-        return feat, bins, left_n, left_p, left_w
+        node, feat, bins, left_n = self._candidate_bins(level, count)
+        left_p = np.cumsum(positive, axis=2, dtype=np.float64)[node, feat, bins]
+        left_w = None if weight is None else np.cumsum(weight, axis=2)[node, feat, bins]
+        return node, feat, left_n, bins, left_p, left_w
 
-    def _multiclass_candidates(self, n, context, n_classes):
-        """Every feature's candidates as one feature-major block."""
+    def _multiclass_candidates(self, context, level, distribution):
+        """Every node's candidates as one block."""
         count, class_w = context
-        feat, bins, _ = self._candidate_bins(n, count)
-        if feat.size:
-            left_counts = np.cumsum(class_w, axis=1, dtype=np.float64)[feat, bins]
-            yield 0, feat, bins, left_counts
+        node, feat, bins, left_n = self._candidate_bins(level, count)
+        left_counts = np.cumsum(class_w, axis=2, dtype=np.float64)[node, feat, bins]
+        yield node, feat, left_n, bins, left_counts
 
-    def _threshold(self, context, feature: int, bin_index: int) -> float:
-        """Midpoint between this bin's upper edge and the next *occupied*
-        bin's lower edge — in the one-value-per-bin regime, exactly the
-        presort midpoint of the boundary pair."""
-        counts_f = context[0][feature]
-        following = np.nonzero(counts_f[bin_index + 1 :] > 0)[0]
-        next_bin = bin_index + 1 + int(following[0])
-        lo = self._binning.upper[feature][bin_index]
-        hi = self._binning.lower[feature][next_bin]
-        return float(0.5 * (lo + hi))
+    def _thresholds(self, context, node, feat, bins):
+        """Midpoint between a bin's upper edge and the next *occupied*
+        bin's lower edge in that node — in the one-value-per-bin regime,
+        exactly the presort midpoint of the boundary pair."""
+        later = context[0][node, feat] > 0
+        later &= np.arange(self._max_bins) > bins[:, None]
+        following = later.argmax(axis=1)
+        return 0.5 * (self._upper[feat, bins] + self._lower[feat, following])
+
+
+def _keys(bins, offset, cells):
+    """Offset ``bincount`` keys of a ``(features, rows)`` bin block: each
+    row's ``offset`` plus its bin, one stride of ``cells`` per feature."""
+    key = bins + offset
+    if len(bins) > 1:
+        key += (np.arange(len(bins)) * cells)[:, None]
+    return key
+
+
+def _tally(key, shape, weights=None):
+    """One offset ``bincount`` of a ``(features, rows)`` key block into a
+    table of ``shape``; ``weights`` are per row, the same for every
+    feature. The ravel runs feature by feature, rows in order."""
+    if weights is not None:
+        weights = np.broadcast_to(weights, key.shape).ravel()
+    table = np.bincount(key.ravel(), weights=weights, minlength=int(np.prod(shape)))
+    return table.reshape(shape)

@@ -1,38 +1,44 @@
-"""Presorted split finding for decision-tree induction.
+"""Presorted split finding for decision-tree induction, one level at a time.
 
 The original tree re-argsorted every feature at every node, making each
 node O(d·n·log n). This module removes that redundancy in three steps:
 
-* :class:`Presort` computes the per-feature stable sort order of the
-  training matrix **once** — per fit, or per ``fit_candidates`` call,
-  whose tuning families all grow from it — together with the per-sample
+* :class:`Presort` classifies and sorts the columns **once** — per fit,
+  or per ``fit_candidates`` call, whose tuning families all grow from it.
+  A constant column never splits, so it leaves the search. A two-valued
+  column splits only between its two values, so it keeps a mask of the
+  samples holding its low value and its one midpoint threshold. Only a
+  column with more than two distinct values keeps a stable sort order and
   value *ranks* (order-isomorphic to the raw values, so every comparison
-  on them is exact); it carries the matrix it was built from, so it is
-  the training matrix ``fit`` reads;
-* :class:`PresortSplitter` maintains the per-feature order through the
-  recursion by **stable boolean partition** (each child's order is the
-  parent's order filtered by membership), turning per-node work into
-  O(d·n); the order matrix is the only state threaded down — ranks and
-  class payloads are re-gathered from per-sample tables;
-* impurity is evaluated only at candidate boundaries (where consecutive
-  sorted ranks differ) inside the min-leaf-feasible column window, for
-  all features at once: the binary search from one positive-weight
-  cumsum, the multi-class search from one (value-group × class) count
-  table (:func:`group_left_counts`, built over blocks of features of
-  bounded table size), whose integer counts equal the seed's
-  per-position cumsum when every weight is 1.0. Weighted multi-class
-  fits keep the seed's per-feature cumsum.
+  on them is exact). One-hot and binary-coded matrices are mostly
+  two-valued, so few columns are sorted;
+* the tree grows a :class:`Level` at a time: the frontier's rows, node
+  after node. :meth:`SplitterBase.best_splits` scores every frontier node
+  in one call, and :meth:`PresortSplitter.partition` carries the sorted
+  columns' order to the next level by one **stable boolean compression**
+  of the whole level (each child's order is its parent's filtered by
+  membership, exactly what re-argsorting the child would produce);
+* impurity is evaluated only at candidate boundaries: for a sorted column
+  where consecutive ranks differ inside a node's min-leaf window, for a
+  two-valued column where a node's low group leaves both children
+  ``min_samples_leaf`` samples. A sorted column's left statistics are
+  running sums restarted at every node (:func:`segment_cumsum`); a
+  two-valued column's are sums of each node's low group, by ``bincount``
+  in row order. The multi-class search counts unit-weight classes in one
+  (value-group × class) table per bounded block of sorted columns
+  (:func:`group_left_counts`).
 
 Every floating-point result mirrors the per-node argsort implementation
-operand for operand — same cumsum partial sums, same impurity
+operand for operand — same sequential partial sums, same impurity
 expressions, same tie-breaking — so the induced trees are structurally
 identical (feature / threshold / gain sequence) to the seed splitter.
 The histogram backend (:mod:`repro.learn.histogram`) runs the same search
 (:class:`SplitterBase`) over its own candidate bins.
 The one intentional representation change: when every sample weight is
 exactly 1.0, all running statistics are exact small integers, so they are
-carried in narrow dtypes and summed in any convenient order — the floats
-they produce are identical bit patterns.
+carried in integer dtypes and summed in any convenient order — the floats
+they produce are identical bit patterns. Weighted sums keep the seed's
+sequential order.
 """
 
 from __future__ import annotations
@@ -41,50 +47,101 @@ import numpy as np
 
 
 class Presort:
-    """Per-feature sort order and value ranks of a matrix, built once.
+    """Column classes of a matrix and its many-valued columns' order.
 
-    ``order`` is feature-major ``(d, n)``: row j holds the sample ids of
-    feature j's values in ascending order (mergesort-stable, ties in row
-    order — exactly like the per-node argsort it replaces). ``ranks`` is
-    ``(d, n)`` indexed by sample id: ``ranks[j, s]`` is the rank of
-    ``X[s, j]`` among feature j's distinct values. ``matrix`` is the
-    float64 matrix both were built from, so the tables cannot describe
-    another one.
+    ``two_valued`` lists the columns with exactly two distinct values:
+    ``low[s, i]`` says whether sample s holds column ``two_valued[i]``'s
+    lower value, and ``midpoints[i]`` is the mean of its two values.
+    ``sorted_features`` lists the columns with more than two: row i of
+    the ``(m, n)`` ``order`` holds the sample ids in ascending value of
+    column ``sorted_features[i]`` (mergesort-stable, ties in row order —
+    exactly like the per-node argsort it replaces), and ``ranks[i, s]`` is
+    the rank of sample s's value among that column's distinct values.
+    Constant columns are in neither list. ``matrix`` is the C-ordered
+    float64 matrix all were built from, so the tables cannot describe
+    another.
     """
 
-    __slots__ = ("matrix", "order", "ranks")
+    __slots__ = (
+        "matrix", "two_valued", "low", "midpoints", "sorted_features", "order", "ranks"
+    )
 
     def __init__(self, X):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"Presort expects a 2-D matrix, got shape {X.shape}")
         self.matrix = X
-        self.order = np.argsort(X.T, axis=1, kind="mergesort").astype(np.int32)
-        sorted_values = np.take_along_axis(X.T, self.order, axis=1)
+        lo = X.min(axis=0, initial=np.inf)
+        hi = X.max(axis=0, initial=-np.inf)
+        low = X == lo
+        spread = lo < hi
+        two = spread & (low | (X == hi)).all(axis=0)
+        self.two_valued = np.flatnonzero(two)
+        self.low = np.ascontiguousarray(low[:, two])
+        self.midpoints = 0.5 * (lo[two] + hi[two])
+        self.sorted_features = np.flatnonzero(spread & ~two)
+        columns = X[:, self.sorted_features].T
+        self.order = np.argsort(columns, axis=1, kind="mergesort").astype(np.int32)
+        sorted_values = np.take_along_axis(columns, self.order, axis=1)
         sorted_ranks = np.zeros(self.order.shape, dtype=np.int32)
-        if X.shape[0] > 1:
-            np.cumsum(
-                sorted_values[:, 1:] != sorted_values[:, :-1],
-                axis=1,
-                dtype=np.int32,
-                out=sorted_ranks[:, 1:],
-            )
+        np.cumsum(
+            sorted_values[:, 1:] != sorted_values[:, :-1],
+            axis=1,
+            dtype=np.int32,
+            out=sorted_ranks[:, 1:],
+        )
         self.ranks = np.empty_like(sorted_ranks)
         np.put_along_axis(self.ranks, self.order, sorted_ranks, axis=1)
 
 
+class Level:
+    """The frontier of one tree level: its nodes' rows, node after node.
+
+    ``rows`` holds each node's sample ids in ascending order, one node
+    after another, and ``sizes[i]`` is node i's row count; ``starts`` and
+    ``node`` (each position's node) follow from them.
+    """
+
+    __slots__ = ("rows", "sizes", "starts", "node")
+
+    def __init__(self, rows, sizes):
+        self.rows = rows
+        self.sizes = sizes
+        self.starts = np.cumsum(sizes) - sizes
+        self.node = np.repeat(np.arange(len(sizes)), sizes)
+
+    def nodes(self, a, b):
+        """The level of nodes ``a`` to ``b`` alone."""
+        sizes = self.sizes[a:b]
+        first = int(self.starts[a])
+        return Level(self.rows[first:first + int(sizes.sum())], sizes)
+
+    def offset(self, position):
+        """Each position's index inside its node."""
+        return position - self.starts[self.node[position]]
+
+    def window(self, min_leaf):
+        """Positions a split may follow: the split after offset ``p``
+        sends a node's offsets ``0..p`` left, and both children must hold
+        ``min_leaf`` samples."""
+        offset = self.offset(np.arange(len(self.rows)))
+        return (offset >= min_leaf - 1) & (offset < self.sizes[self.node] - min_leaf)
+
+
 class SplitterBase:
-    """Configuration, per-sample class payload, node distribution and the
-    one split search shared by both backends.
+    """Configuration, per-sample class payload, node distributions and
+    the one level-wide split search shared by both backends.
 
     The search owns the node totals, the gain arithmetic and the
     tie-breaks. A backend supplies only what differs between them, given
-    the node's opaque context: ``_binary_candidates(n, context)`` →
-    ``(feat, cut, left_n, left_p, left_w or None)`` or None,
-    ``_multiclass_candidates(n, context, k)`` → ``(lo, feat, cut,
-    left_counts)`` blocks in feature order, and ``_threshold(context,
-    feature, cut)``. ``prepared`` is the backend's prepared matrix
-    (:class:`Presort` or a histogram binning); its ``matrix`` is ``X``.
+    the level's opaque context: ``_binary_candidates(context, level)`` →
+    ``(node, feat, left_n, cut, left_p, left_w or None)``,
+    ``_multiclass_candidates(context, level, distribution)`` → ``(node,
+    feat, left_n, cut, left_counts)`` blocks, ``_thresholds(context,
+    node, feat, cut)`` of the winners, and ``root_context()`` /
+    ``partition(context, level, side, go_left)``. ``prepared`` is
+    the backend's prepared matrix (:class:`Presort` or a histogram
+    binning); its ``matrix`` is ``X``.
     """
 
     def __init__(self, prepared, onehot, criterion, min_samples_leaf):
@@ -93,241 +150,321 @@ class SplitterBase:
         self.criterion = criterion
         self.min_leaf = int(min_samples_leaf)
         self.n_samples, self.n_features = X.shape
-        self.binary = onehot.shape[1] == 2
+        self.n_classes = k = onehot.shape[1]
+        self.binary = k == 2
         # per-sample total weight; rows equal onehot[indices].sum(axis=1)
-        weight = onehot.sum(axis=1)
-        self.unit_weight = bool(np.all(weight == 1.0))
-        self._weight = None if self.unit_weight else weight
+        self._weight = onehot.sum(axis=1)
+        self.unit_weight = bool(np.all(self._weight == 1.0))
+        # each sample's class, its one non-zero one-hot entry (a sample of
+        # weight 0.0 adds nothing wherever it is counted)
+        self._codes = onehot.argmax(axis=1).astype(np.min_scalar_type(k - 1))
         if self.binary:
             positive = np.ascontiguousarray(onehot[:, 1])
-            # exact 0/1 payload: int8 keeps the per-node gather and cumsum
+            # exact 0/1 payload: int8 keeps the level gathers and cumsum
             # traffic small; the partial sums are exact integers in any dtype
             self._positive = positive.astype(np.int8) if self.unit_weight else positive
+
+    def distributions(self, rows, node, n_nodes):
+        """Class-weight vectors of ``n_nodes`` nodes (their leaf
+        distributions), from their rows and each row's node. ``bincount``
+        adds each node's weights in row order, as the seed's
+        ``onehot[indices].sum(axis=0)`` did."""
+        k = self.n_classes
+        key = node * k + self._codes[rows]
+        if self.unit_weight:
+            counts = np.bincount(key, minlength=n_nodes * k).astype(np.float64)
+        else:
+            counts = np.bincount(key, weights=self._weight[rows], minlength=n_nodes * k)
+        return counts.reshape(n_nodes, k)
 
     # ------------------------------------------------------------------
     # the split search both backends share
     # ------------------------------------------------------------------
-    def best_split_binary(self, indices, context, sub, distribution):
-        """Vectorized all-feature search for binary labels.
+    def best_splits(self, context, level, distribution):
+        """Every frontier node's best split, found in one call.
 
-        ``sub`` is the node's ``onehot[indices]`` gather when the
-        distribution needed one, reused so the node totals accumulate in
-        exactly the seed's summation order.
+        ``distribution`` is the nodes' class-weight matrix. Returns
+        ``(feature, threshold, gain)`` arrays over the level's nodes;
+        ``feature`` is -1 and ``gain`` not finite where a node has no
+        allowed split.
         """
-        n = len(indices)
-        if n < 2 * self.min_leaf:
-            return None  # no split position can satisfy both leaves
-        unit = self.unit_weight
-        if unit:
-            node_weight = float(n)  # sum of n exact unit weights
-            node_positive = distribution[1]
+        n_nodes = len(level.sizes)
+        gains = self._binary_gains if self.binary else self._multiclass_gains
+        node, feat, left_n, cut, gains = gains(context, level, distribution)
+        # binary: lowest position, then lowest feature; multi-class: the
+        # other way round
+        major, minor = (left_n, feat) if self.binary else (feat, left_n)
+        best = np.full(n_nodes, -np.inf)
+        np.maximum.at(best, node, gains)
+        tied = np.flatnonzero((gains == best[node]) & np.isfinite(gains))
+        key = major[tied] * (int(minor.max(initial=0)) + 1) + minor[tied]
+        lowest = np.full(n_nodes, np.iinfo(np.int64).max)
+        np.minimum.at(lowest, node[tied], key)
+        win = tied[key == lowest[node[tied]]]
+        feature = np.full(n_nodes, -1, dtype=np.int64)
+        threshold = np.full(n_nodes, np.nan)
+        feature[node[win]] = feat[win]
+        threshold[node[win]] = self._thresholds(context, node[win], feat[win], cut[win])
+        return feature, threshold, best
+
+    def _binary_gains(self, context, level, distribution):
+        """Binary-label candidates of every node and their gains."""
+        if self.unit_weight:
+            node_weight = level.sizes.astype(np.float64)  # sums of exact 1.0s
+            node_positive = distribution[:, 1]
         else:
-            node_weight = sub.sum(axis=1).sum()
-            node_positive = sub[:, 1].sum()
-        if node_weight <= 0:
-            return None
-        node_impurity = _scalar_impurity_binary(
-            self.criterion, node_positive / node_weight
+            # the seed's pairwise ``.sum()`` of each node's rows: no
+            # segmented reduction adds in that order
+            weight = self._weight[level.rows]
+            positive = self._positive[level.rows]
+            ends = (level.starts + level.sizes).tolist()
+            node_weight, node_positive = np.asarray([
+                (weight[a:b].sum(), positive[a:b].sum())
+                for a, b in zip(level.starts.tolist(), ends)
+            ]).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = node_positive / node_weight
+            node_impurity = _impurity_from_p(self.criterion, p)
+        node, feat, left_n, cut, left_p, left_w = self._binary_candidates(
+            context, level
         )
-        found = self._binary_candidates(n, context)
-        if found is None:
-            return None
-        feat, cut, left_n, left_p, left_w = found
-        right_p = node_positive - left_p
-        if unit:
+        if left_w is None:
             left_w = left_n.astype(np.float64)  # cumsum of exact 1.0s
-            right_w = node_weight - left_w
-            # both sides hold >= min_leaf unit weights, so the seed's
-            # left_w > 0 / right_w > 0 gate is vacuous here
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left_impurity = _impurity_from_p(self.criterion, left_p / left_w)
-                right_impurity = _impurity_from_p(self.criterion, right_p / right_w)
-            gains = node_impurity - (
-                (left_w * left_impurity + right_w * right_impurity) / node_weight
-            )
-        else:
-            right_w = node_weight - left_w
-            ok = (left_w > 0) & (right_w > 0)
-            if not ok.any():
-                return None
-            left_impurity = _impurity_binary(self.criterion, left_p, left_w)
-            right_impurity = _impurity_binary(self.criterion, right_p, right_w)
-            gains = _children_gain(
-                ok, node_impurity, node_weight,
-                left_w, left_impurity, right_w, right_impurity,
-            )
-        best_gain = gains.max()
-        if not np.isfinite(best_gain):
-            return None
-        # seed tie-break: argmax over the (positions, features) matrix in
-        # row-major order — lowest split position (left_n - 1) first, then
-        # lowest feature
-        tied = np.nonzero(gains == best_gain)[0]
-        if tied.size > 1:
-            winner = tied[np.argmin((left_n[tied] - 1) * self.n_features + feat[tied])]
-        else:
-            winner = tied[0]
-        f = int(feat[winner])
-        threshold = self._threshold(context, f, int(cut[winner]))
-        return f, threshold, float(gains[winner])
+        total = node_weight[node]
+        right_w = total - left_w
+        right_p = node_positive[node] - left_p
+        gains = _children_gain(
+            (total > 0) & (left_w > 0) & (right_w > 0), node_impurity[node], total,
+            left_w, _impurity_binary(self.criterion, left_p, left_w),
+            right_w, _impurity_binary(self.criterion, right_p, right_w),
+        )
+        return node, feat, left_n, cut, gains
 
-    def best_split_general(self, indices, context, node_counts):
-        """All-feature search for multi-class labels.
-
-        ``node_counts`` is the node's class-weight vector (the seed
-        computed the identical ``onehot[indices].sum(axis=0)`` twice).
-        """
-        if node_counts.sum() <= 0:
-            return None
-        best = None
-        blocks = self._multiclass_candidates(len(indices), context, len(node_counts))
-        for lo, feat, cut, left_counts in blocks:
-            found = best_multiclass_boundary(self.criterion, node_counts, left_counts)
-            # blocks run in feature order, so a later block must be
-            # strictly better: the first feature-major maximum wins
-            if found is not None and (best is None or found[1] > best[2]):
-                row, gain = found
-                best = (lo + int(feat[row]), int(cut[row]), gain)
-        if best is None:
-            return None
-        f, c, gain = best
-        return f, self._threshold(context, f, c), gain
-
-    def node_distribution(self, indices):
-        """Class-weight vector of a node (the leaf distribution).
-
-        For unit-weight binary labels the counts are exact integers read
-        off the positive column; otherwise the seed's summation order is
-        reproduced verbatim. Returns ``(distribution, onehot[indices] or
-        None)`` so the binary split search can reuse the gather.
-        """
-        if self.binary and self.unit_weight:
-            node_positive = float(self._positive[indices].sum())
-            return np.asarray([len(indices) - node_positive, node_positive]), None
-        sub = self.onehot[indices]
-        return sub.sum(axis=0), sub
+    def _multiclass_gains(self, context, level, distribution):
+        """Multi-class candidates of every node and their gains, scored
+        in row blocks that keep each block's (candidates × classes)
+        temporaries near :data:`TABLE_CELLS` cells."""
+        node_weight = distribution.sum(axis=1)
+        node_impurity = _impurity(self.criterion, distribution, node_weight)
+        step = max(TABLE_CELLS // self.n_classes, 1)
+        parts = [(np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),)]
+        blocks = self._multiclass_candidates(context, level, distribution)
+        for node, feat, left_n, cut, left_counts in blocks:
+            gains = np.empty(len(node))
+            for lo in range(0, len(node), step):
+                at = node[lo:lo + step]
+                gains[lo:lo + step] = multiclass_gains(
+                    self.criterion, distribution[at], node_weight[at],
+                    node_impurity[at], left_counts[lo:lo + step],
+                )
+            parts.append((node, feat, left_n, cut, gains))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 class PresortSplitter(SplitterBase):
-    """Split candidates and thresholds from presorted per-feature orders.
+    """Split candidates and thresholds from a :class:`Presort`.
 
-    One instance serves one ``fit``: it reads the :class:`Presort`'s
-    tables (never writes them, so one presort serves many fits) and owns
-    the membership scratch buffer used by :meth:`partition` and the
-    criterion/minimum-leaf configuration shared by every node.
+    One instance serves one ``fit``: it reads the presort's tables and
+    never writes them, so one presort serves many fits. The level
+    context is the ``(m, N)`` order matrix of the sorted columns: row i
+    lists every frontier node's samples in ascending value of column
+    ``sorted_features[i]``, node after node, as ``Level.rows`` does.
     """
 
     def __init__(self, presort, onehot, criterion, min_samples_leaf):
         super().__init__(presort, onehot, criterion, min_samples_leaf)
-        self._ranks = presort.ranks
-        self._root_order = presort.order
-        self._member = np.zeros(self.n_samples, dtype=bool)
-        if self.unit_weight and not self.binary:
-            # each one-hot row holds a single 1.0, at the sample's class
-            self._codes = onehot.argmax(axis=1).astype(
-                np.min_scalar_type(onehot.shape[1] - 1)
-            )
+        self._presort = presort
+        self._midpoint = np.full(self.n_features, np.nan)
+        self._midpoint[presort.two_valued] = presort.midpoints
+        self._sorted_row = np.full(self.n_features, -1)
+        self._sorted_row[presort.sorted_features] = np.arange(
+            len(presort.sorted_features)
+        )
 
     def root_context(self) -> np.ndarray:
-        """Recursion state of the root node (the full order matrix).
-
-        Both split backends expose ``root_context``/``partition`` with
-        an opaque per-node context; here the context is the presorted
-        ``(d, n)`` order matrix.
-        """
-        return self._root_order
+        """The root level's order matrix: the presort's own."""
+        return self._presort.order
 
     # ------------------------------------------------------------------
     # candidate boundaries and thresholds
     # ------------------------------------------------------------------
-    def _binary_candidates(self, n, order):
-        """Boundaries inside the min-leaf window, with the positive (and,
+    def _low_groups(self, level):
+        """The two-valued columns on this level: the ``(N, t)`` mask of
+        positions holding each column's low value, and the candidate
+        ``(node, column)`` cells — those whose low group leaves both
+        children ``min_leaf`` samples — with their low-group sizes.
+        Sample counts are exact integers, so ``reduceat`` may add them."""
+        low = self._presort.low[level.rows]
+        left_n = np.add.reduceat(low, level.starts, axis=0, dtype=np.int64)
+        room = level.sizes[:, None] - self.min_leaf
+        node, column = np.nonzero((left_n >= self.min_leaf) & (left_n <= room))
+        return low, node, column, left_n[node, column]
+
+    def _low_sums(self, level, low, payload):
+        """``(S, t)`` sums of a per-sample ``payload`` over each node's
+        low groups: the seed's cumsum over the column's sorted order, in
+        which the low group comes first, rows ascending. A 0/1 integer
+        payload (unit weights) is counted, exact in any order; a float
+        one is added in row order by one ``bincount`` (a high sample adds
+        0.0, which changes no running sum)."""
+        if payload.dtype.kind != "f":
+            hits = low & (payload[level.rows] != 0)[:, None]
+            return np.add.reduceat(hits, level.starts, axis=0, dtype=np.int64)
+        n_nodes, t = len(level.sizes), low.shape[1]
+        cell = (level.node * t)[:, None] + np.arange(t)
+        values = np.where(low, payload[level.rows][:, None], 0.0)
+        sums = np.bincount(cell.ravel(), weights=values.ravel(), minlength=n_nodes * t)
+        return sums.reshape(n_nodes, t)
+
+    def _sorted_boundaries(self, order, level):
+        """``(row, position)`` of every sorted-column boundary, row-major,
+        and the level's group-start mask: position 0 of each node and
+        each position whose rank differs from its predecessor's."""
+        starts = rank_starts(np.take_along_axis(self._presort.ranks, order, axis=1))
+        starts[:, level.starts] = True
+        row, position = np.nonzero(starts[:, 1:] & level.window(self.min_leaf)[:-1])
+        return row, position, starts
+
+    def _binary_candidates(self, order, level):
+        """Boundaries of both column classes, with the positive (and,
         when weighted, total) weight left of each: impurity is scored
         only there — for one-hot-heavy matrices a tiny fraction of the
         d*(n-1) positions the argsort splitter scored at every node."""
-        window = order[:, boundary_window(n, self.min_leaf)]
-        feat, pos = rank_boundaries(
-            np.take_along_axis(self._ranks, window, axis=1), self.min_leaf
-        )
-        if feat.size == 0:
-            return None
-        left_p = np.cumsum(self._positive[order], axis=1, dtype=np.float64)[feat, pos]
-        left_w = None
-        if not self.unit_weight:
-            left_w = np.cumsum(self._weight[order], axis=1)[feat, pos]
-        return feat, pos, pos + 1, left_p, left_w
+        low, node, column, pair_n = self._low_groups(level)
+        row, position, _ = self._sorted_boundaries(order, level)
 
-    def _multiclass_candidates(self, n, order, n_classes):
-        """Boundaries and their left class weights, in blocks of bounded
-        table size (:func:`feature_blocks`); a node with few distinct
-        values is one block."""
-        sorted_ranks = np.take_along_axis(self._ranks, order, axis=1)
-        starts = rank_starts(sorted_ranks)
-        window = boundary_window(n, self.min_leaf)
-        for lo, hi in feature_blocks(starts, n_classes):
-            feat, pos = rank_boundaries(sorted_ranks[lo:hi, window], self.min_leaf)
-            if feat.size == 0:
+        def left_sums(payload):
+            return np.concatenate((
+                self._low_sums(level, low, payload)[node, column],
+                segment_cumsum(payload[order], level, (row, position)),
+            ))
+
+        return (
+            np.concatenate((node, level.node[position])),
+            np.concatenate((
+                self._presort.two_valued[column], self._presort.sorted_features[row]
+            )),
+            np.concatenate((pair_n, level.offset(position) + 1)),
+            np.concatenate((np.full(len(node), -1), position)),
+            left_sums(self._positive).astype(np.float64),
+            None if self.unit_weight else left_sums(self._weight),
+        )
+
+    def _multiclass_candidates(self, order, level, distribution):
+        """Boundaries and their left class weights: the two-valued
+        columns' from one (candidate × class) ``bincount``, the sorted
+        columns' in blocks of bounded table size (:func:`feature_blocks`);
+        a level with few distinct values is one block."""
+        k = self.n_classes
+        unit = self.unit_weight
+        low, node, column, pair_n = self._low_groups(level)
+        if node.size:
+            # unit weights count the (sparser, for one-hot columns) high
+            # groups, exact integers, and take them from the node's counts
+            # (the fig45-adult sweep ran 1.18x faster on 2 cores than with
+            # low-group counts); weights add each low group in row order
+            slot = np.full((len(level.sizes), low.shape[1]), -1)
+            slot[node, column] = np.arange(node.size)
+            position, col = np.nonzero(~low if unit else low)
+            at = slot[level.node[position], col]
+            rows = level.rows[position[at >= 0]]
+            table = np.bincount(
+                at[at >= 0] * k + self._codes[rows],
+                weights=None if unit else self._weight[rows],
+                minlength=node.size * k,
+            ).reshape(-1, k)
+            left_counts = distribution[node] - table if unit else table
+            feat = self._presort.two_valued[column]
+            yield node, feat, pair_n, np.full(node.size, -1), left_counts
+        row, position, starts = self._sorted_boundaries(order, level)
+        if unit:
+            blocks = feature_blocks(starts, k)
+        else:
+            blocks = ((r, r + 1) for r in np.unique(row).tolist())
+        for lo, hi in blocks:
+            a, b = np.searchsorted(row, (lo, hi))
+            if a == b:
                 continue
-            if self.unit_weight:
+            pos = position[a:b]
+            node = level.node[pos]
+            if unit:
                 left_counts = group_left_counts(
-                    starts[lo:hi], self._codes[order[lo:hi]], n_classes, feat, pos
+                    starts[lo:hi], self._codes[order[lo:hi]], k,
+                    row[a:b] - lo, pos, level.starts[node],
                 )
             else:
-                # weighted partial sums depend on summation order: keep the
-                # seed's positional cumsum, one (n, k) table per feature
-                features, split = np.unique(feat, return_index=True)
-                left_counts = np.concatenate([
-                    np.cumsum(self.onehot[order[lo + f]], axis=0)[p]
-                    for f, p in zip(features, np.split(pos, split[1:]))
-                ])
-            yield lo, feat, pos, left_counts
+                # weighted partial sums depend on summation order: the
+                # seed's per-node cumsum of the (n, k) one-hot rows
+                left_counts = segment_cumsum(
+                    self.onehot[order[lo]].T, level, (slice(None), pos)
+                ).T
+            yield (node, self._presort.sorted_features[row[a:b]],
+                   level.offset(pos) + 1, pos, left_counts)
 
-    def _threshold(self, order, feature: int, position: int) -> float:
-        """Midpoint of the boundary pair, read back from the raw matrix
-        (identical floats to averaging the node's sorted values)."""
-        lo = self.X[order[feature, position], feature]
-        hi = self.X[order[feature, position + 1], feature]
-        return float(0.5 * (lo + hi))
+    def _thresholds(self, order, node, feat, cut):
+        """A two-valued column's midpoint; a sorted column's boundary
+        pair's midpoint, read back from the raw matrix (identical floats
+        to averaging the node's sorted values)."""
+        threshold = self._midpoint[feat]
+        at = cut >= 0
+        row, position, feat = self._sorted_row[feat[at]], cut[at], feat[at]
+        lo = self.X[order[row, position], feat]
+        hi = self.X[order[row, position + 1], feat]
+        threshold[at] = 0.5 * (lo + hi)
+        return threshold
 
     # ------------------------------------------------------------------
-    # recursion state
+    # the next level
     # ------------------------------------------------------------------
-    def partition(self, order, left_indices, right_indices=None):
-        """Split a node's sorted order by membership, preserving order.
-
-        Boolean compression is stable, so each child's per-feature order
-        is exactly what re-argsorting the child would produce (mergesort
-        ties resolve to ascending row ids in both). ``right_indices`` is
-        part of the shared backend signature but unused here — the right
-        order falls out of the same membership mask.
-        """
-        member = self._member
-        member[left_indices] = True
-        keep = member[order]
-        member[left_indices] = False
-        d = order.shape[0]
-        n_right = order.shape[1] - left_indices.size
-        left = order[keep].reshape(d, left_indices.size)
-        right = order[~keep].reshape(d, n_right)
-        return left, right
+    def partition(self, order, level, side, go_left):
+        """The next level's order matrix: each position's ``side`` (1: a
+        kept left child, 2: a kept right child, 0: gone) selects its
+        sample, by one stable compression per side, so the kept left
+        children come first, then the kept right ones, as in the next
+        ``Level``. Compression keeps each child's per-column order exactly
+        what re-argsorting the child would produce (mergesort ties resolve
+        to ascending row ids in both). ``go_left`` is for the histogram
+        backend."""
+        status = np.zeros(self.n_samples, dtype=np.int8)
+        status[level.rows] = side
+        status = status[order].ravel()
+        m = order.shape[0]
+        return np.concatenate([
+            np.compress(status == s, order).reshape(m, np.count_nonzero(side == s))
+            for s in (1, 2)
+        ], axis=1)
 
 
 # ----------------------------------------------------------------------
-# candidate boundaries (both searches) and the multi-class group table
+# running sums, candidate groups and the multi-class group table
 # ----------------------------------------------------------------------
-def boundary_window(n, min_leaf):
-    """Sorted positions ``min_leaf - 1 .. n - min_leaf`` of an n-sample
-    node: their ranks decide every boundary whose children both hold
-    ``min_leaf`` samples (the split after position ``p`` sends positions
-    ``0..p`` left)."""
-    return slice(min_leaf - 1, n - min_leaf + 1)
+def segment_cumsum(values, level, at):
+    """Running sums along the last axis of ``values`` (laid out like
+    ``level.rows``), restarted at every node, read at the index ``at``
+    (its last entry indexes positions).
 
-
-def rank_boundaries(window_ranks, min_leaf):
-    """Feature-major ``(feature, position)`` of every boundary, from the
-    node's sorted ranks gathered over :func:`boundary_window` only."""
-    feat, pos = np.nonzero(window_ranks[:, :-1] != window_ranks[:, 1:])
-    return feat, pos + (min_leaf - 1)
+    Integer values (unit weights) are exact in any order: one cumsum less
+    each node's preceding total. Float values are added in sequence from
+    each node's first position, as the seed's per-node cumsum did: the
+    nodes of one size class ``[2^(e-1), 2^e)`` are padded to one width
+    and summed row by row, so a padded block holds fewer than twice the
+    cells it sums.
+    """
+    if values.dtype.kind != "f":
+        # counts below n, which int32 sample ids already bound
+        total = np.cumsum(values, axis=-1, dtype=np.int32)
+        before = np.zeros(values.shape[:-1] + level.sizes.shape, dtype=total.dtype)
+        before[..., 1:] = total[..., level.starts[1:] - 1]
+        return total[at] - before[at[:-1] + (level.node[at[-1]],)]
+    out = np.empty_like(values)
+    size_class = np.frexp(level.sizes)[1]
+    for e in np.unique(size_class).tolist():
+        nodes = np.flatnonzero(size_class == e)
+        columns = np.arange(level.sizes[nodes].max())
+        inside = columns < level.sizes[nodes, None]
+        index = np.where(inside, level.starts[nodes, None] + columns, 0)
+        out[..., index[inside]] = np.cumsum(values[..., index], axis=-1)[..., inside]
+    return out[at]
 
 
 def rank_starts(sorted_ranks):
@@ -362,13 +499,14 @@ def feature_blocks(starts, n_classes):
     return zip(edges[:-1], edges[1:])
 
 
-def group_left_counts(starts, sorted_codes, n_classes, feat, pos):
+def group_left_counts(starts, sorted_codes, n_classes, feat, pos, first):
     """Left class counts at each boundary, from one class-count table.
 
     Groups are numbered feature-major (1-based) by one cumsum over
     ``starts``; one offset ``bincount`` over ``group * k + class`` fills
     the (groups × k) table, and its cumsum over groups minus the total
-    before a feature's first group is the left count at every group end.
+    before the group at the node's ``first`` position is the left count
+    at every group end (a node's first position always starts a group).
 
     Exact for unit weights only: the counts are small integers, so their
     float64 copies equal the per-position cumsum of 0/1 one-hot rows at
@@ -382,7 +520,7 @@ def group_left_counts(starts, sorted_codes, n_classes, feat, pos):
     n_groups = int(group[-1])
     group = group.reshape(d, n)
     end = group[feat, pos]  # the group each boundary closes
-    before = group[feat, 0] - 1  # the previous feature's last group
+    before = group[feat, first] - 1  # the group before the node's first
     key = group  # reused in place: group ids are no longer needed
     key *= n_classes
     key += sorted_codes
@@ -392,31 +530,24 @@ def group_left_counts(starts, sorted_codes, n_classes, feat, pos):
     return (table[end] - table[before]).astype(np.float64)
 
 
-def best_multiclass_boundary(criterion, node_counts, left_counts):
-    """``(row, gain)`` of the best candidate in ``left_counts``, or None.
+def multiclass_gains(criterion, node_counts, node_weight, node_impurity, left_counts):
+    """Gain of every candidate in ``left_counts``, ``-inf`` where a side
+    is empty.
 
-    ``left_counts`` is the ``(M, k)`` float64 table of every candidate's
-    left class weights, in feature-major order. Every operation is
+    ``left_counts`` is the ``(M, k)`` float64 table of the candidates'
+    left class weights; ``node_counts``, ``node_weight`` and
+    ``node_impurity`` are each candidate's node's. Every operation is
     row-wise, so each row's gain is the float the seed's per-feature loop
-    computed for it. Tie-break: the lowest row among the maxima — the
-    first feature whose gain is strictly greater, then its lowest
-    position (the seed's multi-class rule). The binary search breaks
-    ties the other way round: lowest position first, then lowest feature.
+    computed for it.
     """
-    node_weight = node_counts.sum()
-    node_impurity = _impurity(criterion, node_counts[None, :], node_weight)[0]
-    right_counts = node_counts[None, :] - left_counts
+    right_counts = node_counts - left_counts
     left_weight = left_counts.sum(axis=1)
     right_weight = right_counts.sum(axis=1)
-    gains = _children_gain(
+    return _children_gain(
         (left_weight > 0) & (right_weight > 0), node_impurity, node_weight,
         left_weight, _impurity(criterion, left_counts, left_weight),
         right_weight, _impurity(criterion, right_counts, right_weight),
     )
-    row = int(np.argmax(gains))
-    if gains[row] == -np.inf:
-        return None
-    return row, float(gains[row])
 
 
 # ----------------------------------------------------------------------
@@ -427,9 +558,9 @@ def _children_gain(
 ):
     """Impurity decrease of each candidate; ``-inf`` where not allowed.
 
-    Shared by every weighted search: the binary path with two running
-    statistics (total and positive weight), the general path with full
-    class-count vectors.
+    Shared by every search: the binary one with two running statistics
+    (total and positive weight), the general one with full class-count
+    vectors.
     """
     children = (left_w * left_impurity + right_w * right_impurity) / node_weight
     return np.where(ok, node_impurity - children, -np.inf)
@@ -444,16 +575,6 @@ def _impurity_from_p(criterion, p):
         + np.where(p < 1, (1.0 - p) * np.log2(1.0 - p), 0.0)
     )
     return entropy
-
-
-def _scalar_impurity_binary(criterion, p) -> float:
-    """Node-level binary impurity on a scalar fraction; identical
-    floating-point ops to the array kernel, without the array overhead."""
-    if criterion == "gini":
-        return 2.0 * p * (1.0 - p)
-    left = p * np.log2(p) if p > 0 else 0.0
-    right = (1.0 - p) * np.log2(1.0 - p) if p < 1 else 0.0
-    return -(left + right)
 
 
 def _impurity_binary(criterion, positive_weight, total_weight):

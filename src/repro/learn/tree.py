@@ -5,12 +5,18 @@ feature rescaling, which is exactly the property Figure 3(b) demonstrates;
 our implementation preserves it because split quality depends only on the
 ordering of feature values.
 
-Split search runs on one of two interchangeable backends, each growing
-from a *prepared matrix* that carries the matrix it was built from:
+The tree grows one level at a time (:class:`~repro.learn.splitter.Level`):
+each depth scores every frontier node in one call, splits the whole
+level by one comparison per row and carries the backend's state to the
+children that may split again. Split search runs on one of two
+interchangeable backends, each growing from a *prepared matrix* that
+carries the matrix it was built from:
 
 * the exact presorted backend (:mod:`repro.learn.splitter`): a
-  :class:`Presort`'s per-feature sort order, maintained through the
-  recursion by stable partition instead of re-argsorting at every node;
+  :class:`Presort` drops constant columns, keeps each two-valued column
+  as a low-value mask and one midpoint, and sorts only the columns with
+  more than two values, whose order is carried from level to level by
+  stable compression instead of re-argsorting at every node;
 * the histogram backend (:mod:`repro.learn.histogram`): a
   :class:`HistogramBinning`'s ≤256 uint8 codes per feature, per-node
   class-count histograms accumulated with ``bincount`` and siblings
@@ -48,7 +54,7 @@ from .base import (
     clone,
 )
 from .histogram import HistogramBinning, HistogramSplitter
-from .splitter import Presort, PresortSplitter
+from .splitter import Level, Presort, PresortSplitter
 
 _CRITERIA = ("gini", "entropy")
 
@@ -129,14 +135,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         ``"auto"``. A plain matrix is prepared here for the backend
         ``presort`` names: ``"auto"``, ``"exact"`` or ``"histogram"``.
         """
-        if self.criterion not in _CRITERIA:
-            raise ValueError(
-                f"criterion must be one of {_CRITERIA}, got {self.criterion!r}"
-            )
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        self._check_params()
         if type(X) in _BACKENDS:
             if presort != "auto":
                 raise ValueError(
@@ -159,64 +158,107 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         with telemetry.span(
             "learn.tree_fit", backend=self.fit_backend_, rows=int(X.shape[0])
         ):
-            tree, depth = self._grow(X, onehot, splitter)
+            tree, depth = self._grow(splitter)
         self._set_tree(tree, depth)
         return self
 
-    def _grow(self, X, onehot, splitter):
-        """Build the node arrays with an explicit stack (deep trees can
-        exceed the interpreter recursion limit on larger resamples).
-
-        The stack pops nodes in preorder, so each popped node is appended
-        to the arrays; a left child is its parent's index + 1 and a right
-        child records itself in its parent's ``right`` when popped.
-        Returns the tree and every node's depth.
-
-        ``splitter`` is either backend; the per-node recursion state
-        (``context``) is opaque — the presorted order matrix for the
-        exact backend, class-count histograms for the histogram one.
-        """
-        binary = onehot.shape[1] == 2
-        nodes, depths = [], []  # nodes[i]: node i's values in TREE_DTYPES order
-        # entries: (rows, context, depth, parent it is the right child of)
-        stack = [(np.arange(X.shape[0]), splitter.root_context(), 0, -1)]
-        while stack:
-            indices, context, depth, right_of = stack.pop()
-            node = len(nodes)
-            if right_of >= 0:
-                nodes[right_of][3] = node  # right
-            class_weights, sub = splitter.node_distribution(indices)
-            nodes.append([-1, np.nan, -1, -1, len(indices), class_weights])
-            depths.append(depth)
-            if (
-                len(indices) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.count_nonzero(class_weights) <= 1
-            ):
-                continue
-            if binary:
-                split = splitter.best_split_binary(indices, context, sub, class_weights)
-            else:
-                split = splitter.best_split_general(indices, context, class_weights)
-            if split is None:
-                continue
-            feature, threshold, gain = split
-            if gain < self.min_impurity_decrease:
-                continue
-            go_left = X[indices, feature] <= threshold
-            left_indices = indices[go_left]
-            right_indices = indices[~go_left]
-            left_context, right_context = splitter.partition(
-                context, left_indices, right_indices
+    def _check_params(self) -> None:
+        """Raise ``ValueError`` on a hyperparameter ``fit`` cannot grow."""
+        if self.criterion not in _CRITERIA:
+            raise ValueError(
+                f"criterion must be one of {_CRITERIA}, got {self.criterion!r}"
             )
-            nodes[node][:3] = feature, threshold, node + 1  # feature, threshold, left
-            stack.append((right_indices, right_context, depth + 1, node))
-            stack.append((left_indices, left_context, depth + 1, -1))
-        tree = {
-            key: np.asarray(column, dtype=dtype)
-            for (key, dtype), column in zip(TREE_DTYPES.items(), zip(*nodes))
-        }
-        return tree, np.asarray(depths, dtype=np.int64)
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth must be None or >= 1, got {self.max_depth!r}")
+        if self.min_samples_split < 2:
+            raise ValueError("min_samples_split must be >= 2")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
+
+    def _grow(self, splitter):
+        """Build the node arrays one level at a time.
+
+        Each depth scores every frontier node in one ``best_splits`` call,
+        sends every row of the split nodes left or right by one comparison
+        and keeps the children that may split again as the next frontier:
+        the kept left children in order, then the kept right ones. Nodes
+        are numbered breadth-first as they are made and renumbered into
+        preorder at the end. Returns the tree and every node's depth.
+
+        ``splitter`` is either backend; the level context is opaque — the
+        sorted columns' order matrix for the exact backend, class-count
+        histograms for the histogram one. Its prepared matrix is C-ordered,
+        so each row's split value is one flat ``take``.
+        """
+        X = splitter.X
+        n, d = X.shape
+        level = Level(np.arange(n), np.array([n]))
+        distribution = splitter.distributions(level.rows, level.node, 1)
+        # per depth: the nodes made (sizes, distributions) and the splits,
+        # (parents, features, thresholds, first child's number)
+        sizes, distributions, splits = [level.sizes], [distribution], []
+        ids, made = np.zeros(1, dtype=np.int64), 1
+        context = splitter.root_context()
+        kept = self._may_split(level.sizes, distribution, 0)
+        while kept.any():
+            feature, threshold, gain = splitter.best_splits(
+                context, level, distribution
+            )
+            split = (feature >= 0) & (gain >= self.min_impurity_decrease)
+            n_split = int(np.count_nonzero(split))
+            if not n_split:
+                break
+            splits.append((ids[split], feature[split], threshold[split], made))
+            # a level is node after node, so per-node values reach its rows
+            # by repeat; an unsplit node's NaN threshold sends its rows
+            # nowhere. Boolean selections go through flatnonzero + take,
+            # several times faster than a mask index on a mixed mask.
+            per_row = level.sizes
+            at = np.repeat(np.maximum(feature, 0), per_row)
+            at += level.rows * d
+            bound = np.where(split, threshold, np.nan)
+            go_left = X.take(at) <= np.repeat(bound, per_row)
+            left_n = np.add.reduceat(go_left, level.starts, dtype=np.int64)[split]
+            child_sizes = np.concatenate((left_n, level.sizes[split] - left_n))
+            # split node j's children are j (left) and n_split + j (right)
+            child = np.repeat(np.cumsum(split) - 1, per_row)
+            child += n_split * ~go_left
+            rows = level.rows
+            if n_split < len(split):
+                inside = np.flatnonzero(np.repeat(split, per_row))
+                rows, child = rows.take(inside), child.take(inside)
+            distribution = splitter.distributions(rows, child, 2 * n_split)
+            del at, child, rows  # level-sized; partitioning needs the room
+            sizes.append(child_sizes)
+            distributions.append(distribution)
+            kept = self._may_split(child_sizes, distribution, len(sizes) - 1)
+            ids = (made + np.arange(2 * n_split))[kept]
+            made += 2 * n_split
+            if not kept.any():
+                break
+            # each position's place in the next level: 1 in a kept left
+            # child, 2 in a kept right one, 0 gone
+            kept_by_node = np.zeros((2, len(split)), dtype=np.int8)
+            kept_by_node[:, split] = kept.reshape(2, n_split)
+            kept_right = np.repeat(kept_by_node[1], per_row)
+            side = np.repeat(kept_by_node[0], per_row) - kept_right
+            side *= go_left
+            side += kept_right  # kept: 1 either side, else 0
+            side <<= ~go_left  # a right child's 1 becomes 2
+            context = splitter.partition(context, level, side, go_left)
+            ordered = (level.rows.take(np.flatnonzero(side == s)) for s in (1, 2))
+            level = Level(np.concatenate(tuple(ordered)), child_sizes[kept])
+            distribution = distribution[kept]
+        return _preorder(made, sizes, distributions, splits)
+
+    def _may_split(self, sizes, distribution, depth):
+        """Which of a level's nodes the search visits: those with enough
+        samples and more than one class, above the depth limit."""
+        if self.max_depth is not None and depth >= self.max_depth:
+            return np.zeros(len(sizes), dtype=bool)
+        return (sizes >= self.min_samples_split) & (
+            np.count_nonzero(distribution, axis=1) > 1
+        )
 
     def _set_tree(self, tree: dict, depth=None) -> None:
         """Install node arrays as the fitted tree, with the tables
@@ -250,7 +292,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
 
         Grid-search hook: candidates that differ only in ``max_depth`` and
         ``min_samples_split`` share one induction. Both merely stop the
-        recursion (at a depth, or at a node with fewer samples) and never
+        growth (at a depth, or at a node with fewer samples) and never
         change the split a node gets, so each member is exactly a truncation
         of the tree fit at the family's deepest ``max_depth`` and smallest
         ``min_samples_split`` (internal nodes record their distributions).
@@ -259,8 +301,10 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         ``X`` is prepared once, for the backend ``presort`` names (see
         ``fit``), and every family grows from that one preparation.
         """
-        prepared = _prepare(check_matrix(X), presort)
         models = [clone(self).set_params(**params) for params in candidates]
+        for model in models:
+            model._check_params()  # a truncated member is never fit itself
+        prepared = _prepare(check_matrix(X), presort)
         families: dict = {}
         for model in models:
             rest = [
@@ -380,6 +424,48 @@ def _node_depths(tree: dict) -> np.ndarray:
         level = np.concatenate((left[internal], right[internal]))
         d += 1
     return depth
+
+
+def _preorder(made, sizes, distributions, splits):
+    """The node arrays of a tree grown breadth-first, in preorder, and
+    every node's depth.
+
+    ``sizes`` and ``distributions`` hold each depth's nodes in the order
+    they were numbered; ``splits`` holds each depth's ``(parents,
+    features, thresholds, first)``, whose children are numbered from
+    ``first``: the left ones, then the right ones. Subtree sizes are summed
+    bottom-up, then each left child sits right after its parent and each
+    right child after its sibling's subtree.
+    """
+    feature = np.full(made, -1, dtype=np.int64)
+    threshold = np.full(made, np.nan)
+    left = np.full(made, -1, dtype=np.int64)
+    right = np.full(made, -1, dtype=np.int64)
+    for parents, features, thresholds, first in splits:
+        feature[parents] = features
+        threshold[parents] = thresholds
+        left[parents] = first + np.arange(len(parents))
+        right[parents] = first + len(parents) + np.arange(len(parents))
+    subtree = np.ones(made, dtype=np.int64)
+    for parents, *_ in reversed(splits):
+        subtree[parents] += subtree[left[parents]] + subtree[right[parents]]
+    position = np.zeros(made, dtype=np.int64)
+    for parents, *_ in splits:
+        position[left[parents]] = position[parents] + 1
+        position[right[parents]] = position[parents] + 1 + subtree[left[parents]]
+    internal = feature >= 0
+    tree = {
+        "feature": feature,
+        "threshold": threshold,
+        "left": np.where(internal, position[left], -1),
+        "right": np.where(internal, position[right], -1),
+        "n_samples": np.concatenate(sizes),
+        "distribution": np.concatenate(distributions),
+    }
+    depth = np.repeat(np.arange(len(sizes)), [len(level) for level in sizes])
+    preorder = np.empty(made, dtype=np.int64)
+    preorder[position] = np.arange(made)
+    return {key: column[preorder] for key, column in tree.items()}, depth[preorder]
 
 
 def _truncate(tree: dict, depth, max_depth: Optional[int], min_samples_split: int):

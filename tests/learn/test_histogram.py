@@ -12,6 +12,7 @@ datasets; outside the regime they pin determinism and sane structure.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from repro.learn import (
     HistogramSplitter,
     Presort,
 )
+from repro.learn import histogram
+from repro.learn.splitter import Level
 from repro.learn.tree import HISTOGRAM_AUTO_THRESHOLD, TREE_DTYPES
 
 from .reference_impl import ReferenceDecisionTree
@@ -342,14 +345,88 @@ class TestSubtractionTrick:
         indices = np.arange(len(y))
         left = indices[X[:, 1] <= 4.0]
         right = indices[X[:, 1] > 4.0]
-        left_ctx, right_ctx = splitter.partition(root, left, right)
-        for derived, direct in zip(right_ctx, splitter._accumulate(right)):
+        # the root level, both children kept: the next level holds the
+        # left child's histograms, then the right child's
+        go_left = X[:, 1] <= 4.0
+        side = np.where(go_left, 1, 2).astype(np.int8)
+        level = Level(indices, np.array([len(y)]))
+        children = splitter.partition(root, level, side, go_left)
+        left_ctx, right_ctx = (
+            tuple(None if part is None else part[i : i + 1] for part in children)
+            for i in (0, 1)
+        )
+
+        def accumulate(rows):
+            return splitter._accumulate(rows, np.zeros(len(rows), dtype=np.int64), 1)
+
+        for derived, direct in zip(right_ctx, accumulate(right)):
             if derived is None:
                 assert direct is None
             else:
                 np.testing.assert_array_equal(derived, direct)
-        for derived, direct in zip(left_ctx, splitter._accumulate(left)):
+        for derived, direct in zip(left_ctx, accumulate(left)):
             if derived is None:
                 assert direct is None
             else:
                 np.testing.assert_array_equal(derived, direct)
+
+
+def noisy_problem(n, n_classes=2, seed=0):
+    """Continuous features and noisy labels: an unbounded-depth fit grows
+    frontiers of hundreds of nodes."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 6))
+    score = X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=n)
+    y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
+    return X, y
+
+
+class TestFrontierBound:
+    """A frontier whose histograms would pass ``HISTOGRAM_CELLS`` is scored
+    in node blocks accumulated directly, and nothing below it is stored."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("stored, searched", [(1, 1), (5, 2)])
+    def test_blocked_frontiers_grow_the_same_tree(
+        self, monkeypatch, n_classes, stored, searched
+    ):
+        X, y = noisy_problem(1500, n_classes, seed=n_classes)
+        whole = DecisionTreeClassifier().fit(X, y, presort="histogram")
+        splitter = HistogramSplitter(HistogramBinning(X), np.eye(n_classes)[y], "gini", 1)
+        per_node = histogram.HISTOGRAM_CELLS // splitter._max_nodes
+        monkeypatch.setattr(histogram, "HISTOGRAM_CELLS", stored * per_node)
+        monkeypatch.setattr(histogram, "SEARCH_CELLS", searched * per_node)
+        blocked = DecisionTreeClassifier().fit(X, y, presort="histogram")
+        assert blocked.depth_ > 8  # frontiers far wider than the blocks
+        assert tree_signature(blocked) == tree_signature(whole)
+
+    def test_unbounded_depth_fit_holds_bounded_histograms(self, monkeypatch):
+        n = HISTOGRAM_AUTO_THRESHOLD
+        X, y = noisy_problem(n)
+        stored = []
+        partition = HistogramSplitter.partition
+
+        def recording(self, *args):
+            context = partition(self, *args)
+            cells = 0 if context is None else sum(
+                part.size for part in context if part is not None
+            )
+            stored.append(cells)
+            return context
+
+        monkeypatch.setattr(HistogramSplitter, "partition", recording)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        model = DecisionTreeClassifier().fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        if not tracing:
+            tracemalloc.stop()
+        assert model.fit_backend_ == "histogram" and model.depth_ > 20
+        assert max(stored) <= histogram.HISTOGRAM_CELLS
+        assert 0 in stored  # the frontier outgrew the cap
+        # the stored frontier is at most 8 MB; the subtraction holds a
+        # few copies of it, the search a few of its SEARCH_CELLS block
+        assert peak < 4 * 8 * histogram.HISTOGRAM_CELLS

@@ -31,6 +31,7 @@ from repro.learn import (
 )
 from repro.learn import splitter
 from repro.learn.model_selection import ParameterGrid
+from repro.learn.tree import TREE_DTYPES
 
 from .reference_impl import ReferenceDecisionTree, ReferenceSGDClassifier
 
@@ -272,6 +273,113 @@ class TestMulticlassKernel:
                 DecisionTreeClassifier(**params).fit(X, y),
                 ReferenceDecisionTree(**params).fit(X, y),
             )
+
+
+def reference_arrays(reference):
+    """The node arrays of a frozen :class:`ReferenceDecisionTree`, laid
+    out in preorder as ``to_state`` stores them."""
+    rows = []
+
+    def visit(node):
+        i = len(rows)
+        rows.append([-1, np.nan, -1, -1, node.n_samples, node.distribution])
+        if not node.is_leaf:
+            rows[i][:2] = node.feature, node.threshold
+            rows[i][2] = visit(node.left)
+            rows[i][3] = visit(node.right)
+        return i
+
+    visit(reference.tree_)
+    return {
+        key: np.asarray(column, dtype=dtype)
+        for (key, dtype), column in zip(TREE_DTYPES.items(), zip(*rows))
+    }
+
+
+@st.composite
+def binary_problems(draw):
+    """Binary-label matrices of every column class the presort tells
+    apart — constant, two-valued (arbitrary values), few-valued, tied,
+    duplicated and continuous — with unit, reweighing-like (a few
+    distinct fractions) or random weights that include zeros.
+
+    A "widened" column is a two-valued one whose high value is split in
+    two: its first boundary cuts the same rows as the two-valued column,
+    so the two tie exactly only if both add the low group's weights in
+    the same (sequential) order. Labels may follow a two-valued column,
+    a widened one's first, so that tie is often the best split.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 160))
+    kinds = draw(st.lists(
+        st.sampled_from(
+            ["constant", "two", "widened", "few", "ties", "duplicate", "continuous"]
+        ),
+        min_size=1, max_size=7,
+    ))
+    columns, pairs = [], []
+    for kind in kinds:
+        if kind == "constant":
+            columns.append(np.full(n, -1.25))
+        elif kind in ("two", "widened"):
+            lo, hi = draw(st.sampled_from([(0.0, 1.0), (-2.5, 7.0), (-0.5, 3.0)]))
+            low = rng.random(n) < draw(st.floats(0.05, 0.95))
+            pair = np.where(low, lo, hi)
+            if kind == "widened":
+                high = np.where(rng.random(n) < 0.5, hi, hi + 1.0)
+                columns.append(np.where(low, lo, high))
+            columns.insert(draw(st.integers(0, len(columns))), pair)
+            pairs.insert(0 if kind == "widened" else len(pairs), low)
+        elif kind == "few":
+            columns.append(rng.choice([-1.0, 0.5, 2.0], n))
+        elif kind == "ties":
+            columns.append(rng.integers(0, draw(st.integers(3, 8)), n).astype(float))
+        elif kind == "duplicate" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))].copy())
+        else:
+            columns.append(np.round(rng.normal(size=n), 2))
+    X = np.column_stack(columns)
+    y = rng.integers(0, 2, n)
+    if pairs and draw(st.booleans()):
+        y = np.where(rng.random(n) < 0.8, pairs[0], y).astype(int)
+    y[:2] = [0, 1]
+    scheme = draw(st.sampled_from(["unit", "reweighing", "random"]))
+    weights = None
+    if scheme == "reweighing":
+        # expected over observed (group, label) frequency, as Reweighing sets
+        group = rng.integers(0, 2, n)
+        weights = np.empty(n)
+        for g in (0, 1):
+            for label in (0, 1):
+                cell = (group == g) & (y == label)
+                if cell.any():
+                    expected = np.mean(group == g) * np.mean(y == label)
+                    weights[cell] = expected / np.mean(cell)
+    elif scheme == "random":
+        weights = rng.random(n) * 3.0
+        weights[rng.random(n) < 0.25] = 0.0
+        weights[0] = 1.0  # a positive total
+    params = dict(
+        criterion=draw(st.sampled_from(["gini", "entropy"])),
+        max_depth=draw(st.sampled_from([None, 1, 2, 5])),
+        min_samples_leaf=draw(st.integers(1, n // 2)),
+    )
+    return X, y, weights, params
+
+
+class TestBinaryKernel:
+    """The level-wise binary search reproduces the seed's per-node search
+    node for node, weighted sums included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(binary_problems())
+    def test_node_arrays_match_seed_on_random_binary_data(self, problem):
+        X, y, weights, params = problem
+        ours = DecisionTreeClassifier(**params).fit(X, y, sample_weight=weights)
+        reference = ReferenceDecisionTree(**params).fit(X, y, sample_weight=weights)
+        seed = reference_arrays(reference)
+        for key in TREE_DTYPES:
+            assert ours.tree_[key].tobytes() == seed[key].tobytes(), key
 
 
 class TestPreparedMatrix:

@@ -59,6 +59,21 @@ class TestFitting:
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_leaf=0).fit(np.ones((4, 1)), [0, 0, 1, 1])
 
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_invalid_max_depth(self, max_depth):
+        # a depth below 1 used to fit a root-only tree without complaint
+        X, y = _xor(n=60)
+        with pytest.raises(ValueError, match="max_depth"):
+            DecisionTreeClassifier(max_depth=max_depth).fit(X, y)
+
+    def test_fit_candidates_checks_every_member(self):
+        # only each family's deepest member is induced; a shallower
+        # member's own fit would raise, so the family fit must too
+        X, y = _xor(n=60)
+        candidates = [{"max_depth": 3}, {"max_depth": -1}]
+        with pytest.raises(ValueError, match="max_depth"):
+            DecisionTreeClassifier().fit_candidates(candidates, X, y)
+
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1, 1])
