@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="number of scoring worker processes sharing the port "
         "(1 = single-process serving, the default; N > 1 pre-forks a "
-        "supervised fleet via SO_REUSEPORT or inherited-socket accept)",
+        "supervised fleet whose workers share the port via SO_REUSEPORT)",
     )
     p_serve.add_argument(
         "--window", type=int, default=1000, help="monitoring window size"

@@ -36,7 +36,8 @@ later copies are counted and dropped, so re-execution never corrupts the
 store. A killed coordinator restarts with ``resume=True`` and re-issues
 only the keys missing from its store.
 
-Forked localhost workers (``workers=N``) inherit the plan; remote
+Localhost workers (``workers=N``) are forked processes that inherit the
+plan, so grid factories need not pickle; remote
 workers (``repro grid-worker --connect HOST:PORT``) rebuild it from the
 grid *manifest* sent in the welcome, which this module treats as opaque.
 Either way the worker recomputes the ``run_key`` fingerprints itself and
@@ -531,42 +532,16 @@ class DistributedExecutor(Executor):
         address = coordinator.address
         coordinator.start()
         pids: List[int] = []
-        threads: List[threading.Thread] = []
         try:
-            if self.workers > 0 and parallel.fork_available():
-                pids = [
-                    parallel.fork_process(
-                        lambda rank=rank: worker_loop(
-                            address,
-                            plan=plan,
-                            worker_id=f"local-{rank}",
-                        )
+            pids = [
+                parallel.fork_process(
+                    lambda rank=rank: worker_loop(
+                        address, plan=plan, worker_id=f"local-{rank}"
                     )
-                    for rank in range(self.workers)
-                ]
-            elif self.workers > 0:
-                warnings.warn(
-                    "DistributedExecutor needs the 'fork' start method to "
-                    "spawn localhost worker processes; running them as "
-                    "threads instead (no parallel speedup)",
-                    RuntimeWarning,
-                    stacklevel=2,
                 )
-                threads = [
-                    threading.Thread(
-                        target=worker_loop,
-                        args=(address,),
-                        kwargs={
-                            "plan": plan,
-                            "worker_id": f"local-{rank}",
-                        },
-                        daemon=True,
-                    )
-                    for rank in range(self.workers)
-                ]
-                for thread in threads:
-                    thread.start()
-            self._wait(coordinator, pids, threads)
+                for rank in range(self.workers)
+            ]
+            self._wait(coordinator, pids)
         finally:
             for pid in pids:
                 parallel.reap_process(pid, kill_after=self.lease_seconds)
@@ -574,13 +549,12 @@ class DistributedExecutor(Executor):
             self.close()
             self.stats = coordinator.stats
 
-    def _wait(self, coordinator, pids, threads) -> None:
+    def _wait(self, coordinator, pids) -> None:
         """Block until every key merged; watch local workers meanwhile."""
-        local = bool(pids or threads)
+        local = bool(pids)
         while not coordinator.finished.wait(timeout=0.1):
             pids = [pid for pid in pids if not os.waitpid(pid, os.WNOHANG)[0]]
-            threads = [thread for thread in threads if thread.is_alive()]
-            if local and not (pids or threads or coordinator.live_worker_count()):
+            if local and not (pids or coordinator.live_worker_count()):
                 raise RuntimeError(
                     "all local grid workers exited before the grid "
                     "completed; see worker tracebacks above"

@@ -7,8 +7,7 @@ executors here decide scheduling and reuse:
 * :class:`ParallelExecutor` — fans preparation groups out over the
   fork-based group runner in :mod:`repro.parallel` (shared with
   ``GridSearchCV(n_jobs=...)``; fork means grid factories need not be
-  picklable), falling back to serial execution where fork is
-  unavailable.
+  picklable).
 
 Every backend runs a preparation group through :func:`iter_config_group`,
 which shares three cache levels keyed by the plan's fingerprints:
@@ -327,9 +326,6 @@ class ParallelExecutor(Executor):
     there are fewer groups than workers, the largest groups are split so
     every worker gets something to do — at the cost of re-preparing the
     split halves, which never changes the results.
-
-    On platforms without the ``fork`` start method the executor degrades
-    to serial in-process execution with a warning.
     """
 
     def __init__(self, jobs: Optional[int] = None):
@@ -343,14 +339,6 @@ class ParallelExecutor(Executor):
         if workers <= 1:
             _run_groups_in_process(plan, groups, emit_group)
             return
-        if not parallel.fork_available():
-            parallel.warn_serial_fallback(
-                "ParallelExecutor needs the 'fork' start method to ship "
-                "component factories to workers; running serially instead"
-            )
-            _run_groups_in_process(plan, groups, emit_group)
-            return
-
         groups = parallel.split_for_balance(groups, workers)
         parallel.run_groups(
             plan,

@@ -14,6 +14,12 @@ pickled on the way back, so they must be picklable).
 
 Because workers share nothing but the immutable payload, parallel runs
 produce results identical to serial execution.
+
+:func:`fork_process` forks the long-lived children: distributed
+localhost grid workers and serving-fleet workers. The package is
+POSIX-only (telemetry registers ``os.register_at_fork`` hooks at import),
+so fork is always there and nothing here falls back to serial execution;
+``jobs <= 1`` is the only serial path.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import os
 import signal
 import time
 import traceback
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -31,19 +36,6 @@ from . import telemetry
 
 #: (payload, worker, groups) inherited by forked pool workers
 _WORKER_STATE: Optional[Tuple] = None
-
-
-def fork_available() -> bool:
-    """Whether this platform can fork worker processes."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def warn_serial_fallback(message: str) -> None:
-    """Warn that fan-out dropped to serial execution, and count it in
-    ``parallel.serial_fallback``. The warning points at the caller of the
-    function that fell back."""
-    telemetry.counter("parallel.serial_fallback").inc()
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def _run_indexed(index: int):
@@ -65,8 +57,8 @@ def run_groups(
 
     ``on_done(index, group, result)`` fires as each group completes —
     incrementally, in completion order under the pool — so callers can
-    persist partial progress. With ``jobs <= 1``, a single group, or no
-    fork support, execution happens serially in submission order.
+    persist partial progress. With ``jobs <= 1`` or a single group,
+    execution happens serially in submission order.
 
     If a group raises, unstarted groups are cancelled, in-flight groups
     are allowed to finish and are still reported through ``on_done``,
@@ -74,12 +66,6 @@ def run_groups(
     """
     groups = list(groups)
     jobs = min(int(jobs), len(groups))
-    if jobs > 1 and not fork_available():
-        warn_serial_fallback(
-            "parallel execution needs the 'fork' start method to ship "
-            "work to child processes; running serially instead"
-        )
-        jobs = 1
     if jobs <= 1:
         for index, group in enumerate(groups):
             on_done(index, group, worker(payload, group))
@@ -134,13 +120,13 @@ def fork_process(target: Callable[[], object]) -> int:
     """Fork a long-lived worker process that runs ``target()`` and exits.
 
     The single-machine "distributed over localhost" mode spawns its grid
-    workers this way: the child inherits the coordinator's published plan
-    copy-on-write (closures and all), runs the target, and ``os._exit``s
-    so no parent state (atexit handlers, buffered streams) runs twice.
-    Exit status is 0 on success, 1 on an exception (traceback printed).
+    workers this way, and the serving fleet its scoring workers: the child
+    inherits the parent's state copy-on-write (closures and all), runs the
+    target, and ``os._exit``s so no parent state (atexit handlers,
+    buffered streams) runs twice.
+    Exit status is 0 on success, 1 on an exception (traceback logged
+    through :func:`repro.telemetry.log_line`, one write however long).
     """
-    if not fork_available():  # pragma: no cover - platform-specific
-        raise RuntimeError("fork_process needs the 'fork' start method")
     pid = os.fork()
     if pid != 0:
         return pid
@@ -148,7 +134,7 @@ def fork_process(target: Callable[[], object]) -> int:
     try:
         target()
     except BaseException:
-        traceback.print_exc()
+        telemetry.log_line(traceback.format_exc(), force=True)
         status = 1
     finally:
         os._exit(status)

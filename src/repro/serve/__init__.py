@@ -18,8 +18,8 @@ with the process. This subsystem makes them durable and usable:
 * :mod:`~repro.serve.service` — a stdlib HTTP JSON scoring endpoint
   (keep-alive, strict JSON, bounded-queue load shedding);
 * :mod:`~repro.serve.fleet` — pre-forked multi-core worker fleet sharing
-  one port (SO_REUSEPORT or inherited-socket pre-fork accept) with
-  fleet-wide merged monitoring, worker respawn, and graceful drain.
+  one port through SO_REUSEPORT, with fleet-wide merged monitoring,
+  worker respawn, and graceful drain.
 """
 
 from .artifacts import (

@@ -9,15 +9,12 @@ single-process stack (persistent HTTP/1.1 loop + MicroBatcher +
 FairnessMonitor) over a pipeline artifact loaded **once, pre-fork** and
 shared copy-on-write.
 
-Port sharing has two modes, picked automatically:
-
-* **SO_REUSEPORT** (Linux, modern BSDs) — every worker binds its own
-  listening socket to the same address; the kernel hash-balances incoming
-  connections across the listening sockets. A dead worker only loses the
-  connections already in its accept queue; its replacement binds the same
-  port and rejoins the balance group.
-* **pre-fork accept** (fallback) — the supervisor binds and listens once
-  before forking; workers inherit the socket and all ``accept()`` on it.
+Port sharing uses ``SO_REUSEPORT``: every worker binds its own listening
+socket to the same address, and the kernel hash-balances incoming
+connections across the listening sockets. A dead worker only loses the
+connections already in its accept queue; its replacement binds the same
+port and rejoins the balance group. Workers are forked through
+:func:`repro.parallel.fork_process` (the package is POSIX-only).
 
 The fleet stays *observable as one server*. Each worker exposes its raw
 :meth:`~repro.serve.service.ScoringService.state` on a per-worker unix
@@ -49,7 +46,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import telemetry
+from .. import parallel, telemetry
 from .service import (
     ScoringService,
     dumps_strict,
@@ -57,9 +54,6 @@ from .service import (
     metrics_payload,
     request_summary,
 )
-
-SO_REUSEPORT_AVAILABLE = hasattr(socket, "SO_REUSEPORT")
-FORK_AVAILABLE = hasattr(os, "fork")
 
 _CONTROL_TIMEOUT = 2.0
 
@@ -219,31 +213,19 @@ class ServingFleet:
         host: str = "127.0.0.1",
         port: int = 8080,
         workers: int = 2,
-        reuse_port: Optional[bool] = None,
         drain_timeout: float = 10.0,
-        respawn: bool = True,
         log: Optional[Callable[[str], None]] = None,
     ):
-        if not FORK_AVAILABLE:
-            raise RuntimeError(
-                "ServingFleet needs os.fork(); use --workers 1 on this platform"
-            )
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.service_factory = service_factory
         self.host = host
         self.port = port
         self.workers = int(workers)
-        self.reuse_port = (
-            SO_REUSEPORT_AVAILABLE if reuse_port is None else bool(reuse_port)
-        )
-        if self.reuse_port and not SO_REUSEPORT_AVAILABLE:
-            raise RuntimeError("SO_REUSEPORT is not available on this platform")
         self.drain_timeout = float(drain_timeout)
-        self.respawn = respawn
         self._log = log or (lambda message: None)
         self._children: Dict[int, int] = {}  # worker index -> pid
-        self._listen_sock: Optional[socket.socket] = None
+        self._placeholder: Optional[socket.socket] = None
         self._control_dir: Optional[str] = None
         self.control_paths: List[str] = []
         self._supervisor: Optional[threading.Thread] = None
@@ -253,25 +235,19 @@ class ServingFleet:
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
-        return "SO_REUSEPORT" if self.reuse_port else "pre-fork accept"
+        """How workers share the port (recorded by the HTTP bench)."""
+        return "SO_REUSEPORT"
 
     def worker_pids(self) -> List[int]:
         return [self._children[i] for i in sorted(self._children)]
 
     def start(self) -> Tuple[str, int]:
         """Bind, fork the fleet, start supervising; returns (host, port)."""
-        if self.reuse_port:
-            # bind (never listen!) a placeholder to resolve port 0 and keep
-            # the address reserved across worker restarts; only listening
-            # REUSEPORT sockets receive connections, so this socket never
-            # steals one
-            self._listen_sock = self._bound_socket(listen=False)
-        else:
-            # classic pre-fork: one listening socket, inherited by every
-            # worker; the supervisor keeps it open so respawned workers
-            # inherit it too
-            self._listen_sock = self._bound_socket(listen=True)
-        self.host, self.port = self._listen_sock.getsockname()[:2]
+        # bind (never listen!) a placeholder to resolve port 0 and keep the
+        # address reserved across worker restarts; only listening
+        # REUSEPORT sockets receive connections, so it never steals one
+        self._placeholder = self._bound_placeholder()
+        self.host, self.port = self._placeholder.getsockname()[:2]
         self._control_dir = tempfile.mkdtemp(prefix="repro-fleet-")
         self.control_paths = [
             os.path.join(self._control_dir, f"worker-{index}.sock")
@@ -323,9 +299,9 @@ class ServingFleet:
         self._children.clear()
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-            self._listen_sock = None
+        if self._placeholder is not None:
+            self._placeholder.close()
+            self._placeholder = None
         for path in self.control_paths:
             if os.path.exists(path):
                 try:
@@ -345,26 +321,21 @@ class ServingFleet:
         self._log("fleet stopped")
 
     # ------------------------------------------------------------------
-    def _bound_socket(self, listen: bool) -> socket.socket:
+    def _bound_placeholder(self) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.reuse_port:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             sock.bind((self.host, self.port))
-            if listen:
-                sock.listen(128)
         except BaseException:
             sock.close()
             raise
         return sock
 
     def _spawn(self, index: int) -> None:
-        pid = os.fork()
-        if pid == 0:
-            self._worker_main(index)  # never returns
-            os._exit(1)  # pragma: no cover - unreachable
-        self._children[index] = pid
+        self._children[index] = parallel.fork_process(
+            lambda: self._worker_main(index)
+        )
 
     def _supervise(self) -> None:
         """Respawn dead workers until the fleet is asked to stop."""
@@ -376,11 +347,8 @@ class ServingFleet:
                     break
                 if self._children.get(index) != pid:
                     continue  # already replaced
-                if self.respawn:
-                    self._log(f"worker {index} (pid {pid}) died; respawning")
-                    self._spawn(index)
-                else:
-                    del self._children[index]
+                self._log(f"worker {index} (pid {pid}) died; respawning")
+                self._spawn(index)
             time.sleep(0.2)
 
     def _reap(self, pid: int, block: bool = False) -> bool:
@@ -404,49 +372,36 @@ class ServingFleet:
     # child process
     # ------------------------------------------------------------------
     def _worker_main(self, index: int) -> None:
-        """Everything a worker does, from fork to ``os._exit``."""
-        try:
-            stop = threading.Event()
-            signal.signal(signal.SIGTERM, lambda *_: stop.set())
-            # the supervisor turns Ctrl-C into a graceful SIGTERM; a raw
-            # KeyboardInterrupt mid-drain would defeat that
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        """Everything a worker does after fork; a raise exits it with 1."""
+        stop = threading.Event()
+        signal.signal(signal.SIGTERM, lambda *_: stop.set())
+        # the supervisor turns Ctrl-C into a graceful SIGTERM; a raw
+        # KeyboardInterrupt mid-drain would defeat that
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-            service = self.service_factory()
-            service.fleet = FleetView(index, self.control_paths)
-            if self.reuse_port:
-                # the supervisor's placeholder is not this worker's problem
-                if self._listen_sock is not None:
-                    self._listen_sock.close()
-                server = make_server(
-                    service, host=self.host, port=self.port, reuse_port=True
-                )
-            else:
-                server = make_server(service, sock=self._listen_sock)
-            control = _ControlServer(self.control_paths[index], service.state)
-            control.start()
+        service = self.service_factory()
+        service.fleet = FleetView(index, self.control_paths)
+        # the supervisor's placeholder is not this worker's problem
+        self._placeholder.close()
+        server = make_server(
+            service, host=self.host, port=self.port, reuse_port=True
+        )
+        control = _ControlServer(self.control_paths[index], service.state)
+        control.start()
 
-            serve_thread = threading.Thread(
-                target=server.serve_forever,
-                name=f"repro-fleet-worker-{index}",
-                daemon=True,
-            )
-            serve_thread.start()
-            stop.wait()
+        serve_thread = threading.Thread(
+            target=server.serve_forever,
+            name=f"repro-fleet-worker-{index}",
+            daemon=True,
+        )
+        serve_thread.start()
+        stop.wait()
 
-            # graceful drain: stop accepting, let in-flight requests finish
-            # (responses are single buffered writes, so nothing is ever
-            # half-written), flush the MicroBatcher queue, then leave
-            service.draining = True
-            server.shutdown()
-            service.drain(self.drain_timeout)
-            control.stop()
-            server.server_close()
-        except Exception as error:  # pragma: no cover - crash path
-            telemetry.log_line(
-                f"[repro.serve.fleet] worker {index} crashed: "
-                f"{type(error).__name__}: {error}",
-                force=True,
-            )
-            os._exit(1)
-        os._exit(0)
+        # graceful drain: stop accepting, let in-flight requests finish
+        # (responses are single buffered writes, so nothing is ever
+        # half-written), flush the MicroBatcher queue, then leave
+        service.draining = True
+        server.shutdown()
+        service.drain(self.drain_timeout)
+        control.stop()
+        server.server_close()

@@ -331,7 +331,6 @@ def make_server(
     service: ScoringService,
     host: str = "127.0.0.1",
     port: int = 8080,
-    sock: Optional[socket.socket] = None,
     reuse_port: bool = False,
 ) -> ThreadingHTTPServer:
     """Build a ready-to-serve ThreadingHTTPServer bound to the service.
@@ -345,11 +344,9 @@ def make_server(
     acts on — the stdlib's email-module header parsing is pure per-request
     overhead here.
 
-    Fleet hooks: pass an already-listening ``sock`` to adopt it instead of
-    binding (the pre-fork fallback, where every worker accepts on one
-    inherited socket), or ``reuse_port=True`` to bind with
-    ``SO_REUSEPORT`` so sibling workers can bind the same address and let
-    the kernel spread connections across them.
+    Fleet hook: ``reuse_port=True`` binds with ``SO_REUSEPORT``, so sibling
+    workers can bind the same address and let the kernel spread
+    connections across them.
     """
 
     class Handler(StreamRequestHandler):
@@ -463,7 +460,7 @@ def make_server(
                         {"error": f"{type(error).__name__}: {error}"},
                         keep_alive,
                     )
-            if method == b"GET" or path != "/score":
+            if method == b"GET" or route != "/score":
                 return self._respond(404, {"error": f"no route {path}"}, keep_alive)
             if not body:
                 return self._respond(
@@ -541,16 +538,8 @@ def make_server(
             handle_connection_error(client_address)
 
     server = Server((host, port), Handler, bind_and_activate=False)
-    if sock is not None:
-        # adopt an inherited, already-listening socket (pre-fork fallback)
-        server.socket.close()
-        server.socket = sock
-        server.server_address = sock.getsockname()
-        return server
     try:
         if reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise OSError("SO_REUSEPORT is not available on this platform")
             server.socket.setsockopt(
                 socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
             )

@@ -273,17 +273,6 @@ class TestResumeAndStore:
         with pytest.raises(ValueError, match="jobs"):
             ParallelExecutor(jobs=0)
 
-    def test_serial_fallback_without_fork_is_counted(
-        self, german, serial_results, monkeypatch
-    ):
-        monkeypatch.setattr(executors.parallel, "fork_available", lambda: False)
-        fallback = telemetry.counter("parallel.serial_fallback")
-        before = fallback.value
-        with pytest.warns(RuntimeWarning, match="running serially"):
-            results = run_grid(german, small_grid(), executor=ParallelExecutor(jobs=2))
-        assert fallback.value - before == 1
-        assert [r.to_json() for r in results] == [r.to_json() for r in serial_results]
-
     def test_resume_tolerates_torn_store_line(self, german, tmp_path, serial_results):
         store = ResultsStore(str(tmp_path / "torn.jsonl"))
         store.extend(serial_results[:2])

@@ -119,7 +119,6 @@ class TestTracedGridIdentity:
         assert totals["grid.run"]["max_s"] >= totals["stage.train"]["max_s"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
 class TestDistributedTraceStitching:
     def test_two_worker_trace_reconciles_with_coordinator_stats(
         self, german, tmp_path

@@ -1,10 +1,18 @@
 """Serving acceptance: export → reload → score is byte-identical to the
 in-process experiment on all four paper datasets, including in a genuinely
-fresh interpreter (subprocess via the CLI)."""
+fresh interpreter (subprocess via the CLI), and ``repro serve --workers 2``
+serves, aggregates and drains as one server."""
 
+import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
+import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -71,13 +79,27 @@ def test_reloaded_pipeline_byte_identical(tmp_path, name, n):
         assert got == value or (got != got and value != value), key
 
 
+def _cli_env(**extra):
+    env = dict(os.environ, **extra)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return env
+
+
+def _http(port, path, data=None):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=data,
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read())
+
+
 def test_fresh_process_verification_via_cli(tmp_path):
     """The CI smoke flow: export here, verify byte-identity in a new python."""
     root = str(tmp_path / "registry")
     _run_and_export("germancredit", None, root)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
     completed = subprocess.run(
         [
             sys.executable,
@@ -92,13 +114,76 @@ def test_fresh_process_verification_via_cli(tmp_path):
             "germancredit",
             "--verify",
         ],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
     assert "byte-identically" in completed.stdout
+
+
+def test_cli_fleet_serves_aggregates_and_drains(tmp_path):
+    root = str(tmp_path / "registry")
+    _, _, _, _, raw_test = _run_and_export("germancredit", None, root)
+    record = {
+        name: (value.item() if hasattr(value, "item") else value)
+        for name, value in (
+            (name, raw_test.col(name).values[0]) for name in raw_test.columns
+        )
+    }
+    # the fleet's control directory goes to the temp dir; give the server
+    # its own so leftovers are attributable
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--registry", root,
+            "--model", "production", "--port", "0", "--workers", "2",
+        ],
+        env=_cli_env(TMPDIR=str(scratch)),
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # a failed test kills the workers too
+    )
+    lines = []
+    reader = threading.Thread(
+        target=lambda: lines.extend(server.stderr), daemon=True
+    )
+    reader.start()
+    try:
+        deadline = time.monotonic() + 60
+        port = None
+        while port is None and time.monotonic() < deadline:
+            match = re.search(r"on http://[^:]+:(\d+)", "".join(lines))
+            port = int(match.group(1)) if match else None
+            assert server.poll() is None, "".join(lines)
+            time.sleep(0.05)
+        assert port, "server never printed its address"
+
+        alive = 0
+        while alive != 2 and time.monotonic() < deadline:
+            try:
+                alive = _http(port, "/healthz")["fleet"]["workers_alive"]
+            except (urllib.error.URLError, ConnectionError, OSError):
+                pass
+            time.sleep(0.1)
+        assert alive == 2, "".join(lines)
+
+        scored = _http(port, "/score", json.dumps(record).encode())
+        assert scored["records_scored"] == 1
+        metrics = _http(port, "/metrics")
+        assert metrics["fleet"]["size"] == 2
+        assert metrics["requests"] == metrics["successes"] + metrics["errors"]
+
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0, "".join(lines)
+    finally:
+        if server.poll() is None:
+            os.killpg(server.pid, signal.SIGKILL)
+            server.wait()
+    reader.join(timeout=5)
+    assert not [p.name for p in scratch.iterdir() if p.name.startswith("repro-fleet-")]
 
 
 def test_grid_export_publishes_best_run(tmp_path):

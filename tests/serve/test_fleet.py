@@ -1,9 +1,8 @@
 """Multi-core serving fleet: port sharing, fleet-wide /healthz and
 /metrics aggregation, worker death + respawn, and graceful drain.
 
-These tests fork real worker processes (skipped where os.fork is
-unavailable); everything speaks to the fleet over real HTTP, as a client
-would."""
+These tests fork real worker processes; everything speaks to the fleet
+over real HTTP, as a client would."""
 
 import json
 import os
@@ -24,12 +23,6 @@ from repro.serve import (
     ServingFleet,
     dumps_strict,
 )
-from repro.serve.fleet import FORK_AVAILABLE, SO_REUSEPORT_AVAILABLE
-
-pytestmark = pytest.mark.skipif(
-    not FORK_AVAILABLE, reason="ServingFleet requires os.fork"
-)
-
 
 def _strict_loads(data):
     def refuse(token):
@@ -221,38 +214,27 @@ class TestFleetServing:
 class TestFleetLifecycle:
     def test_graceful_stop_closes_the_port(self, pipeline):
         artifact, frame, spec = pipeline
-        fleet = ServingFleet(_factory(artifact), port=0, workers=2)
+        logged = []
+        fleet = ServingFleet(
+            _factory(artifact), port=0, workers=2, drain_timeout=5.0,
+            log=logged.append,
+        )
         _, port = fleet.start()
         _wait_healthy(port, 2)
-        record = _records(frame, spec, 1)[0]
-        assert _post(port, record)["records_scored"] == 1
+        for record in _records(frame, spec, 4):
+            assert _post(port, record)["records_scored"] == 1
         control_paths = list(fleet.control_paths)
+        started = time.monotonic()
         fleet.stop()
+        # every worker drains on SIGTERM; none has to be SIGKILLed
+        assert time.monotonic() - started < fleet.drain_timeout
+        assert not [line for line in logged if "ignored drain" in line]
+        assert "fleet stopped" in logged
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             _get(port, "/healthz", timeout=2)
         for path in control_paths:
             assert not os.path.exists(path)
         fleet.stop()  # idempotent
-
-    @pytest.mark.skipif(
-        not SO_REUSEPORT_AVAILABLE, reason="needs SO_REUSEPORT to compare"
-    )
-    def test_prefork_fallback_serves_without_so_reuseport(self, pipeline):
-        artifact, frame, spec = pipeline
-        fleet = ServingFleet(
-            _factory(artifact), port=0, workers=2, reuse_port=False
-        )
-        try:
-            assert fleet.mode == "pre-fork accept"
-            _, port = fleet.start()
-            _wait_healthy(port, 2)
-            for record in _records(frame, spec, 4):
-                assert _post(port, record)["records_scored"] == 1
-            metrics = _get(port, "/metrics")
-            assert metrics["requests"] == metrics["successes"] + metrics["errors"]
-            assert metrics["errors"] == 0
-        finally:
-            fleet.stop()
 
     def test_worker_count_validation(self, pipeline):
         artifact, _, _ = pipeline

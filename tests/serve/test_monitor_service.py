@@ -232,3 +232,28 @@ class TestHTTP:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_score_route_ignores_the_query_string(self, service):
+        svc, frame, _ = service
+        server = make_server(svc, port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        record = json.dumps(_records(frame, 1)[0]).encode()
+
+        def post(path):
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}{path}",
+                data=record,
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request) as response:
+                return response.status, response.read()
+
+        try:
+            plain = post("/score")
+            assert plain[0] == 200
+            assert post("/score?trace=1") == plain
+        finally:
+            server.shutdown()
+            server.server_close()
