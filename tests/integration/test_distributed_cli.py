@@ -36,9 +36,28 @@ def _env():
     return env
 
 
-def _spawn(arguments, cwd):
+# The victim runs the real ``repro`` CLI with group execution stalled, so
+# it holds its granted lease (heartbeating) until it is killed. A worker
+# left to run can deliver its whole lease in the moment between printing
+# the lease event and the SIGKILL landing, and then there is nothing to
+# re-queue.
+STALLED_WORKER = """
+import sys, threading
+from repro import cli
+from repro.core import distributed
+
+def stalled(plan, group):
+    threading.Event().wait()
+    yield from ()
+
+distributed.iter_config_group = stalled
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _spawn(arguments, cwd, entry=("-m", "repro")):
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", *arguments],
+        [sys.executable, *entry, *arguments],
         cwd=str(cwd),
         env=_env(),
         stdout=subprocess.PIPE,
@@ -100,12 +119,14 @@ def test_sigkilled_worker_requeues_and_store_matches_serial(tmp_path):
         address = listening.rsplit(" ", 1)[-1].strip()
 
         victim = _spawn(
-            ["grid-worker", "--connect", address, "--worker-id", "w1"], tmp_path
+            ["grid-worker", "--connect", address, "--worker-id", "w1"],
+            tmp_path,
+            entry=("-c", STALLED_WORKER),
         )
         workers.append(victim)
         victim_log = StreamWatcher(victim.stderr)
-        # the worker prints its lease event before executing the group:
-        # killing now guarantees undelivered keys on an granted lease
+        # the lease event comes before the (stalled) group: killing now
+        # guarantees undelivered keys on a granted lease
         victim_log.wait_for("[w1] lease")
         os.kill(victim.pid, signal.SIGKILL)
         victim.wait(timeout=60)
@@ -123,6 +144,7 @@ def test_sigkilled_worker_requeues_and_store_matches_serial(tmp_path):
         log = coordinator_log.text()
         assert "worker w1 registered" in log
         assert "worker w2 registered" in log
+        assert "complete: w1" not in log
         summary = re.search(
             r"distributed summary: (\d+) worker\(s\) seen, (\d+)/(\d+) runs "
             r"merged, (\d+) keys re-queued",

@@ -1,9 +1,13 @@
 """Tests for the shared fork-based group runner (repro.parallel)."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from repro import parallel
+from repro import parallel, telemetry
 from repro.learn import SGDClassifier
 
 from .reference_impl import fit_ovr_per_class
@@ -11,6 +15,55 @@ from .reference_impl import fit_ovr_per_class
 
 def _double(payload, group):
     return [payload * value for value in group]
+
+
+class TestForkProcess:
+    def test_child_runs_target_and_exits_zero(self, tmp_path):
+        marker = tmp_path / "ran"
+        pid = parallel.fork_process(lambda: marker.write_text("yes"))
+        status = os.waitpid(pid, 0)[1]
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert marker.read_text() == "yes"
+
+    def test_failing_child_logs_traceback_even_when_quiet(self, capfd):
+        def target():
+            # quiet only in the child: the parent's telemetry is untouched
+            telemetry.set_quiet(True)
+            raise ValueError("boom in child")
+
+        pid = parallel.fork_process(target)
+        status = os.waitpid(pid, 0)[1]
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "ValueError: boom in child" in err
+
+
+class TestReapProcess:
+    def test_child_ignoring_term_is_killed(self):
+        ready_read, ready_write = os.pipe()
+
+        def target():
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            os.write(ready_write, b"x")
+            time.sleep(60)
+
+        pid = parallel.fork_process(target)
+        os.close(ready_write)
+        try:
+            assert os.read(ready_read, 1) == b"x"
+        finally:
+            os.close(ready_read)
+        started = time.monotonic()
+        status = parallel.reap_process(pid, kill_after=0.2, grace=0.1)
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
+        assert time.monotonic() - started < 30
+
+    def test_already_reaped_child_returns_none(self):
+        pid = parallel.fork_process(lambda: None)
+        os.waitpid(pid, 0)
+        assert parallel.reap_process(pid, kill_after=0.1, grace=0.1) is None
 
 
 class TestRunGroups:
