@@ -11,7 +11,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 
@@ -48,7 +48,11 @@ class RunResult:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return asdict(self)
+        # dataclasses.asdict would deep-copy every metric float; the dicts
+        # copied one level deep give the same JSON
+        data = _fields_dict(self)
+        data["candidates"] = [_fields_dict(c) for c in self.candidates]
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=True)
@@ -72,6 +76,15 @@ class RunResult:
     @staticmethod
     def from_json(text: str) -> "RunResult":
         return RunResult.from_dict(json.loads(text))
+
+
+def _fields_dict(record) -> dict:
+    """A dataclass record's fields by name, dict values copied."""
+    data = {}
+    for item in fields(record):
+        value = getattr(record, item.name)
+        data[item.name] = dict(value) if isinstance(value, dict) else value
+    return data
 
 
 class ResultsStore:

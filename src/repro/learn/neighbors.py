@@ -36,19 +36,43 @@ def nearest_neighbor_indices(
     if X_train.shape[1] != X_query.shape[1]:
         raise ValueError("train and query dimensionality differ")
     k = min(n_neighbors, X_train.shape[0])
-    if train_sq is None:
-        train_sq = (X_train**2).sum(axis=1)
     out = np.empty((X_query.shape[0], k), dtype=np.int64)
     block = 512
-    for start in range(0, X_query.shape[0], block):
-        q = X_query[start : start + block]
-        distances = (q**2).sum(axis=1)[:, None] - 2.0 * q @ X_train.T + train_sq
-        part = np.argpartition(distances, kth=k - 1, axis=1)[:, :k]
-        # order the k candidates by actual distance for deterministic output
-        rows = np.arange(part.shape[0])[:, None]
-        order = np.argsort(distances[rows, part], axis=1, kind="mergesort")
-        out[start : start + block] = part[rows, order]
+    # squares of magnitudes past ~1e154 overflow: such query rows are redone
+    with np.errstate(over="ignore", invalid="ignore"):
+        if train_sq is None:
+            train_sq = (X_train**2).sum(axis=1)
+        for start in range(0, X_query.shape[0], block):
+            q = X_query[start : start + block]
+            distances = (q**2).sum(axis=1)[:, None] - 2.0 * q @ X_train.T + train_sq
+            overflowed = ~np.isfinite(distances).all(axis=1)
+            if overflowed.any():
+                distances[overflowed] = _rescaled_distances(q[overflowed], X_train)
+            part = np.argpartition(distances, kth=k - 1, axis=1)[:, :k]
+            # order the k candidates by actual distance for deterministic output
+            rows = np.arange(part.shape[0])[:, None]
+            order = np.argsort(distances[rows, part], axis=1, kind="mergesort")
+            out[start : start + block] = part[rows, order]
     return out
+
+
+def _rescaled_distances(q: np.ndarray, X_train: np.ndarray) -> np.ndarray:
+    """|q|² − 2q·x + |x|² for query rows whose squares overflow, each row
+    computed with it and ``X_train`` scaled by ``2**-e``, ``e`` the exponent
+    of their largest magnitude. A power of two changes no significand, so
+    this is the unscaled formula with its overflow removed: the squared
+    distances times ``4**-e``, ordered as the true ones (values pushed
+    below the subnormal range lie far under the rounding of the largest)."""
+    largest = np.maximum(np.abs(q).max(axis=1), np.abs(X_train).max())
+    exponents = np.frexp(largest)[1]
+    distances = np.empty((q.shape[0], X_train.shape[0]))
+    for e in np.unique(exponents):
+        rows = exponents == e
+        qs, xs = np.ldexp(q[rows], -e), np.ldexp(X_train, -e)
+        distances[rows] = (
+            (qs**2).sum(axis=1)[:, None] - 2.0 * qs @ xs.T + (xs**2).sum(axis=1)
+        )
+    return distances
 
 
 @serializable

@@ -2,7 +2,9 @@
 every record and run_key exactly (including NaN metrics and optional
 strata), so resume and registry-metric linkage can trust the store."""
 
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -57,6 +59,17 @@ class TestRunResultJson:
         assert _equal(original, restored)
         assert restored.run_key == "k3"
         assert restored.best_candidate.learner == "learner-1"
+
+    def test_to_dict_gives_the_asdict_json_and_owns_its_dicts(self):
+        result = _result(3, run_key="k", with_nan=True)
+        result.candidates[1].best_params["grid"] = [1, [2.5, None]]
+        data = result.to_dict()
+        expected = json.dumps(asdict(result), sort_keys=True)
+        assert json.dumps(data, sort_keys=True) == expected
+        data["test_metrics"]["extra"] = 1.0
+        data["candidates"][0]["validation_metrics"].clear()
+        assert "extra" not in result.test_metrics
+        assert result.candidates[0].validation_metrics
 
     def test_nan_metrics_survive(self):
         original = _result(4, run_key="k4", with_nan=True)

@@ -4,15 +4,17 @@ These are copies (docstrings trimmed) of the per-accessor ``ClassificationMetric
 (every accessor rebuilds its stratum's confusion table from the group
 masks), of the per-candidate ``RejectOptionClassification.fit`` search
 (one prediction copy and one ``ClassificationMetric`` per (threshold,
-margin) candidate) and of the per-threshold ``threshold_sweep``, kept only
-so the golden tests can assert that the shared confusion-table kernel
-reproduces them value for value and bit for bit. Do not "fix" or optimize
+margin) candidate), of the per-threshold ``threshold_sweep`` and of the
+per-(feature, group) ``DisparateImpactRemover`` (one ``np.quantile`` per
+column and group in ``fit``, one ``np.interp`` pair per column and group in
+``transform``), kept only so the golden tests can assert that the shared
+kernels reproduce them value for value and bit for bit. Do not "fix" or optimize
 this module — its value is that it does the work the slow way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -426,3 +428,106 @@ def reference_threshold_sweep(
             }
         )
     return rows
+
+
+class ReferenceDisparateImpactRemover:
+    """``DisparateImpactRemover``'s per-(feature, group) fit and transform."""
+
+    def __init__(
+        self,
+        repair_level: float = 1.0,
+        sensitive_attribute: Optional[str] = None,
+        features_to_repair: Optional[Sequence[str]] = None,
+    ):
+        if not 0.0 <= repair_level <= 1.0:
+            raise ValueError("repair_level must lie in [0, 1]")
+        self.repair_level = repair_level
+        self.sensitive_attribute = sensitive_attribute
+        self.features_to_repair = (
+            None if features_to_repair is None else list(features_to_repair)
+        )
+
+    def fit(self, dataset: BinaryLabelDataset) -> "ReferenceDisparateImpactRemover":
+        attribute = self.sensitive_attribute or dataset.protected_attribute_names[0]
+        sensitive = dataset.protected_column(attribute)
+        self.attribute_ = attribute
+        self.group_values_ = sorted(set(np.unique(sensitive)))
+        if len(self.group_values_) < 2:
+            raise ValueError(
+                f"sensitive attribute {attribute!r} has a single value; "
+                "nothing to repair"
+            )
+        names = self.features_to_repair or list(dataset.feature_names)
+        missing = [n for n in names if n not in dataset.feature_names]
+        if missing:
+            raise KeyError(f"features not in dataset: {missing}")
+        self.repaired_features_ = names
+
+        quantile_grid = np.linspace(0.0, 1.0, 101)
+        self.quantile_grid_ = quantile_grid
+        self.group_quantiles_: Dict[str, Dict[float, np.ndarray]] = {}
+        self.median_quantiles_: Dict[str, np.ndarray] = {}
+        groups = self._groups(sensitive)
+        for name in names:
+            column = dataset.features[:, dataset.feature_names.index(name)]
+            per_group = {
+                value: np.quantile(column[mask], quantile_grid) for value, mask in groups
+            }
+            self.group_quantiles_[name] = per_group
+            self.median_quantiles_[name] = np.median(
+                np.vstack(list(per_group.values())), axis=0
+            )
+        return self
+
+    def _groups(self, sensitive: np.ndarray):
+        masks = ((value, sensitive == value) for value in self.group_values_)
+        return [(value, mask) for value, mask in masks if mask.any()]
+
+    def transform(self, dataset: BinaryLabelDataset) -> BinaryLabelDataset:
+        out = dataset.copy()
+        if self.repair_level == 0.0:
+            return out
+        sensitive = dataset.protected_column(self.attribute_)
+        groups = self._groups(sensitive)
+        for name in self.repaired_features_:
+            j = dataset.feature_names.index(name)
+            column = out.features[:, j]
+            repaired = column.copy()
+            for value, mask in groups:
+                curve = self.group_quantiles_[name][value]
+                quantiles = np.interp(
+                    column[mask],
+                    curve,
+                    self.quantile_grid_,
+                    left=0.0,
+                    right=1.0,
+                )
+                target = np.interp(
+                    quantiles, self.quantile_grid_, self.median_quantiles_[name]
+                )
+                repaired[mask] = (
+                    (1.0 - self.repair_level) * column[mask]
+                    + self.repair_level * target
+                )
+            out.features[:, j] = repaired
+        return out
+
+    def to_state(self) -> dict:
+        return {
+            "params": {
+                "repair_level": self.repair_level,
+                "sensitive_attribute": self.sensitive_attribute,
+                "features_to_repair": self.features_to_repair,
+            },
+            "attribute_": self.attribute_,
+            "group_values_": [float(v) for v in self.group_values_],
+            "repaired_features_": list(self.repaired_features_),
+            "quantile_grid_": self.quantile_grid_,
+            "group_quantiles_": [
+                [name, [[float(v), curve] for v, curve in sorted(per_group.items())]]
+                for name, per_group in self.group_quantiles_.items()
+            ],
+            "median_quantiles_": [
+                [name, curve] for name, curve in self.median_quantiles_.items()
+            ],
+        }

@@ -1,5 +1,7 @@
 """Unit tests for Pipeline, GaussianNB, KNeighborsClassifier and SimpleImputer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,24 @@ class TestKNN:
         q = np.array([[0.9]])
         idx = nearest_neighbor_indices(X, q, 2)
         assert idx[0].tolist() == [1, 0]
+
+    def test_large_magnitudes_are_ordered_by_true_distance(self):
+        # |q|² overflows: the formula read NaN for every row but [0, 0]
+        X = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0], [3e199, 0.0]])
+        q = np.array([[1e200, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = nearest_neighbor_indices(X, q, 4)
+        assert idx[0].tolist() == [0, 3, 2, 1]
+
+    def test_rows_that_do_not_overflow_keep_their_neighbours(self):
+        X = np.array([[0.0], [1.0], [10.0], [-3.0]])
+        q = np.array([[0.9], [1e300], [-2.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = nearest_neighbor_indices(X, q, 4)
+        alone = nearest_neighbor_indices(X, q[[0, 2]], 4)
+        assert idx[[0, 2]].tolist() == alone.tolist() == [[1, 0, 3, 2], [3, 0, 1, 2]]
 
     def test_k_capped_at_train_size(self):
         X = np.array([[0.0], [1.0]])
