@@ -16,27 +16,26 @@ give, bit for bit (a NaN's sign aside: which of two NaNs a NumPy add
 returns depends on the element's place in its vector loop):
 
 * ``fit`` gathers each group's rows once. When the block is all finite and
-  holds no ``-0.0`` (so values that compare equal are equal bits), a sort
-  orders every column as NumPy's partition does, and :func:`_quantiles`
-  takes all 101 quantiles of a column from its sorted values with NumPy's
-  ``linear`` gather and lerp, copied with its ``t >= 0.5`` branch. Only the
-  many-valued columns are sorted: a *two-valued* column, whose rows all
-  equal its min or its max, sorts to its min repeated as often as it occurs
-  and then its max. Any other block goes through
-  ``np.quantile(block, grid, axis=0)``, which keeps NumPy's NaN and
-  infinity answers. The median curves of all features come from one
-  ``np.median`` over the stacked group curves.
+  holds no ``-0.0`` (so values that compare equal are equal bits), one
+  ``np.sort(block, axis=0)`` orders every column as NumPy's partition does,
+  and :func:`_quantiles` takes all 101 quantiles of each column from it
+  with NumPy's ``linear`` gather and lerp, copied with its ``t >= 0.5``
+  branch. Any other block goes through ``np.quantile(block, grid,
+  axis=0)``, which keeps NumPy's NaN and infinity answers. The median
+  curves of all features come from one ``np.median`` over the stacked
+  group curves.
 * ``transform`` gathers a group's rows in blocks of at most
-  ``_BLOCK_ELEMENTS`` values, each C-ordered. In a block, a two-valued
-  column's repair target is a function of its value, so only the min and
-  max of every column are interpolated, by :func:`_interp`, a copy of
-  ``np.interp``'s C kernel over many rows at once, and one ``np.where``
-  spreads them over the block. Other columns keep their ``np.interp``
-  pair, fed sorted inputs, on which its search is cheapest. Over a curve
-  that is not sorted (it holds a NaN) ``np.interp``'s answer depends on
-  the order of its inputs, so such a group gets it in one block, in row
-  order, as before. The blend ``(1 - level) * x + level * target`` is the
-  same elementwise arithmetic as before, done in place.
+  ``_BLOCK_ELEMENTS`` values, each C-ordered. In a block, a *two-valued*
+  column, whose rows all equal its min or its max, has a repair target
+  that is a function of its value, so only the min and max of every
+  column are interpolated, by :func:`_interp`, a copy of ``np.interp``'s
+  C kernel over many rows at once, and one ``np.where`` spreads them over
+  the block. Other columns keep their ``np.interp`` pair, in row order.
+  Over a sorted curve ``np.interp``'s answer for an input does not depend
+  on the other inputs, so the blocks may split a group; over a curve that
+  is not sorted (it holds a NaN) it does, so such a group goes through in
+  one block, as before. The blend ``(1 - level) * x + level * target`` is
+  the same elementwise arithmetic as before, done in place.
 """
 
 from __future__ import annotations
@@ -88,18 +87,8 @@ def _quantiles(block: np.ndarray, grid: np.ndarray) -> np.ndarray:
     following = following.astype(np.intp)
     gamma = (virtual - previous)[:, None]
 
-    low, high = block.min(axis=0), block.max(axis=0)
-    at_high = block == high
-    two = (at_high | (block == low)).all(axis=0)
-    # a two-valued column sorts to `n - count(high)` lows, then its highs
-    low_count = n - at_high.sum(axis=0)
-    lower = np.where(previous[:, None] % n < low_count, low, high)
-    upper = np.where(following[:, None] % n < low_count, low, high)
-    many = np.flatnonzero(~two)
-    if many.size:
-        ordered = np.sort(block[:, many], axis=0)
-        lower[:, many] = ordered[previous]
-        upper[:, many] = ordered[following]
+    ordered = np.sort(block, axis=0)
+    lower, upper = ordered[previous], ordered[following]
 
     # NumPy's _lerp
     difference = upper - lower
@@ -162,11 +151,8 @@ def _repair_block(x, curves, medians, ascending, grid, level) -> None:
     target = np.where(at_high, scaled[:, 1], scaled[:, 0])
     at_either = np.logical_or(at_high, x == low, out=at_high)
     for k in np.flatnonzero(~(at_either.all(axis=0) & ascending)):
-        # np.interp is fastest over sorted inputs, and over a sorted curve
-        # its answer for each input does not depend on the order
-        order = np.argsort(x[:, k]) if ascending[k] else slice(None)
-        position = np.interp(x[order, k], curves[k], grid, left=0.0, right=1.0)
-        target[order, k] = level * np.interp(position, grid, medians[k])
+        position = np.interp(x[:, k], curves[k], grid, left=0.0, right=1.0)
+        target[:, k] = level * np.interp(position, grid, medians[k])
     x *= 1.0 - level
     x += target
 

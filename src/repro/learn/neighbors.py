@@ -57,14 +57,16 @@ def nearest_neighbor_indices(
 
 
 def _rescaled_distances(q: np.ndarray, X_train: np.ndarray) -> np.ndarray:
-    """|q|² − 2q·x + |x|² for query rows whose squares overflow, each row
+    """|q|² − 2q·x + |x|² for query rows whose distances overflow, each row
     computed with it and ``X_train`` scaled by ``2**-e``, ``e`` the exponent
-    of their largest magnitude. A power of two changes no significand, so
-    this is the unscaled formula with its overflow removed: the squared
-    distances times ``4**-e``, ordered as the true ones (values pushed
-    below the subnormal range lie far under the rounding of the largest)."""
-    largest = np.maximum(np.abs(q).max(axis=1), np.abs(X_train).max())
-    exponents = np.frexp(largest)[1]
+    of the row's own largest magnitude (rows under 1 are not scaled). A
+    power of two changes no significand, so a distance that stays in range
+    is the unscaled formula times ``4**-e``: the row's terms no longer
+    overflow, and a training value pushed below the subnormal range is one
+    whose place in the distance already lay under the rounding of |q|².
+    Training rows whose scaled terms still overflow are farther than every
+    other row; they read inf."""
+    exponents = np.maximum(np.frexp(np.abs(q).max(axis=1))[1], 0)
     distances = np.empty((q.shape[0], X_train.shape[0]))
     for e in np.unique(exponents):
         rows = exponents == e
@@ -72,6 +74,7 @@ def _rescaled_distances(q: np.ndarray, X_train: np.ndarray) -> np.ndarray:
         distances[rows] = (
             (qs**2).sum(axis=1)[:, None] - 2.0 * qs @ xs.T + (xs**2).sum(axis=1)
         )
+    distances[~np.isfinite(distances)] = np.inf
     return distances
 
 

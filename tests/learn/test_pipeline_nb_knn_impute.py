@@ -147,6 +147,22 @@ class TestKNN:
         alone = nearest_neighbor_indices(X, q[[0, 2]], 4)
         assert idx[[0, 2]].tolist() == alone.tolist() == [[1, 0, 3, 2], [3, 0, 1, 2]]
 
+    def test_one_large_training_row_keeps_the_others_ordered(self):
+        # |q|² is finite; only the far row's distance overflows
+        X = np.array([[1e200], [0.0], [1.0], [5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = nearest_neighbor_indices(X, np.array([[1.0]]), 4)
+        assert idx[0].tolist() == [2, 1, 3, 0]
+
+    def test_large_query_and_larger_training_row(self):
+        # the 1e300 row's scaled square still overflows: it ranks last
+        X = np.array([[1e300], [0.0], [1.5e200], [-1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = nearest_neighbor_indices(X, np.array([[1e200]]), 4)
+        assert idx[0].tolist() == [2, 1, 3, 0]
+
     def test_k_capped_at_train_size(self):
         X = np.array([[0.0], [1.0]])
         idx = nearest_neighbor_indices(X, X, 10)
