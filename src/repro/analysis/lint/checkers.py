@@ -230,7 +230,7 @@ def check_crash_safe_write(module: ModuleInfo) -> Iterator[Finding]:
                 "tmp-write + rename without os.fsync: a crash between "
                 "kernel buffering and writeback can publish a truncated "
                 "file under the final name — fsync the temp file before "
-                "os.replace (see ResultsStore.extend)",
+                "os.replace (see repro.durable.crash_safe_write)",
             )
             continue
         if node.args:

@@ -10,27 +10,13 @@ data only and applied by the framework to the validation and test sets
 from __future__ import annotations
 
 import abc
-import functools
-import inspect
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..fairness import BinaryLabelDataset
 from ..frame import DataFrame
-
-
-@functools.lru_cache(maxsize=None)
-def _init_param_names(cls) -> Tuple[str, ...]:
-    """Named ``__init__`` parameters of a class, read once per class:
-    ``inspect.signature`` costs tens of microseconds, and every grid
-    expansion fingerprints each cell's components."""
-    return tuple(
-        name
-        for name, parameter in inspect.signature(cls.__init__).parameters.items()
-        if name != "self"
-        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
-    )
+from ..serialize import init_params
 
 
 def constructor_params(component) -> Dict[str, object]:
@@ -42,7 +28,7 @@ def constructor_params(component) -> Dict[str, object]:
     """
     return {
         name: getattr(component, name)
-        for name in _init_param_names(type(component))
+        for name in init_params(type(component))
         if hasattr(component, name)
     }
 

@@ -16,7 +16,7 @@ from ..datasets import DatasetSpec
 from ..fairness import BinaryLabelDataset
 from ..frame import DataFrame
 from ..learn import NoOpScaler, OneHotEncoder, clone
-from ..serialize import restore, serializable, state_of
+from ..serialize import NotFittedError, restore, serializable, state_of
 
 
 class ColumnEncoder:
@@ -65,6 +65,12 @@ class ColumnEncoder:
         return matrix
 
     def to_state(self) -> dict:
+        if (self.numeric and not hasattr(self, "scaler_")) or (
+            self.categorical and not hasattr(self, "encoder_")
+        ):
+            raise NotFittedError(
+                f"{type(self).__name__} must be fit before serialization"
+            )
         return {
             "numeric": list(self.numeric),
             "categorical": list(self.categorical),

@@ -17,11 +17,11 @@ from ..fairness.postprocessing import (
     RejectOptionClassification,
 )
 from ..fairness.preprocessing import DisparateImpactRemover, Reweighing
-from ..serialize import serializable
+from ..serialize import field, nested, params, serializable
 from .components import PostProcessor, PreProcessor
 
 
-@serializable
+@serializable()
 class NoIntervention(PreProcessor, PostProcessor):
     """Identity for both intervention stages (the baseline condition)."""
 
@@ -40,15 +40,8 @@ class NoIntervention(PreProcessor, PostProcessor):
     def name(self) -> str:
         return "NoIntervention"
 
-    def to_state(self) -> dict:
-        return {}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "NoIntervention":
-        return cls()
-
-
-@serializable
+@serializable(field("reweighing", nested(Reweighing), attr="_reweighing"))
 class ReweighingPreProcessor(PreProcessor):
     """Kamiran & Calders reweighing: edits training instance weights only."""
 
@@ -65,17 +58,11 @@ class ReweighingPreProcessor(PreProcessor):
     def name(self) -> str:
         return "Reweighing"
 
-    def to_state(self) -> dict:
-        return {"reweighing": self._reweighing.to_state()}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "ReweighingPreProcessor":
-        instance = cls()
-        instance._reweighing = Reweighing.from_state(state["reweighing"])
-        return instance
-
-
-@serializable
+@serializable(
+    params(key=None),
+    field("remover", nested(DisparateImpactRemover), attr="_remover"),
+)
 class DIRemover(PreProcessor):
     """Feldman et al. disparate-impact removal at a given repair level.
 
@@ -103,22 +90,10 @@ class DIRemover(PreProcessor):
     def name(self) -> str:
         return f"DIRemover({self.repair_level})"
 
-    def to_state(self) -> dict:
-        if self._remover is None:
-            raise RuntimeError("DIRemover must be fit before serialization")
-        return {
-            "repair_level": self.repair_level,
-            "remover": self._remover.to_state(),
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "DIRemover":
-        instance = cls(repair_level=state["repair_level"])
-        instance._remover = DisparateImpactRemover.from_state(state["remover"])
-        return instance
-
-
-@serializable
+@serializable(
+    params(), field("roc", nested(RejectOptionClassification), attr="_roc")
+)
 class RejectOptionPostProcessor(PostProcessor):
     """Kamiran et al. reject-option classification (needs scores)."""
 
@@ -154,30 +129,11 @@ class RejectOptionPostProcessor(PostProcessor):
     def name(self) -> str:
         return "RejectOption"
 
-    def to_state(self) -> dict:
-        if not hasattr(self, "_roc"):
-            raise RuntimeError(
-                "RejectOptionPostProcessor must be fit before serialization"
-            )
-        return {
-            "params": {
-                "metric_name": self.metric_name,
-                "metric_ub": self.metric_ub,
-                "metric_lb": self.metric_lb,
-                "num_class_thresh": self.num_class_thresh,
-                "num_ROC_margin": self.num_ROC_margin,
-            },
-            "roc": self._roc.to_state(),
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "RejectOptionPostProcessor":
-        instance = cls(**state["params"])
-        instance._roc = RejectOptionClassification.from_state(state["roc"])
-        return instance
-
-
-@serializable
+@serializable(
+    params(key=None),
+    field("ceo", nested(CalibratedEqOddsPostprocessing), attr="_ceo"),
+)
 class CalibratedEqOddsPostProcessor(PostProcessor):
     """Pleiss et al. calibrated equalized odds (needs scores)."""
 
@@ -199,21 +155,8 @@ class CalibratedEqOddsPostProcessor(PostProcessor):
     def name(self) -> str:
         return f"CalEqOdds({self.cost_constraint})"
 
-    def to_state(self) -> dict:
-        if not hasattr(self, "_ceo"):
-            raise RuntimeError(
-                "CalibratedEqOddsPostProcessor must be fit before serialization"
-            )
-        return {"cost_constraint": self.cost_constraint, "ceo": self._ceo.to_state()}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "CalibratedEqOddsPostProcessor":
-        instance = cls(cost_constraint=state["cost_constraint"])
-        instance._ceo = CalibratedEqOddsPostprocessing.from_state(state["ceo"])
-        return instance
-
-
-@serializable
+@serializable(field("eq", nested(EqOddsPostprocessing), attr="_eq"))
 class EqOddsPostProcessor(PostProcessor):
     """Hardt et al. equalized odds via the randomized-flip LP."""
 
@@ -230,14 +173,3 @@ class EqOddsPostProcessor(PostProcessor):
 
     def name(self) -> str:
         return "EqOdds"
-
-    def to_state(self) -> dict:
-        if not hasattr(self, "_eq"):
-            raise RuntimeError("EqOddsPostProcessor must be fit before serialization")
-        return {"eq": self._eq.to_state()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "EqOddsPostProcessor":
-        instance = cls()
-        instance._eq = EqOddsPostprocessing.from_state(state["eq"])
-        return instance

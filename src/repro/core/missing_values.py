@@ -25,12 +25,14 @@ from ..learn import (
     StandardScaler,
     nearest_neighbor_indices,
 )
-from ..serialize import serializable
+from ..serialize import STRS, TABLE, field, serializable
 from .components import MissingValueHandler
 from .featurization import ColumnEncoder
 
+_FEATURE_COLUMNS = field("feature_columns", STRS, attr="_feature_columns")
 
-@serializable
+
+@serializable(_FEATURE_COLUMNS)
 class CompleteCaseAnalysis(MissingValueHandler):
     """Remove records that have missing values in any feature column."""
 
@@ -50,17 +52,8 @@ class CompleteCaseAnalysis(MissingValueHandler):
     def drops_rows(self) -> bool:
         return True
 
-    def to_state(self) -> dict:
-        return {"feature_columns": list(self._feature_columns)}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "CompleteCaseAnalysis":
-        handler = cls()
-        handler._feature_columns = list(state["feature_columns"])
-        return handler
-
-
-@serializable
+@serializable(_FEATURE_COLUMNS)
 class NoMissingValues(MissingValueHandler):
     """For complete datasets: assert and pass through.
 
@@ -81,17 +74,8 @@ class NoMissingValues(MissingValueHandler):
             )
         return frame
 
-    def to_state(self) -> dict:
-        return {"feature_columns": list(self._feature_columns)}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "NoMissingValues":
-        handler = cls()
-        handler._feature_columns = list(state["feature_columns"])
-        return handler
-
-
-@serializable
+@serializable(_FEATURE_COLUMNS, field("fill_values", TABLE, attr="_fill_values"))
 class ModeImputer(MissingValueHandler):
     """Fill missing categoricals with the training mode, numerics with the mean."""
 
@@ -115,24 +99,6 @@ class ModeImputer(MissingValueHandler):
             if column.has_missing():
                 out = out.with_column(column.fill_missing(self._fill_values[name]))
         return out
-
-    def to_state(self) -> dict:
-        return {
-            "feature_columns": list(self._feature_columns),
-            # categorical fills are strings, numeric fills are floats; JSON
-            # keeps both apart without extra tagging
-            "fill_values": {
-                name: (value if isinstance(value, str) else float(value))
-                for name, value in self._fill_values.items()
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ModeImputer":
-        handler = cls()
-        handler._feature_columns = list(state["feature_columns"])
-        handler._fill_values = dict(state["fill_values"])
-        return handler
 
 
 @serializable

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
+
+from ..durable import crash_safe_write
 
 
 @dataclass
@@ -110,27 +111,11 @@ class ResultsStore:
         if not results:
             return
         payload = "".join(result.to_json() + "\n" for result in results)
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                if os.path.exists(self.path):
-                    with open(self.path) as current:
-                        shutil.copyfileobj(current, handle)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            # lint: allow(silent-except) -- failed cleanup of the temp file
-            # on the re-raise path; the original error is what matters
-            except OSError:
-                pass
-            raise
+        with crash_safe_write(self.path) as handle:
+            if os.path.exists(self.path):
+                with open(self.path) as current:
+                    shutil.copyfileobj(current, handle)
+            handle.write(payload)
 
     def run_keys(self) -> "set[str]":
         """Fingerprints of every stored run that carries one."""

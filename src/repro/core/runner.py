@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Callable, List, Optional, Tuple, Union
 
 from .. import telemetry
 from ..datasets import DatasetSpec, dataset_spec, load_dataset
+from ..durable import crash_safe_write
 from ..frame import DataFrame
 from .executors import (
     ExecutionPlan,
@@ -172,25 +172,9 @@ def write_run_manifest(
     if isinstance(distributed_stats, dict):
         manifest["distributed"] = distributed_stats
     path = manifest_path(store)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(manifest, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        # lint: allow(silent-except) -- failed cleanup of the temp file on
-        # the re-raise path; the original error is what matters
-        except OSError:
-            pass
-        raise
+    with crash_safe_write(path) as handle:
+        json.dump(manifest, handle, indent=1, sort_keys=True)
+        handle.write("\n")
     return path
 
 

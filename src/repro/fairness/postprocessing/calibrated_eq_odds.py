@@ -13,13 +13,19 @@ from typing import Optional
 
 import numpy as np
 
-from ...serialize import serializable
+from ...serialize import FLOAT, field, params, serializable
 from ..dataset import BinaryLabelDataset, GroupSpec
 
 _CONSTRAINTS = ("fnr", "fpr", "weighted")
 
 
-@serializable
+@serializable(
+    params(),
+    field("base_rate_priv_", FLOAT),
+    field("base_rate_unpriv_", FLOAT),
+    field("priv_mix_rate_", FLOAT),
+    field("unpriv_mix_rate_", FLOAT),
+)
 class CalibratedEqOddsPostprocessing:
     """Score-mixing post-processor with a reproducible RNG seed."""
 
@@ -117,36 +123,6 @@ class CalibratedEqOddsPostprocessing:
         threshold: float = 0.5,
     ) -> BinaryLabelDataset:
         return self.fit(dataset_true, dataset_pred).predict(dataset_pred, threshold)
-
-    def to_state(self) -> dict:
-        if not hasattr(self, "priv_mix_rate_"):
-            raise RuntimeError(
-                "CalibratedEqOddsPostprocessing must be fit before serialization"
-            )
-        return {
-            "params": {
-                "unprivileged_groups": self.unprivileged_groups,
-                "privileged_groups": self.privileged_groups,
-                "cost_constraint": self.cost_constraint,
-                "seed": self.seed,
-            },
-            "base_rate_priv_": float(self.base_rate_priv_),
-            "base_rate_unpriv_": float(self.base_rate_unpriv_),
-            "priv_mix_rate_": float(self.priv_mix_rate_),
-            "unpriv_mix_rate_": float(self.unpriv_mix_rate_),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "CalibratedEqOddsPostprocessing":
-        instance = cls(**state["params"])
-        for attr in (
-            "base_rate_priv_",
-            "base_rate_unpriv_",
-            "priv_mix_rate_",
-            "unpriv_mix_rate_",
-        ):
-            setattr(instance, attr, float(state[attr]))
-        return instance
 
     # ------------------------------------------------------------------
     def _cost(self, scores, y, w, base_rate) -> float:

@@ -12,11 +12,17 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from ...serialize import serializable
+from ...serialize import FLOAT, field, params, serializable
 from ..dataset import BinaryLabelDataset, GroupSpec
 
 
-@serializable
+@serializable(
+    params(),
+    field("p2p_priv_", FLOAT),
+    field("n2p_priv_", FLOAT),
+    field("p2p_unpriv_", FLOAT),
+    field("n2p_unpriv_", FLOAT),
+)
 class EqOddsPostprocessing:
     """Randomized post-processor equalizing odds between two groups."""
 
@@ -113,30 +119,6 @@ class EqOddsPostprocessing:
         self, dataset_true: BinaryLabelDataset, dataset_pred: BinaryLabelDataset
     ) -> BinaryLabelDataset:
         return self.fit(dataset_true, dataset_pred).predict(dataset_pred)
-
-    def to_state(self) -> dict:
-        if not hasattr(self, "p2p_priv_"):
-            raise RuntimeError(
-                "EqOddsPostprocessing must be fit before serialization"
-            )
-        return {
-            "params": {
-                "unprivileged_groups": self.unprivileged_groups,
-                "privileged_groups": self.privileged_groups,
-                "seed": self.seed,
-            },
-            "p2p_priv_": float(self.p2p_priv_),
-            "n2p_priv_": float(self.n2p_priv_),
-            "p2p_unpriv_": float(self.p2p_unpriv_),
-            "n2p_unpriv_": float(self.n2p_unpriv_),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "EqOddsPostprocessing":
-        instance = cls(**state["params"])
-        for attr in ("p2p_priv_", "n2p_priv_", "p2p_unpriv_", "n2p_unpriv_"):
-            setattr(instance, attr, float(state[attr]))
-        return instance
 
 
 def _rate(prediction_positive, condition, weights) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...serialize import serializable
+from ...serialize import FLOAT, field, params, serializable
 from ..dataset import BinaryLabelDataset, GroupSpec
 from ..metrics import BinaryLabelDatasetMetric
 from ..metrics.classification_metric import GROUP_CONTRASTS
@@ -25,7 +25,11 @@ _METRICS = {
 }
 
 
-@serializable
+@serializable(
+    params(),
+    field("classification_threshold_", FLOAT),
+    field("ROC_margin_", FLOAT),
+)
 class RejectOptionClassification:
     """Post-processing intervention driven by prediction scores."""
 
@@ -122,34 +126,6 @@ class RejectOptionClassification:
         self, dataset_true: BinaryLabelDataset, dataset_pred: BinaryLabelDataset
     ) -> BinaryLabelDataset:
         return self.fit(dataset_true, dataset_pred).predict(dataset_pred)
-
-    def to_state(self) -> dict:
-        if not hasattr(self, "classification_threshold_"):
-            raise RuntimeError(
-                "RejectOptionClassification must be fit before serialization"
-            )
-        return {
-            "params": {
-                "unprivileged_groups": self.unprivileged_groups,
-                "privileged_groups": self.privileged_groups,
-                "low_class_thresh": self.low_class_thresh,
-                "high_class_thresh": self.high_class_thresh,
-                "num_class_thresh": self.num_class_thresh,
-                "num_ROC_margin": self.num_ROC_margin,
-                "metric_name": self.metric_name,
-                "metric_ub": self.metric_ub,
-                "metric_lb": self.metric_lb,
-            },
-            "classification_threshold_": float(self.classification_threshold_),
-            "ROC_margin_": float(self.ROC_margin_),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RejectOptionClassification":
-        instance = cls(**state["params"])
-        instance.classification_threshold_ = float(state["classification_threshold_"])
-        instance.ROC_margin_ = float(state["ROC_margin_"])
-        return instance
 
 
 def _labels(dataset_pred, unprivileged, privileged, class_thresh, margin):

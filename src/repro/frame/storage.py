@@ -45,6 +45,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..durable import crash_safe_write
 from .column import CATEGORICAL, NUMERIC, Column
 from .dataframe import DataFrame
 
@@ -205,12 +206,8 @@ class FrameStoreWriter:
             "n_rows": self.n_rows,
             "columns": manifest_columns,
         }
-        manifest_path = os.path.join(self.root, MANIFEST_NAME)
-        with open(manifest_path + ".tmp", "w") as handle:
+        with crash_safe_write(os.path.join(self.root, MANIFEST_NAME)) as handle:
             json.dump(manifest, handle, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(manifest_path + ".tmp", manifest_path)
         return FrameStore.open(self.root)
 
     def abort(self) -> None:

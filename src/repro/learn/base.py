@@ -12,44 +12,23 @@ on:
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
-
-class NotFittedError(RuntimeError):
-    """Raised when predict/transform is called before fit."""
+from ..serialize import NotFittedError, init_params
 
 
 class BaseEstimator:
     """Hyperparameter introspection shared by all estimators."""
 
-    @classmethod
-    def _param_names(cls) -> List[str]:
-        # memoized per class: clone/get_params/set_params run this on every
-        # call. Looked up in the class's own __dict__, never through
-        # inheritance, so a subclass with its own __init__ computes its own.
-        names = cls.__dict__.get("_param_names_memo")
-        if names is None:
-            signature = inspect.signature(cls.__init__)
-            names = tuple(
-                name
-                for name, parameter in signature.parameters.items()
-                if name != "self"
-                and parameter.kind
-                not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
-            )
-            cls._param_names_memo = names
-        return list(names)
-
     def get_params(self) -> Dict[str, Any]:
         """Hyperparameters as a dict, mirroring the constructor signature."""
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in init_params(type(self))}
 
     def set_params(self, **params) -> "BaseEstimator":
         """Set hyperparameters in place; unknown names raise."""
-        valid = set(self._param_names())
+        valid = init_params(type(self))
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..frame.column import sorted_position
-from ..serialize import serializable
+from ..serialize import FLOAT, FLOATS, TABLE, each, field, nested, params, serializable
 from .base import BaseEstimator, TransformerMixin
 from .preprocessing import MISSING_CATEGORY, OneHotEncoder, _as_categorical_columns
 
@@ -74,7 +74,7 @@ def _code_lookup(column, table: dict, default: float) -> np.ndarray:
     return lut[column.codes]
 
 
-@serializable
+@serializable(field("frequencies_", each(TABLE)))
 class FrequencyEncoder(BaseEstimator, TransformerMixin):
     """Encode each categorical value by its training-set frequency."""
 
@@ -109,23 +109,8 @@ class FrequencyEncoder(BaseEstimator, TransformerMixin):
             input_names = [f"x{i}" for i in range(len(self.frequencies_))]
         return [f"{name}:frequency" for name in input_names]
 
-    def to_state(self) -> dict:
-        self._check_fitted("frequencies_")
-        return {
-            "frequencies_": [
-                {str(k): float(v) for k, v in table.items()}
-                for table in self.frequencies_
-            ]
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "FrequencyEncoder":
-        encoder = cls()
-        encoder.frequencies_ = [dict(table) for table in state["frequencies_"]]
-        return encoder
-
-
-@serializable
+@serializable(params(), field("global_rate_", FLOAT), field("tables_", each(TABLE)))
 class TargetEncoder(BaseEstimator, TransformerMixin):
     """Encode each category by the smoothed training mean of a binary target.
 
@@ -178,25 +163,14 @@ class TargetEncoder(BaseEstimator, TransformerMixin):
             input_names = [f"x{i}" for i in range(len(self.tables_))]
         return [f"{name}:target_rate" for name in input_names]
 
-    def to_state(self) -> dict:
-        self._check_fitted("tables_")
-        return {
-            "params": {"smoothing": self.smoothing},
-            "global_rate_": float(self.global_rate_),
-            "tables_": [
-                {str(k): float(v) for k, v in table.items()} for table in self.tables_
-            ],
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "TargetEncoder":
-        encoder = cls(**state["params"])
-        encoder.global_rate_ = float(state["global_rate_"])
-        encoder.tables_ = [dict(table) for table in state["tables_"]]
-        return encoder
-
-
-@serializable
+@serializable(
+    params(),
+    field("onehot", nested(OneHotEncoder), attr="_onehot"),
+    field("mean_", FLOATS),
+    field("components_", FLOATS),
+    field("singular_values_", FLOATS),
+)
 class SVDEmbeddingEncoder(BaseEstimator, TransformerMixin):
     """Low-rank dense embedding of the one-hot representation.
 
@@ -230,24 +204,3 @@ class SVDEmbeddingEncoder(BaseEstimator, TransformerMixin):
     def feature_names(self, input_names: Optional[Sequence[str]] = None) -> List[str]:
         self._check_fitted("components_")
         return [f"embedding_{i}" for i in range(self.components_.shape[0])]
-
-    def to_state(self) -> dict:
-        self._check_fitted("components_")
-        return {
-            "params": {"n_components": self.n_components},
-            "onehot": self._onehot.to_state(),
-            "mean_": self.mean_,
-            "components_": self.components_,
-            "singular_values_": self.singular_values_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SVDEmbeddingEncoder":
-        encoder = cls(**state["params"])
-        encoder._onehot = OneHotEncoder.from_state(state["onehot"])
-        encoder.mean_ = np.asarray(state["mean_"], dtype=np.float64)
-        encoder.components_ = np.asarray(state["components_"], dtype=np.float64)
-        encoder.singular_values_ = np.asarray(
-            state["singular_values_"], dtype=np.float64
-        )
-        return encoder

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..serialize import serializable
+from ..serialize import FLOATS, field, params, serializable
 from .base import BaseEstimator, TransformerMixin
 
 _STRATEGIES = ("mean", "median", "most_frequent", "constant")
 
 
-@serializable
+@serializable(params(), field("statistics_", FLOATS))
 class SimpleImputer(BaseEstimator, TransformerMixin):
     """Fill NaNs in a numeric matrix with a per-column statistic.
 
@@ -63,13 +63,3 @@ class SimpleImputer(BaseEstimator, TransformerMixin):
             mask = np.isnan(X[:, j])
             X[mask, j] = self.statistics_[j]
         return X
-
-    def to_state(self) -> dict:
-        self._check_fitted("statistics_")
-        return {"params": self.get_params(), "statistics_": self.statistics_}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SimpleImputer":
-        imputer = cls(**state["params"])
-        imputer.statistics_ = np.asarray(state["statistics_"], dtype=np.float64)
-        return imputer

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .. import telemetry
-from ..serialize import labels_from_state, labels_to_state, serializable
+from ..serialize import FLOATS, LABELS, field, params, serializable
 from .base import (
     BaseEstimator,
     ClassifierMixin,
@@ -34,6 +34,14 @@ _STACKED = ("penalty", "alpha", "l1_ratio", "tol")
 
 _SCHEDULE_BLOCK = 1024  # batches per block of the SGD schedule built at once
 
+# the fitted state both linear models write
+_LINEAR_STATE = (
+    params(),
+    field("classes_", LABELS),
+    field("coef_", FLOATS),
+    field("intercept_", FLOATS),
+)
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: ``1 / (1 + exp(-z))`` for
@@ -43,7 +51,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / denominator, expz / denominator)
 
 
-@serializable
+@serializable(*_LINEAR_STATE)
 class SGDClassifier(BaseEstimator, ClassifierMixin):
     """Linear classifier fit by minibatch stochastic gradient descent.
 
@@ -172,25 +180,8 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
         totals[totals == 0.0] = 1.0
         return raw / totals
 
-    def to_state(self) -> dict:
-        self._check_fitted("coef_", "intercept_")
-        return {
-            "params": self.get_params(),
-            "classes_": labels_to_state(self.classes_),
-            "coef_": self.coef_,
-            "intercept_": self.intercept_,
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "SGDClassifier":
-        model = cls(**state["params"])
-        model.classes_ = labels_from_state(state["classes_"])
-        model.coef_ = np.asarray(state["coef_"], dtype=np.float64)
-        model.intercept_ = np.asarray(state["intercept_"], dtype=np.float64)
-        return model
-
-
-@serializable
+@serializable(*_LINEAR_STATE)
 class LogisticRegressionGD(BaseEstimator, ClassifierMixin):
     """Full-batch gradient-descent logistic regression (binary or OvR).
 
@@ -298,23 +289,6 @@ class LogisticRegressionGD(BaseEstimator, ClassifierMixin):
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
-
-    def to_state(self) -> dict:
-        self._check_fitted("coef_", "intercept_")
-        return {
-            "params": self.get_params(),
-            "classes_": labels_to_state(self.classes_),
-            "coef_": self.coef_,
-            "intercept_": self.intercept_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LogisticRegressionGD":
-        model = cls(**state["params"])
-        model.classes_ = labels_from_state(state["classes_"])
-        model.coef_ = np.asarray(state["coef_"], dtype=np.float64)
-        model.intercept_ = np.asarray(state["intercept_"], dtype=np.float64)
-        return model
 
 
 def _check_data(X, y, sample_weight):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..serialize import labels_from_state, labels_to_state, serializable
+from ..serialize import FLOATS, LABELS, field, params, serializable
 from .base import (
     BaseEstimator,
     ClassifierMixin,
@@ -14,7 +14,13 @@ from .base import (
 )
 
 
-@serializable
+@serializable(
+    params(),
+    field("classes_", LABELS),
+    field("theta_", FLOATS),
+    field("var_", FLOATS),
+    field("class_prior_", FLOATS),
+)
 class GaussianNB(BaseEstimator, ClassifierMixin):
     """Naive Bayes with per-class Gaussian feature likelihoods.
 
@@ -79,22 +85,3 @@ class GaussianNB(BaseEstimator, ClassifierMixin):
     def predict(self, X) -> np.ndarray:
         jll = self._joint_log_likelihood(X)
         return self.classes_[np.argmax(jll, axis=1)]
-
-    def to_state(self) -> dict:
-        self._check_fitted("theta_", "var_", "class_prior_")
-        return {
-            "params": {"var_smoothing": self.var_smoothing},
-            "classes_": labels_to_state(self.classes_),
-            "theta_": self.theta_,
-            "var_": self.var_,
-            "class_prior_": self.class_prior_,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GaussianNB":
-        model = cls(**state["params"])
-        model.classes_ = labels_from_state(state["classes_"])
-        model.theta_ = np.asarray(state["theta_"], dtype=np.float64)
-        model.var_ = np.asarray(state["var_"], dtype=np.float64)
-        model.class_prior_ = np.asarray(state["class_prior_"], dtype=np.float64)
-        return model

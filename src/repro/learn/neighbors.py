@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..serialize import labels_from_state, labels_to_state, serializable
+from ..serialize import FLOATS, INTS, LABELS, field, params, serializable
 from .base import (
     BaseEstimator,
     ClassifierMixin,
@@ -78,7 +78,12 @@ def _rescaled_distances(q: np.ndarray, X_train: np.ndarray) -> np.ndarray:
     return distances
 
 
-@serializable
+@serializable(
+    params(),
+    field("classes_", LABELS),
+    field("X", FLOATS, attr="_X"),
+    field("y_codes", INTS, attr="_y_codes"),
+)
 class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
     """Majority-vote classification over the k nearest training points."""
 
@@ -106,20 +111,3 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
         return self.classes_[np.argmax(proba, axis=1)]
-
-    def to_state(self) -> dict:
-        self._check_fitted("_X")
-        return {
-            "params": {"n_neighbors": self.n_neighbors},
-            "classes_": labels_to_state(self.classes_),
-            "X": self._X,
-            "y_codes": self._y_codes,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KNeighborsClassifier":
-        model = cls(**state["params"])
-        model.classes_ = labels_from_state(state["classes_"])
-        model._X = np.asarray(state["X"], dtype=np.float64)
-        model._y_codes = np.asarray(state["y_codes"], dtype=np.int64)
-        return model

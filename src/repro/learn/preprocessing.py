@@ -15,14 +15,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..frame.column import Column, remap_table, sorted_position
-from ..serialize import serializable
+from ..serialize import FLOATS, INT, STRS, each, field, params, serializable
 from .base import BaseEstimator, TransformerMixin, check_matrix
 
 MISSING_CATEGORY = "<missing>"
 UNSEEN_CATEGORY = "<unseen>"
 
 
-@serializable
+@serializable(params(), field("mean_", FLOATS), field("scale_", FLOATS))
 class StandardScaler(BaseEstimator, TransformerMixin):
     """Standardize features to zero mean and unit variance.
 
@@ -66,23 +66,14 @@ class StandardScaler(BaseEstimator, TransformerMixin):
                 f"X has {X.shape[1]} features, scaler was fit on {len(self.mean_)}"
             )
 
-    def to_state(self) -> dict:
-        self._check_fitted("mean_", "scale_")
-        return {
-            "params": {"with_mean": self.with_mean, "with_std": self.with_std},
-            "mean_": self.mean_,
-            "scale_": self.scale_,
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "StandardScaler":
-        scaler = cls(**state["params"])
-        scaler.mean_ = np.asarray(state["mean_"], dtype=np.float64)
-        scaler.scale_ = np.asarray(state["scale_"], dtype=np.float64)
-        return scaler
-
-
-@serializable
+@serializable(
+    params(),
+    field("data_min_", FLOATS),
+    field("data_max_", FLOATS),
+    field("scale_", FLOATS),
+    field("min_", FLOATS),
+)
 class MinMaxScaler(BaseEstimator, TransformerMixin):
     """Scale features into ``feature_range`` based on the training min/max."""
 
@@ -117,25 +108,8 @@ class MinMaxScaler(BaseEstimator, TransformerMixin):
         X = check_matrix(X)
         return (X - self.min_) / self.scale_
 
-    def to_state(self) -> dict:
-        self._check_fitted("scale_", "min_")
-        return {
-            "params": {"feature_range": list(self.feature_range)},
-            "data_min_": self.data_min_,
-            "data_max_": self.data_max_,
-            "scale_": self.scale_,
-            "min_": self.min_,
-        }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "MinMaxScaler":
-        scaler = cls(feature_range=tuple(state["params"]["feature_range"]))
-        for attr in ("data_min_", "data_max_", "scale_", "min_"):
-            setattr(scaler, attr, np.asarray(state[attr], dtype=np.float64))
-        return scaler
-
-
-@serializable
+@serializable(field("n_features_", INT))
 class NoOpScaler(BaseEstimator, TransformerMixin):
     """Keep numeric features on their original scale.
 
@@ -161,18 +135,8 @@ class NoOpScaler(BaseEstimator, TransformerMixin):
         self._check_fitted("n_features_")
         return check_matrix(X).copy()
 
-    def to_state(self) -> dict:
-        self._check_fitted("n_features_")
-        return {"n_features_": int(self.n_features_)}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "NoOpScaler":
-        scaler = cls()
-        scaler.n_features_ = int(state["n_features_"])
-        return scaler
-
-
-@serializable
+@serializable(params(), field("categories_", each(STRS)))
 class OneHotEncoder(BaseEstimator, TransformerMixin):
     """One-hot encode categorical feature columns.
 
@@ -257,19 +221,6 @@ class OneHotEncoder(BaseEstimator, TransformerMixin):
             names.extend(f"{feature}={c}" for c in categories)
             names.append(f"{feature}={UNSEEN_CATEGORY}")
         return names
-
-    def to_state(self) -> dict:
-        self._check_fitted("categories_")
-        return {
-            "params": {"handle_missing": self.handle_missing},
-            "categories_": [[str(c) for c in cats] for cats in self.categories_],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "OneHotEncoder":
-        encoder = cls(**state["params"])
-        encoder.categories_ = [list(cats) for cats in state["categories_"]]
-        return encoder
 
 
 @serializable

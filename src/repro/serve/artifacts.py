@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..datasets import DatasetSpec
+from ..durable import crash_safe_write
 from ..serialize import restore, state_of
 
 # importing these modules populates the SERIALIZABLE registry with every
@@ -94,17 +95,12 @@ def save_artifact(directory: str, manifest: Dict[str, Any]) -> str:
     packed = _pack(manifest, arrays)
     npz_path = os.path.join(directory, ARRAYS_NAME)
     np.savez(npz_path, **arrays)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w") as handle:
+    with crash_safe_write(os.path.join(directory, MANIFEST_NAME)) as handle:
         # lint: allow(strict-json) -- artifact manifests never cross the
         # wire: load_artifact reads them back with Python's json.load
         # (which parses NaN), and fitted parameters that are legitimately
         # NaN must round-trip unchanged
         json.dump(packed, handle, sort_keys=True, indent=1, allow_nan=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, manifest_path)
     return directory
 
 

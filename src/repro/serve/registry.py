@@ -29,6 +29,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..core.results import ResultsStore, RunResult
+from ..durable import crash_safe_write
 from .artifacts import PipelineArtifact, save_artifact
 
 
@@ -72,16 +73,12 @@ class ModelRegistry:
             return json.load(handle)
 
     def _write_index(self, index: Dict[str, Any]) -> None:
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w") as handle:
+        with crash_safe_write(self.index_path) as handle:
             # lint: allow(strict-json) -- the index never crosses the wire:
             # it is read back only by _read_index (Python json.load, which
             # parses NaN), and fairness metrics with empty groups must
             # round-trip as NaN, not null
             json.dump(index, handle, sort_keys=True, indent=1, allow_nan=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.index_path)
 
     @contextlib.contextmanager
     def _locked(self, timeout: float = 10.0):

@@ -14,6 +14,7 @@ from repro.learn import (
     clone,
 )
 from repro.learn.base import BaseEstimator
+from repro.serialize import init_params
 
 
 class _Toy(BaseEstimator):
@@ -49,21 +50,21 @@ class TestParams:
         class _Inheriting(_Toy):
             pass
 
-        # warm the parent's memo first: a subclass with its own __init__
+        # warm the parent's entry first: a subclass with its own __init__
         # must not see it, one without must see the same names
-        assert _Toy._param_names() == ["a", "b", "nested"]
-        assert _Wider._param_names() == ["a", "b", "nested", "c"]
-        assert _Inheriting._param_names() == ["a", "b", "nested"]
+        assert list(init_params(_Toy)) == ["a", "b", "nested"]
+        assert list(init_params(_Wider)) == ["a", "b", "nested", "c"]
+        assert list(init_params(_Inheriting)) == ["a", "b", "nested"]
         assert _Wider(c=2.0).get_params() == {"a": 1, "b": "x", "nested": None, "c": 2.0}
         assert clone(_Wider(c=3.0)).c == 3.0
         with pytest.raises(ValueError, match="invalid parameter"):
             _Toy().set_params(c=1)
 
-    def test_param_names_returns_a_fresh_list(self):
-        names = _Toy._param_names()
-        names.append("mutated")
-        assert _Toy._param_names() == ["a", "b", "nested"]
-        assert _Toy._param_names() is not _Toy._param_names()
+    def test_param_names_cannot_be_mutated(self):
+        names = init_params(_Toy)
+        with pytest.raises(TypeError):
+            names["mutated"] = None
+        assert dict(init_params(_Toy)) == {"a": 1, "b": "x", "nested": None}
 
 
 class TestClone:
