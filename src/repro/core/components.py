@@ -10,7 +10,7 @@ data only and applied by the framework to the validation and test sets
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -110,6 +110,23 @@ class Learner(abc.ABC):
     @abc.abstractmethod
     def fit_model(self, train_data: BinaryLabelDataset, seed: int):
         """Train and return the fitted model."""
+
+    def fit_models(self, train_sets: Sequence[BinaryLabelDataset], seed: int) -> list:
+        """Fit one model per training set: the sets of a config group's
+        distinct pre-processors, which share the seed.
+
+        Returns one ``(model, best_params)`` pair per set, in order;
+        ``best_params`` is that set's own grid-search choice (from
+        ``last_search_``), or None untuned. This default makes one
+        ``fit_model`` call per set; learners override it to share work
+        across the sets.
+        """
+        fits = []
+        for train_data in train_sets:
+            model = self.fit_model(train_data, seed)
+            search = getattr(self, "last_search_", None)
+            fits.append((model, None if search is None else dict(search.best_params_)))
+        return fits
 
     @property
     def needs_annotated_data(self) -> bool:

@@ -27,10 +27,12 @@ which shares three cache levels keyed by the plan's fingerprints:
   fitted model, its ``best_params``, its raw validation labels and scores,
   its train metrics), so e.g. the no-intervention, reject-option and
   calibrated-equalized-odds runs of a learner train it once. Each run
-  still fits and applies its own post-processor clone. The group's
-  consumers of each key are counted up front: an entry is stored only
-  while a later config in the group will use it and is dropped after its
-  last consumer, so a key used once is never stored.
+  still fits and applies its own post-processor clone. A learner is
+  fitted on all of the group's pre-processors at once, by the first
+  config that trains it, so every other pre-processor's fit waits in the
+  cache for its own first config. The group's consumers of each key are
+  counted up front: an entry is stored only while a later config in the
+  group will use it and is dropped after its last consumer.
 
 Results are identical to :meth:`Experiment.run` of each plan cell (see
 :func:`build_experiment`) because every stage is deterministic in
@@ -52,7 +54,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import parallel, telemetry
 from ..datasets import DatasetSpec
 from ..frame import DataFrame
-from .components import component_fingerprint
 from .experiment import Experiment, FeaturizedSplits, FittedLearner
 from .plan import GridSpec, RunConfig, route_intervention
 from .results import ResultsStore, RunResult
@@ -121,14 +122,18 @@ class FittedLearnerCache:
 
     Keyed on the ``pre_processor`` and ``learners`` fingerprints that
     ``run_key`` is built from. Each key's consumers in the group are
-    counted up front; :meth:`put` stores an entry only if a later config
-    will :meth:`take` it, and the last :meth:`take` drops it, so peak
-    memory grows by at most one fitted learner per live key.
+    counted up front; :meth:`put` stores an entry only if a config still
+    to come will :meth:`take` it, and the last :meth:`take` drops it, so
+    peak memory grows by at most one fitted learner per live key.
     """
 
     def __init__(self, group: Sequence[RunConfig]):
         self._pending = Counter(self._key(config) for config in group)
         self._entries: Dict[Tuple[str, str], Tuple[FittedLearner, ...]] = {}
+        # the first config of every key not fitted yet, in group order
+        self._unfitted: Dict[Tuple[str, str], RunConfig] = {}
+        for config in group:
+            self._unfitted.setdefault(self._key(config), config)
 
     @staticmethod
     def _key(config: RunConfig) -> Tuple[str, str]:
@@ -142,9 +147,20 @@ class FittedLearnerCache:
             return self._entries.get(key)
         return self._entries.pop(key, None)
 
+    def peers(self, config: RunConfig) -> List[RunConfig]:
+        """One config of every other pre-processor whose fit of
+        ``config``'s learners is still to be made."""
+        pre, learners = self._key(config)
+        return [
+            first
+            for (other, other_learners), first in self._unfitted.items()
+            if other_learners == learners and other != pre
+        ]
+
     def put(self, config: RunConfig, fitted: Tuple[FittedLearner, ...]) -> None:
         """Keep ``fitted`` for the configs still to come with this key."""
         key = self._key(config)
+        self._unfitted.pop(key, None)
         if self._pending[key] > 0:
             self._entries[key] = fitted
 
@@ -158,11 +174,27 @@ def iter_config_group(plan: ExecutionPlan, group: Sequence[RunConfig]):
     All configs in ``group`` must share a ``prep_key`` (enforced by
     :func:`plan_groups`); the featurized splits are computed once, each
     distinct pre-processor is fitted/applied once, and each distinct
-    (pre-processor, learners) pair is fitted once.
+    (pre-processor, learners) pair is fitted once. The first config of a
+    learners key to train fits those learners on every distinct
+    pre-processor of the group that uses them, in one ``train_candidates``
+    call (the peers' preparations are made just before it): an untuned
+    logistic regression trains them all in one stacked SGD fit.
     """
     splits: Optional[FeaturizedSplits] = None
     prepared_cache: Dict[str, object] = {}
     fitted_cache = FittedLearnerCache(group)
+
+    def prepare(config: RunConfig, experiment: Experiment):
+        pre = config.components["pre_processor"]
+        if pre not in prepared_cache:
+            with telemetry.span(
+                "stage.prepare",
+                prep_key=config.prep_key,
+                run_key=config.run_key,
+            ):
+                prepared_cache[pre] = experiment.prepare(splits)
+        return prepared_cache[pre]
+
     for config in group:
         experiment = build_experiment(plan, config)
         if splits is None:
@@ -171,24 +203,23 @@ def iter_config_group(plan: ExecutionPlan, group: Sequence[RunConfig]):
             telemetry.counter("executor.prep_splits_built").inc()
         else:
             telemetry.counter("executor.prep_cache_hits").inc()
-        pre_fingerprint = component_fingerprint(experiment.pre_processor)
-        prepared = prepared_cache.get(pre_fingerprint)
-        if prepared is None:
-            with telemetry.span(
-                "stage.prepare",
-                prep_key=config.prep_key,
-                run_key=config.run_key,
-            ):
-                prepared = experiment.prepare(splits)
-            prepared_cache[pre_fingerprint] = prepared
-        else:
+        if config.components["pre_processor"] in prepared_cache:
             telemetry.counter("executor.prepared_cache_hits").inc()
+        prepared = prepare(config, experiment)
         fitted = fitted_cache.take(config)
+        peers: List[RunConfig] = []
         if fitted is not None:
             telemetry.counter("executor.fitted_cache_hits").inc()
+        else:
+            peers = fitted_cache.peers(config)
+        peer_prepared = [prepare(peer, build_experiment(plan, peer)) for peer in peers]
         with telemetry.span("stage.train", run_key=config.run_key):
-            trained = experiment.train_candidates(prepared, fitted=fitted)
+            trained = experiment.train_candidates(
+                prepared, fitted=fitted, peers=peer_prepared
+            )
         fitted_cache.put(config, trained.fitted)
+        for peer, peer_fitted in zip(peers, trained.peer_fitted):
+            fitted_cache.put(peer, peer_fitted)
         with telemetry.span("stage.evaluate", run_key=config.run_key):
             result = experiment.evaluate(prepared, trained)
         result.run_key = config.run_key

@@ -128,6 +128,8 @@ class TrainedCandidates:
     models: List[Tuple[object, PostProcessor]]
     # the post-processor-independent part, one record per learner
     fitted: Tuple[FittedLearner, ...]
+    # the records of the peer sets fitted alongside (see train_candidates)
+    peer_fitted: Tuple[Tuple[FittedLearner, ...], ...] = ()
 
 
 def _read_only(values) -> Optional[np.ndarray]:
@@ -298,47 +300,64 @@ class Experiment:
             pre_processor=self.pre_processor,
         )
 
-    def fit_learners(self, prepared: PreparedData) -> Tuple[FittedLearner, ...]:
+    def fit_learners(
+        self, prepared: PreparedData, peers: Sequence[PreparedData] = ()
+    ) -> List[Tuple[FittedLearner, ...]]:
         """Fit every candidate learner and predict its validation/train sets.
 
-        The returned records are independent of the post-processor, so
-        executors share them across all grid combinations with the same
-        ``(pre-processor, learners)`` on the same :class:`PreparedData`.
+        ``peers`` are further prepared sets of the same seed, a config
+        group's other pre-processors: each learner fits ``prepared`` and
+        every peer in one :meth:`~repro.core.components.Learner.fit_models`
+        call. Returns one record tuple per set, ``prepared`` first. The
+        records are independent of the post-processor, so executors share
+        them across all grid combinations with the same ``(pre-processor,
+        learners)`` on the same :class:`PreparedData`.
         """
-        seed = prepared.seed
-        fitted: List[FittedLearner] = []
-        for learner in self.learners:
-            model = learner.fit_model(prepared.train_data, seed)
-            train_pred = self._predict(model, prepared.train_data, prepared.train_data)
-            labels, scores = predict_with_scores(
-                model, prepared.validation_data_eval.features
+        sets = [prepared, *peers]
+        fits = [
+            learner.fit_models([p.train_data for p in sets], prepared.seed)
+            for learner in self.learners
+        ]
+        return [
+            tuple(
+                self._fitted_learner(data, learner, model, best_params)
+                for learner, (model, best_params) in zip(self.learners, set_fits)
             )
-            fitted.append(
-                FittedLearner(
-                    learner=learner.name(),
-                    model=model,
-                    best_params=self._best_params(learner),
-                    validation_labels=_read_only(labels),
-                    validation_scores=_read_only(scores),
-                    train_metrics=self._metrics(prepared.train_data, train_pred),
-                )
-            )
-        return tuple(fitted)
+            for data, set_fits in zip(sets, zip(*fits))
+        ]
+
+    def _fitted_learner(self, prepared, learner, model, best_params) -> FittedLearner:
+        train_pred = self._predict(model, prepared.train_data, prepared.train_data)
+        labels, scores = predict_with_scores(model, prepared.validation_data_eval.features)
+        return FittedLearner(
+            learner=learner.name(),
+            model=model,
+            best_params=best_params,
+            validation_labels=_read_only(labels),
+            validation_scores=_read_only(scores),
+            train_metrics=self._metrics(prepared.train_data, train_pred),
+        )
 
     def train_candidates(
         self,
         prepared: PreparedData,
         fitted: Optional[Sequence[FittedLearner]] = None,
+        peers: Sequence[PreparedData] = (),
     ) -> TrainedCandidates:
         """Train every candidate learner and score it on the validation set.
 
         Pass cached :class:`FittedLearner` records (from :meth:`fit_learners`
         of any experiment with the same pre-processor and learners on the
         same ``prepared``) to skip re-fitting; only the post-processor is
-        then fitted and applied here.
+        then fitted and applied here. Without them the learners are fitted
+        on ``prepared`` and on every one of ``peers`` in one
+        :meth:`fit_learners` call, whose peer records come back as
+        ``peer_fitted``.
         """
+        peer_fitted: Tuple[Tuple[FittedLearner, ...], ...] = ()
         if fitted is None:
-            fitted = self.fit_learners(prepared)
+            fitted, *rest = self.fit_learners(prepared, peers)
+            peer_fitted = tuple(rest)
         seed = prepared.seed
         candidates: List[CandidateResult] = []
         models: List[Tuple[object, PostProcessor]] = []
@@ -375,7 +394,10 @@ class Experiment:
             )
             models.append((learner_fit.model, post))
         return TrainedCandidates(
-            candidates=candidates, models=models, fitted=tuple(fitted)
+            candidates=candidates,
+            models=models,
+            fitted=tuple(fitted),
+            peer_fitted=peer_fitted,
         )
 
     def evaluate(
@@ -545,10 +567,3 @@ class Experiment:
             privileged_groups=[{self.protected_attribute: 1.0}],
         )
         return metric.all_metrics()
-
-    @staticmethod
-    def _best_params(learner: Learner) -> Optional[Dict]:
-        search = getattr(learner, "last_search_", None)
-        if search is None:
-            return None
-        return dict(search.best_params_)

@@ -83,6 +83,8 @@ class ColumnEncoder:
         columns = cls(state["numeric"], state["categorical"], None, None)
         if state["scaler_"] is not None:
             columns.scaler_ = restore(state["scaler_"])
+            # the template it was fit from: an unfitted clone of it
+            columns.scaler = clone(columns.scaler_)
         if state["encoder_"] is not None:
             columns.encoder_ = restore(state["encoder_"])
         return columns
@@ -198,10 +200,12 @@ class Featurizer:
 
     @classmethod
     def from_state(cls, state: dict) -> "Featurizer":
+        columns = ColumnEncoder.from_state(state)
         featurizer = cls(
             DatasetSpec.from_dict(state["spec"]),
+            numeric_scaler=columns.scaler,
             protected_attribute=state["protected_attribute"],
         )
-        featurizer.columns_ = ColumnEncoder.from_state(state)
+        featurizer.columns_ = columns
         featurizer.feature_names_ = list(state["feature_names_"])
         return featurizer

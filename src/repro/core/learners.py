@@ -148,13 +148,16 @@ class LogisticRegression(Learner):
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
-    def fit_model(self, train_data: BinaryLabelDataset, seed: int) -> _FittedModel:
-        base = SGDClassifier(
+    def _base(self, seed: int) -> SGDClassifier:
+        return SGDClassifier(
             loss="log",
             max_iter=self.max_iter,
             batch_size=self.batch_size,
             random_state=seed,
         )
+
+    def fit_model(self, train_data: BinaryLabelDataset, seed: int) -> _FittedModel:
+        base = self._base(seed)
         X, y, w = train_data.features, train_data.labels, train_data.instance_weights
         if self.tuned:
             search = GridSearchCV(
@@ -167,6 +170,22 @@ class LogisticRegression(Learner):
         else:
             model = base.fit(X, y, sample_weight=w)
         return _FittedModel(model, train_data.favorable_label, train_data.unfavorable_label)
+
+    def fit_models(self, train_sets, seed: int) -> list:
+        """Untuned, every set's model comes from one stacked SGD fit over
+        the sets as data slices, each byte-identical to its ``fit_model``.
+        Tuned searches (each already one stacked fit over its folds) and
+        subclasses that override ``fit_model`` fit one set at a time."""
+        if self.tuned or type(self).fit_model is not LogisticRegression.fit_model:
+            return super().fit_models(train_sets, seed)
+        fitted = self._base(seed).fit_slices(
+            [{}],
+            [(d.features, d.labels, d.instance_weights) for d in train_sets],
+        )
+        return [
+            (_FittedModel(model, d.favorable_label, d.unfavorable_label), None)
+            for (model,), d in zip(fitted, train_sets)
+        ]
 
     def name(self) -> str:
         return f"LogisticRegression({'tuned' if self.tuned else 'default'})"

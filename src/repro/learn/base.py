@@ -45,7 +45,7 @@ class BaseEstimator:
     def fit_candidates(self, candidates, X, y, sample_weight=None) -> list:
         """One fitted clone per parameter dict, in order.
 
-        Grid search makes one call per fold chunk. This default fits each
+        :meth:`fit_slices` makes one call per slice. This default fits each
         candidate on its own (``sample_weight`` is passed only when given);
         estimators override it to share work across the candidates.
         """
@@ -54,6 +54,19 @@ class BaseEstimator:
         for model in models:
             model.fit(X, y, **fit_kwargs)
         return models
+
+    def fit_slices(self, candidates, slices) -> list:
+        """One list of fitted clones, one per parameter dict, per data slice.
+
+        ``slices`` is an iterable of ``(X, y, sample_weight)`` triples; grid
+        search makes one call over its folds. This default makes one
+        :meth:`fit_candidates` call per slice, taking the slices one at a
+        time; estimators override it to share work across the slices.
+        """
+        return [
+            self.fit_candidates(candidates, X, y, sample_weight=sample_weight)
+            for X, y, sample_weight in slices
+        ]
 
     def _check_fitted(self, *attributes: str) -> None:
         for attribute in attributes:
@@ -110,11 +123,11 @@ def check_matrix(X, name: str = "X") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
     if X.shape[0] == 0:
         raise ValueError(f"{name} has no rows")
-    if np.isnan(X).any():
-        raise ValueError(
-            f"{name} contains NaN; impute missing values before model fitting"
-        )
-    if np.isinf(X).any():
+    if not np.isfinite(X).all():
+        if np.isnan(X).any():
+            raise ValueError(
+                f"{name} contains NaN; impute missing values before model fitting"
+            )
         raise ValueError(f"{name} contains infinite values")
     return X
 

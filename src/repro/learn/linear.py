@@ -6,6 +6,11 @@ its logistic-regression baseline (``SGDClassifier(loss='log')``): the same
 surface (l2 / l1 / elasticnet over ``alpha``), and per-sample weighting.
 Because the schedule is calibrated for standardized features, training on
 raw-scale features diverges or stalls exactly as in Figure 3 of the paper.
+
+Every SGD fit runs one epoch engine, :func:`_train`, over data slices: a
+plain ``fit`` is one slice, a grid search's folds or a config group's
+pre-processors are several (:meth:`SGDClassifier.fit_slices`), and every
+model comes out byte-identical to its own ``fit``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ _PENALTIES = ("l2", "l1", "elasticnet", "none")
 # differ; every other parameter is shared by the whole stack
 _STACKED = ("penalty", "alpha", "l1_ratio", "tol")
 
-_SCHEDULE_BLOCK = 1024  # batches per block of the SGD schedule built at once
+_SCHEDULE_BLOCK = 1024  # most batches of an SGD epoch scheduled and gathered at once
+_GATHER_CELLS = 1 << 16  # most cells of an SGD batch-block or epoch-loss stack
 
 # the fitted state both linear models write
 _LINEAR_STATE = (
@@ -47,8 +53,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: ``1 / (1 + exp(-z))`` for
     ``z >= 0`` and ``exp(z) / (1 + exp(z))`` below, one ``exp(-|z|)``."""
     expz = np.exp(-np.abs(z))
-    denominator = 1.0 + expz
-    return np.where(z >= 0, 1.0 / denominator, expz / denominator)
+    return np.where(z >= 0, 1.0, expz) / (1.0 + expz)
 
 
 @serializable(*_LINEAR_STATE)
@@ -101,29 +106,40 @@ class SGDClassifier(BaseEstimator, ClassifierMixin):
     # ------------------------------------------------------------------
     def fit(self, X, y, sample_weight=None) -> "SGDClassifier":
         self._check_params()
-        _train([self], *_check_data(X, y, sample_weight))
+        _train([self], [_check_data(X, y, sample_weight)])
         return self
 
     def fit_candidates(self, candidates, X, y, sample_weight=None):
-        """Fit one model per parameter dict, stacking compatible candidates.
+        """Fit one model per parameter dict: the one-slice :meth:`fit_slices`."""
+        (models,) = self.fit_slices(candidates, [(X, y, sample_weight)])
+        return models
 
-        Grid-search hook: candidates that differ only in ``penalty``,
-        ``alpha``, ``l1_ratio`` or ``tol`` share one epoch loop, because
-        with a common ``random_state`` every one of them draws the same
-        permutation each epoch. Candidates that differ in anything else
-        form separate stacks. Every returned estimator is byte-identical
-        to an individual ``fit``.
+    def fit_slices(self, candidates, slices):
+        """One list of fitted clones, one per parameter dict, per data slice.
+
+        ``slices`` are ``(X, y, sample_weight)`` triples: a grid search's
+        folds, or the training sets of a config group's pre-processors.
+        Candidates that differ only in ``penalty``, ``alpha``, ``l1_ratio``
+        or ``tol`` share one epoch loop, because with a common
+        ``random_state`` every one of them draws its slice's permutation
+        each epoch; so do the slices whose matrices have as many columns.
+        Candidates that differ in anything else form separate stacks.
+        Every returned estimator is byte-identical to an individual ``fit``.
         """
-        models = [clone(self).set_params(**params) for params in candidates]
-        for model in models:
-            model._check_params()
-        data = _check_data(X, y, sample_weight)
+        data = [_check_data(X, y, weight) for X, y, weight in slices]
+        models = [[clone(self).set_params(**params) for params in candidates] for _ in data]
         stacks: dict = {}
-        for model in models:
-            shared = [(k, v) for k, v in model.get_params().items() if k not in _STACKED]
-            stacks.setdefault(tuple(shared), []).append(model)
-        for members in stacks.values():
-            _train(members, *data)
+        for index, (members, (X, *_)) in enumerate(zip(models, data)):
+            for model in members:
+                model._check_params()
+                shared = [(k, v) for k, v in model.get_params().items() if k not in _STACKED]
+                stack = stacks.setdefault((tuple(shared), X.shape[1]), {})
+                stack.setdefault(index, []).append(model)
+        for stack in stacks.values():
+            _train(
+                [model for members in stack.values() for model in members],
+                [data[index] for index in stack],
+            )
         return models
 
     def _check_params(self) -> None:
@@ -302,19 +318,34 @@ def _check_data(X, y, sample_weight):
     return X, classes, codes, sample_weight
 
 
-def _train(models, X, classes, codes, sample_weight) -> None:
+def _train(models, slices) -> None:
     """The SGD epoch engine: fit ``models`` together, in place.
 
-    Each row is one binary problem, a (candidate × class) pair: the
-    positive class of a binary target, else every class one-vs-rest. The
-    models share ``loss``, ``max_iter``, ``batch_size``, ``shuffle`` and
-    ``random_state``, so all rows see the same permutation each epoch and
-    one gather per batch. Each row keeps its own learning-rate clock (from
-    its alpha-dependent t0), penalty, ``tol`` early stop and divergence
-    freeze, and ends byte-identical to a one-row fit."""
+    ``slices`` are :func:`_check_data` tuples ``(X, classes, codes,
+    sample_weight)`` with as many columns each, and ``models`` lists every
+    slice's candidates in turn, as many per slice. Each row is one binary
+    problem, a (slice × candidate × class) triple: the positive class of a
+    binary target, else every class one-vs-rest. The models share
+    ``loss``, ``max_iter``, ``batch_size``, ``shuffle`` and
+    ``random_state``; each slice draws its own permutation each epoch from
+    its own ``default_rng(random_state)`` and walks its own batches.
+
+    An epoch lays the active rows out as a (slice × row) grid, one line per
+    slice with active rows, padded by repeating the line's last row (a
+    repeated row computes its row's values and writes them back onto it).
+    Batch ``i`` of every slice that has one is taken into one (slices,
+    batch, features) buffer, so all rows step together and each row still
+    runs one matrix-vector product per projection, as a one-row fit does
+    (a matrix-matrix product would round differently). Slices whose batch
+    ``i`` is shorter step apart; a slice without one skips the step: no
+    scale, no shrink, no clock advance. Each row keeps its own
+    learning-rate clock (from its alpha-dependent t0), penalty, ``tol``
+    early stop and divergence freeze, and ends byte-identical to a one-row
+    fit."""
     lead = models[0]
-    n_samples, n_features = X.shape
-    targets = np.arange(1, 2) if len(classes) == 2 else np.arange(len(classes))
+    per_slice = len(models) // len(slices)
+    n_features = slices[0][0].shape[1]
+    batch = max(1, int(lead.batch_size))
 
     def penalty(model, penalties, elasticnet_mix):
         on = model.penalty in penalties and model.alpha != 0.0
@@ -324,117 +355,238 @@ def _train(models, X, classes, codes, sample_weight) -> None:
     # per-row constants: the schedule's alpha, tol, and the penalty in the
     # seed's operand order -- scale by 1 - eta*alpha*mix, then soft-threshold
     # at eta*alpha*mix (alpha 0: the row has no such step)
-    constants = np.repeat(np.array([
-        [max(m.alpha, 1e-10), m.tol]
-        + penalty(m, ("l2", "elasticnet"), 1.0 - m.l1_ratio)
-        + penalty(m, ("l1", "elasticnet"), m.l1_ratio)
-        for m in models
-    ], dtype=np.float64), len(targets), axis=0)
-    t = np.repeat(np.array([m._optimal_init() for m in models]), len(targets))
-    positive = np.tile(targets, len(models))
+    constants, clock, positive, slice_of, model_rows = [], [], [], [], []
+    for index, (_, classes, _, _) in enumerate(slices):
+        targets = [1] if len(classes) == 2 else list(range(len(classes)))
+        for model in models[index * per_slice:(index + 1) * per_slice]:
+            constants += [[max(model.alpha, 1e-10), model.tol]
+                          + penalty(model, ("l2", "elasticnet"), 1.0 - model.l1_ratio)
+                          + penalty(model, ("l1", "elasticnet"), model.l1_ratio)] * len(targets)
+            clock += [model._optimal_init()] * len(targets)
+            positive += targets
+            slice_of += [index] * len(targets)
+            model_rows.append(len(targets))
+    constants, t = np.array(constants, dtype=np.float64), np.array(clock)
+    positive, slice_of = np.array(positive), np.array(slice_of)
     rows = len(positive)
     coef = np.zeros((rows, n_features))
     intercept = np.zeros(rows)
     previous = np.full(rows, np.inf)
     diverged = np.zeros(rows, dtype=bool)
     active = np.arange(rows)
-    rng = np.random.default_rng(lead.random_state)
-    batch = max(1, int(lead.batch_size))
-    starts = range(0, n_samples, batch)
-    sizes = np.minimum(batch, n_samples - np.arange(0, n_samples, batch))
+    rngs = [np.random.default_rng(lead.random_state) for _ in slices]
+    sizes = np.array([len(codes) for _, _, codes, _ in slices])
+    weight_sums = [np.add.reduce(sample_weight) for *_, sample_weight in slices]
 
-    def schedule():
-        # the epoch's batch starts with the active rows' (eta, scale,
-        # shrink) columns, built a bounded block of batches at a time: each
-        # clock t advances by every batch length in turn (as cumsum adds)
-        for first in range(0, len(starts), _SCHEDULE_BLOCK):
-            block = slice(first, first + _SCHEDULE_BLOCK)
-            steps = np.repeat(sizes[block, None], active.size, axis=1)
-            clocks = np.cumsum(np.vstack([t[active], steps]), axis=0)
-            t[active] = clocks[-1]
+    buffer = np.empty((len(slices), 1, batch, n_features))
+
+    def batches():
+        # every batch's (eta, scale, shrink) grids and signs, built a bounded
+        # block of batches at a time (each clock t advances by its slice's
+        # batch lengths in turn, as cumsum adds, by 0 where the slice has
+        # none), and its rows of every live slice taken into one
+        # (slices, 1, rows, features) stack
+        per_block = min(_SCHEDULE_BLOCK, max(1, _GATHER_CELLS // (
+            len(live) * batch * grid_positive.shape[1]
+        )))
+        stack = buffer[:len(live)]
+        line_batches = [stack[line, 0] for line in range(len(live))]
+        for first in range(0, lengths.shape[1], per_block):
+            steps = lengths[:, first:first + per_block].T[:, :, None]
+            clocks = np.cumsum(np.concatenate([
+                t[grid][None], np.broadcast_to(steps, (len(steps),) + grid.shape)
+            ]), axis=0)
+            t[grid] = clocks[-1]
             eta = 1.0 / (rate * clocks[:-1])
             scale = 1.0 - eta * scale_alpha * scale_mix
             shrink = eta * shrink_alpha * shrink_mix
-            columns = (v[:, :, None, None] for v in (eta, scale, shrink))
-            yield from zip(starts[block], *columns)
+            lo, hi = first * batch, (first + len(steps)) * batch
+            negated_signs = np.where(
+                ordered_codes[:, None, lo:hi, None] == grid_positive, -1.0, 1.0
+            )
+            signed_weight = negated_signs * ordered_weight[:, None, lo:hi, None]
+            columns = (v[..., None, None] for v in (eta, scale, shrink))
+            for i, *schedule in zip(range(first, first + len(steps)), *columns):
+                start = i * batch
+                for line_batch, X, order in zip(line_batches, Xs, orders):
+                    order = order[start:start + batch]
+                    if len(order) < batch:
+                        line_batch = line_batch[:len(order)]
+                    X.take(order, axis=0, out=line_batch, mode="clip")
+                length = widths[i]
+                at = slice(start - lo, start - lo + (length or batch))
+                if length:
+                    yield (None, whole, stack if length == batch else stack[:, :, :length],
+                           negated_signs[:, :, at], signed_weight[:, :, at], totals[i],
+                           *schedule, weighted_any[i], weighted_all[i], i)
+                    continue
+                # ragged: the slices with a batch i of each length step apart
+                for length in np.unique(lengths[:, i]):
+                    if length:
+                        part = np.flatnonzero(lengths[:, i] == length)
+                        at = slice(at.start, at.start + length)
+                        yield (part, _views(state[part], gradient[:len(part)], n_features),
+                               stack[part, :, :length], negated_signs[part, :, at],
+                               signed_weight[part, :, at], totals[i][part],
+                               *(v[part] for v in schedule),
+                               weighted[part, i].any(), weighted[part, i].all(), i)
 
-    attrs = {"rows": rows, "samples": n_samples, "candidates": len(models)}
+    attrs = {
+        "rows": rows, "samples": int(sizes.sum()),
+        "candidates": per_slice, "slices": len(slices),
+    }
     with telemetry.span("learn.sgd_fit", **attrs):
+        regrid = True
         for _ in range(int(lead.max_iter)):
             if active.size == 0:
                 break
-            order = rng.permutation(n_samples) if lead.shuffle else np.arange(n_samples)
-            ordered_codes, ordered_weight = codes[order], sample_weight[order]
-            rate, tol, scale_alpha, scale_mix, shrink_alpha, shrink_mix = constants[active].T
-            # per-row state as (rows, ..., 1) stacks, see _gradient
-            w, b = coef[active][:, :, None], intercept[active][:, None, None]
-            # -s for each row and class code
-            negated_signs = np.where(
-                np.arange(len(classes)) == positive[active][:, None], -1.0, 1.0
-            )[:, :, None]
-            shrinks = shrink_alpha[:, None, None] > 0
-            scaling, shrinking, shrink_all = scale_alpha.any(), shrinks.any(), shrinks.all()
-            for start, eta, scale, shrink in schedule():
-                stop = start + batch
-                total = np.add.reduce(ordered_weight[start:stop])
-                if total != 0:
-                    grad_w, grad_b = _gradient(
-                        lead.loss, X.take(order[start:stop], axis=0),
-                        negated_signs.take(ordered_codes[start:stop], axis=1),
-                        ordered_weight[start:stop, None], total, w, b,
+            if regrid:
+                # the grid: one line of active rows per live slice, padded by
+                # repeating its last row, and what depends on it alone
+                live, counts = np.unique(slice_of[active], return_counts=True)
+                first_row = np.cumsum(counts) - counts
+                column = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+                grid = active[first_row[:, None] + column]
+                n_live = sizes[live]
+                lengths = np.clip(n_live[:, None] - np.arange(0, n_live.max(), batch), 0, batch)
+                # batch i's length where every live slice has it, else 0
+                widths = np.where((lengths == lengths[:1]).all(axis=0), lengths[0], 0).tolist()
+                rate, _, scale_alpha, scale_mix, shrink_alpha, shrink_mix = (
+                    constants[grid].transpose(2, 0, 1)
+                )
+                # per-row state as one (slices, rows, features + 1, 1) stack
+                # of views w and b, see _gradient_sums, and its gradient buffer
+                state = np.concatenate([coef[grid], intercept[grid][..., None]], axis=2)[..., None]
+                gradient = np.empty_like(state)
+                whole = _views(state, gradient, n_features)
+                w, b = whole[1:3]
+                # lines whose rows share one target (binary) share their signs
+                grid_positive = positive[grid][:, :, None, None]
+                if (grid_positive == grid_positive[:, :1]).all():
+                    grid_positive = grid_positive[:, :1]
+                shrinks = shrink_alpha[:, :, None, None] > 0
+                scaling, shrinking, shrink_all = scale_alpha.any(), shrinks.any(), shrinks.all()
+                ordered_codes = np.zeros((len(live), n_live.max()), dtype=np.intp)
+                ordered_weight = np.zeros((len(live), n_live.max()))
+                batch_weight = np.zeros(lengths.shape)
+                regrid = False
+            # each live slice's epoch: its permutation, the codes and weights
+            # in that order, and every batch's weight total (each reduced
+            # over a contiguous run, as the one-slice sum is)
+            orders, Xs = [], []
+            for line, index in enumerate(live):
+                X, _, codes, sample_weight = slices[index]
+                n = len(codes)
+                order = rngs[index].permutation(n) if lead.shuffle else np.arange(n)
+                orders.append(order)
+                Xs.append(X)
+                np.take(codes, order, out=ordered_codes[line, :n])
+                np.take(sample_weight, order, out=ordered_weight[line, :n])
+                whole_batches = n // batch
+                np.add.reduce(
+                    ordered_weight[line, :whole_batches * batch].reshape(whole_batches, batch),
+                    axis=1, out=batch_weight[line, :whole_batches],
+                )
+                if n % batch:
+                    batch_weight[line, whole_batches] = np.add.reduce(
+                        ordered_weight[line, whole_batches * batch:n]
                     )
-                if scaling:
-                    w = w * scale
-                if shrinking:
-                    shrunk = _soft_threshold(w, shrink)
-                    w = shrunk if shrink_all else np.where(shrinks, shrunk, w)
-                if total != 0:
+            weighted = batch_weight != 0
+            weighted_any = weighted.any(axis=0).tolist()
+            weighted_all = weighted.all(axis=0).tolist()
+            totals = np.where(weighted, batch_weight, 1.0).T[:, :, None, None, None]
+            for (part, views, xb, negated_signs, signed_weight, total, eta, scale, shrink,
+                 stepping, all_weighted, i) in batches():
+                # in place on views of every line, or of the part's copy
+                stepped, w_part, b_part, grad, grad_w, grad_b = views
+                lines = slice(None) if part is None else part
+                if stepping:
                     # a zero-weight batch has a zero gradient: no step
-                    w -= eta * grad_w
-                    b = b - eta * grad_b
-                if not np.isfinite(w).all():
+                    _gradient_sums(
+                        lead.loss, xb, negated_signs, signed_weight, w_part, b_part,
+                        grad_w, grad_b,
+                    )
+                    grad /= total
+                if scaling:
+                    w_part *= scale
+                if shrinking:
+                    shrunk = _soft_threshold(w_part, shrink)
+                    np.copyto(w_part, shrunk, where=True if shrink_all else shrinks[lines])
+                if stepping:
+                    if not all_weighted:
+                        grad[~weighted[lines, i]] = 0.0
+                    stepped -= eta * grad
+                if not np.isfinite(w_part).all():
                     # diverged (typically unscaled features): freeze the
                     # affected rows at the last finite state
-                    bad = ~np.isfinite(w).all(axis=(1, 2))
-                    w[bad] = np.nan_to_num(w[bad], nan=0.0, posinf=1e12, neginf=-1e12)
-                    b[bad] = np.nan_to_num(b[bad], nan=0.0, posinf=1e12, neginf=-1e12)
-                    diverged[active[bad]] = True
-            w, b = w[:, :, 0], b[:, 0, 0]
+                    bad = ~np.isfinite(w_part).all(axis=(2, 3))
+                    w_part[bad] = np.nan_to_num(w_part[bad], nan=0.0, posinf=1e12, neginf=-1e12)
+                    b_part[bad] = np.nan_to_num(b_part[bad], nan=0.0, posinf=1e12, neginf=-1e12)
+                    diverged[grid[lines][bad]] = True
+                if part is not None:
+                    state[part] = stepped
+            # each row's epoch loss: one matrix-vector product per row and
+            # np.average's weighted sum, a bounded block of rows at a time
             epoch_loss = np.empty(active.size)
-            for row, target in enumerate(positive[active]):
-                if row == 0 or target != positive[active[row - 1]]:
-                    signs = np.where(codes == target, 1.0, -1.0)
-                margin = signs * (X @ w[row] + b[row])
-                if lead.loss == "log":
-                    losses = np.logaddexp(0.0, -margin)
-                else:
-                    losses = np.maximum(0.0, 1.0 - margin)
-                epoch_loss[row] = np.average(losses, weights=sample_weight)
+            for line, index in enumerate(live):
+                X, _, codes, sample_weight = slices[index]
+                block = max(1, _GATHER_CELLS // len(codes))
+                for lo in range(0, counts[line], block):
+                    hi = min(lo + block, counts[line])
+                    signs = np.where(codes == positive[grid[line, lo:hi]][:, None], 1.0, -1.0)
+                    margin = signs * ((X @ w[line, lo:hi])[:, :, 0] + b[line, lo:hi, 0])
+                    if lead.loss == "log":
+                        losses = np.logaddexp(0.0, -margin)
+                    else:
+                        losses = np.maximum(0.0, 1.0 - margin)
+                    epoch_loss[first_row[line] + lo:first_row[line] + hi] = (
+                        np.add.reduce(losses * sample_weight, axis=1) / weight_sums[index]
+                    )
             with np.errstate(invalid="ignore"):
-                done = np.isfinite(epoch_loss) & (previous[active] - epoch_loss < tol)
-            coef[active], intercept[active], previous[active] = w, b, epoch_loss
+                done = np.isfinite(epoch_loss) & (
+                    previous[active] - epoch_loss < constants[active, 1]
+                )
+            coef[grid], intercept[grid] = w[..., 0], b[:, :, 0, 0]
+            previous[active] = epoch_loss
             active = active[~done]
-    # one count per (candidate × class) row ever frozen at ±1e12
+            regrid = done.any()
+    # one count per (slice × candidate × class) row ever frozen at ±1e12
     telemetry.counter("learn.sgd.diverged").inc(int(diverged.sum()))
-    for model, model_coef, model_intercept in zip(
-        models, np.split(coef, len(models)), np.split(intercept, len(models))
+    bounds = np.cumsum(model_rows)[:-1]
+    for model, index, model_coef, model_intercept in zip(
+        models, np.repeat(np.arange(len(slices)), per_slice),
+        np.split(coef, bounds), np.split(intercept, bounds),
     ):
-        model.classes_, model.coef_, model.intercept_ = classes, model_coef, model_intercept
+        model.classes_, model.coef_, model.intercept_ = (
+            slices[index][1], model_coef, model_intercept
+        )
 
 
-def _gradient(loss, xb, negated_signs, wb, total, w, b):
-    """Every row's loss gradients on one batch of weight ``total``. ``w``,
-    ``b`` and ``negated_signs`` (``-s``) are (rows, ..., 1) stacks, so both
-    projections run one matrix-vector product per row as a one-row fit
-    does (a matrix-matrix product would round differently)."""
+def _views(state, gradient, n_features):
+    """A state stack and its gradient buffer with their w and b views."""
+    return (
+        state, state[:, :, :n_features], state[:, :, n_features:],
+        gradient, gradient[:, :, :n_features], gradient[:, :, n_features:],
+    )
+
+
+def _gradient_sums(loss, xb, negated_signs, signed_weight, w, b, out_w, out_b):
+    """Every row's loss-gradient sums over one batch, written into
+    ``out_w`` and ``out_b`` (the caller divides by the batch's weight).
+    ``xb`` is the (slices, 1, batch, features) batch stack; ``w``, ``b``,
+    ``negated_signs`` (``-s``) and ``signed_weight`` (``-s`` times the
+    sample weight) are (slices, rows, ..., 1) stacks, so both projections
+    run one matrix-vector product per row as a one-row fit does (a
+    matrix-matrix product would round differently). Multiplying by ``-s``
+    before or after the weight gives the same bits, as ``s`` is ±1."""
     margins = xb @ w + b
     if loss == "log":
         # d/dz log(1 + exp(-s z)) = -s * sigmoid(-s z)
-        coeff = negated_signs * _sigmoid(negated_signs * margins) * wb
+        coeff = _sigmoid(negated_signs * margins) * signed_weight
     else:  # hinge: active where s * z < 1
-        coeff = np.where(negated_signs * margins > -1.0, negated_signs, 0.0) * wb
-    grad_w = xb.T @ coeff / total
-    return grad_w, np.add.reduce(coeff, axis=1, keepdims=True) / total
+        coeff = np.where(negated_signs * margins > -1.0, signed_weight, 0.0)
+    np.matmul(xb.transpose(0, 1, 3, 2), coeff, out=out_w)
+    np.add.reduce(coeff, axis=2, keepdims=True, out=out_b)
 
 
 def _soft_threshold(w: np.ndarray, threshold: float) -> np.ndarray:

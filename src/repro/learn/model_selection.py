@@ -129,30 +129,35 @@ class _SearchContext:
         self.score_fn = score_fn
 
 
-def _score_fold_chunk(context: _SearchContext, task) -> List[float]:
-    """Fit and score a chunk of candidates on one fold.
+def _score_fold_chunk(context: _SearchContext, task) -> List[List[float]]:
+    """Fit and score a chunk of candidates on a chunk of folds.
 
-    This is the fold-major hot path: the fold's training matrix is sliced
-    once and handed to one ``fit_candidates`` call for the whole chunk,
-    which shares what it can across the candidates (the tree prepares
-    the matrix once and grows one induction per parameter family; SGD
-    runs one stacked epoch loop per compatible set of candidates).
+    This is the fold-major hot path: one ``fit_slices`` call takes the
+    chunk's folds as data slices, each fold's training matrix sliced once,
+    and shares what it can across folds and candidates (SGD runs every
+    fold and compatible candidate in one stacked epoch loop; the tree
+    prepares each fold's matrix once and grows one induction per
+    parameter family). Returns one score list per fold.
     """
-    fold_index, candidate_ids = task
-    train_idx, valid_idx = context.folds[fold_index]
-    X_train = context.X[train_idx]
-    y_train = context.y[train_idx]
-    X_valid = context.X[valid_idx]
-    y_valid = context.y[valid_idx]
+    fold_ids, candidate_ids = task
     weight = context.sample_weight
-    w_train = None if weight is None else weight[train_idx]
-    models = context.estimator.fit_candidates(
-        [context.candidates[i] for i in candidate_ids],
-        X_train,
-        y_train,
-        sample_weight=w_train,
+    slices = (
+        (
+            context.X[train_idx],
+            context.y[train_idx],
+            None if weight is None else weight[train_idx],
+        )
+        for train_idx, _ in (context.folds[fold] for fold in fold_ids)
     )
-    return [context.score_fn(model, X_valid, y_valid) for model in models]
+    fitted = context.estimator.fit_slices(
+        [context.candidates[i] for i in candidate_ids], slices
+    )
+    scores = []
+    for fold, models in zip(fold_ids, fitted):
+        valid_idx = context.folds[fold][1]
+        X_valid, y_valid = context.X[valid_idx], context.y[valid_idx]
+        scores.append([context.score_fn(model, X_valid, y_valid) for model in models])
+    return scores
 
 
 class GridSearchCV(BaseEstimator):
@@ -163,12 +168,12 @@ class GridSearchCV(BaseEstimator):
     hyperparameter selection leak-free. After the search, the best
     configuration is refit on the full training data.
 
-    The search loop is fold-major: each fold's training matrix is sliced
-    exactly once and passed to one ``fit_candidates`` call per chunk of
-    candidates, so whatever the estimator prepares from it (the tree's
-    presort) is built once per fold, not candidates × folds times. Scores
-    are identical to the candidate-major loop because every fit is
-    independent.
+    The search loop is fold-major: one ``fit_slices`` call takes every
+    fold as a data slice, each fold's training matrix sliced exactly once,
+    so whatever the estimator shares (SGD's one epoch loop over all folds
+    and candidates, the tree's presort per fold) is built once per
+    search, not candidates × folds times. Scores are identical to the
+    candidate-major loop because every fit is independent.
 
     Parameters
     ----------
@@ -183,9 +188,10 @@ class GridSearchCV(BaseEstimator):
     random_state:
         Seeds the fold shuffling (propagated, per Section 2.5).
     n_jobs:
-        Fan candidate×fold chunks out over that many forked worker
-        processes (``None``/1 = in-process). Results are identical to the
-        serial search.
+        Split the folds (and, with more workers than folds, the
+        candidates) into that many chunks for forked worker processes
+        (``None``/1 = in-process, one chunk). Results are identical to
+        the serial search.
     """
 
     def __init__(
@@ -220,22 +226,26 @@ class GridSearchCV(BaseEstimator):
         )
         score_table = np.empty((len(candidates), len(folds)), dtype=np.float64)
 
-        tasks = [(fold, list(range(len(candidates)))) for fold in range(len(folds))]
         jobs = 1 if self.n_jobs is None else max(1, int(self.n_jobs))
-        if jobs > 1 and len(tasks) < jobs:
-            # fewer folds than workers: split candidate chunks so every
-            # worker gets something (each chunk re-prepares its fold,
-            # which never changes the scores)
+        candidate_ids = list(range(len(candidates)))
+        # one task per worker: a chunk of folds with every candidate; with
+        # fewer folds than workers, each fold's candidates are split too
+        # (each chunk re-prepares its fold, which never changes the scores)
+        tasks = [
+            (fold_ids, candidate_ids)
+            for fold_ids in split_for_balance([list(range(len(folds)))], jobs)
+        ]
+        if len(tasks) < jobs:
             tasks = [
-                (fold, chunk)
-                for fold, ids in tasks
-                for chunk in split_for_balance([ids], (jobs + len(folds) - 1) // len(folds))
+                (fold_ids, chunk)
+                for fold_ids, ids in tasks
+                for chunk in split_for_balance([ids], -(-jobs // len(tasks)))
             ]
 
         def on_done(index, task, scores):
-            fold_index, candidate_ids = task
-            for candidate, score in zip(candidate_ids, scores):
-                score_table[candidate, fold_index] = score
+            fold_ids, candidate_ids = task
+            for fold, fold_scores in zip(fold_ids, scores):
+                score_table[candidate_ids, fold] = fold_scores
 
         run_groups(context, _score_fold_chunk, tasks, jobs, on_done)
 

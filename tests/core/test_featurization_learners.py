@@ -134,6 +134,29 @@ class TestLearners:
         learner.fit_model(data, seed=0)
         assert learner.last_search_.best_params_["penalty"] == "l2"
 
+    @pytest.mark.parametrize("learner", [
+        lambda: LogisticRegression(tuned=False),
+        lambda: LogisticRegression(tuned=True, param_grid={"alpha": [0.0001, 0.5]}, cv=3),
+        lambda: DecisionTree(tuned=True, param_grid={"max_depth": [1, 3, 8]}, cv=3),
+    ], ids=["lr", "tuned-lr", "tuned-dt"])
+    def test_fit_models_equals_one_fit_model_per_set(self, german, learner):
+        data, _ = _annotated(german)
+        rows = np.arange(data.num_instances)
+        sets = [data.subset(rows < k) for k in (120, 400, 1000)]
+        fits = learner().fit_models(sets, seed=0)
+        searches = []
+        for data_set, (model, best_params) in zip(sets, fits):
+            solo = learner()
+            expected = solo.fit_model(data_set, seed=0)
+            search = getattr(solo, "last_search_", None)
+            # each set reports its own search's choice
+            assert best_params == (None if search is None else search.best_params_)
+            searches.append(best_params)
+            assert np.array_equal(model.predict_scores(data.features),
+                                  expected.predict_scores(data.features))
+        if isinstance(learner(), DecisionTree):
+            assert searches[0] != searches[1]
+
     def test_lr_scores_are_probabilities(self, german):
         data, _ = _annotated(german)
         model = LogisticRegression(tuned=False).fit_model(data, seed=0)

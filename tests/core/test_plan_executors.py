@@ -583,7 +583,7 @@ class TestFittedLearnerCache:
         assert [r.to_json() for r in cached] == expected
         assert [r.to_json() for r in parallel] == expected
 
-    def test_figure2_group_counts_two_hits_per_learner(self, german, monkeypatch):
+    def test_figure2_group_fits_each_learner_once(self, german, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         telemetry.reset_for_tests()
         try:
@@ -591,11 +591,13 @@ class TestFittedLearnerCache:
             counters = telemetry.metrics_state()["counters"]
         finally:
             telemetry.reset_for_tests()
-        # reject option and calibrated equalized odds reuse each learner's
-        # no-intervention fit
-        assert counters["executor.fitted_cache_hits"] == 2 * 2
-        # 12 runs over 4 distinct pre-processors
-        assert counters["executor.prepared_cache_hits"] == 12 - 4
+        # each learner's first run fits it on all four pre-processors; the
+        # other pre-processors' runs and the reject-option and calibrated
+        # equalized-odds runs (which reuse the no-intervention fit) hit
+        assert counters["executor.fitted_cache_hits"] == 12 - 2
+        # 12 runs over 4 distinct pre-processors, all prepared by the first
+        # run: its own, and the other three for its group fit
+        assert counters["executor.prepared_cache_hits"] == 12 - 1
 
     def test_scores_check_runs_on_cache_hit(self, german, fit_calls):
         grid = GridSpec(
@@ -633,15 +635,81 @@ class TestFittedLearnerCache:
         )
         run_grid(german, grid, executor=SerialExecutor())
         (cache,) = _RecordingCache.instances
-        # stored for the two post-processing runs, DIRemover's single-use
-        # fit never stored, dropped after its last consumer
-        assert cache.sizes == [1, 1, 1, 0]
+        # the first run fits both pre-processors: its own fit is stored for
+        # the two post-processing runs, DIRemover's single-use fit until its
+        # run takes it; each is dropped after its last consumer
+        assert cache.sizes == [1, 2, 1, 1, 0]
         assert len(cache) == 0
 
-    def test_single_use_keys_are_never_stored(self, german, monkeypatch):
+    def test_single_use_keys_wait_only_for_their_run(self, german, monkeypatch):
         monkeypatch.setattr(executors, "FittedLearnerCache", _RecordingCache)
         _RecordingCache.instances.clear()
         run_grid(german, small_grid(), executor=SerialExecutor())
         assert len(_RecordingCache.instances) == 2  # one group per seed
         for cache in _RecordingCache.instances:
-            assert cache.sizes == [0, 0]
+            # the first run's fit is never stored; DIRemover's, fitted
+            # alongside it, is stored until the second run takes it
+            assert cache.sizes == [0, 1, 0]
+
+
+# ----------------------------------------------------------------------
+# one SGD engine call per config group's learner, one per grid search
+# ----------------------------------------------------------------------
+def figure45_shaped_grid():
+    from repro.core import CompleteCaseAnalysis, DatawigImputer, ModeImputer
+
+    return GridSpec(
+        seeds=[31],
+        learners=[lambda: LogisticRegression(tuned=False)],
+        interventions=[NoIntervention, ReweighingPreProcessor, lambda: DIRemover(1.0)],
+        missing_value_handlers=[CompleteCaseAnalysis, ModeImputer, DatawigImputer],
+    )
+
+
+def figure2_shaped_lr_grid():
+    # the trees of a Figure 2 pass run no SGD; its LR half makes 28 engine
+    # calls one fit at a time: 4 untuned, and 5 folds + 1 refit for each
+    # of the 4 distinct pre-processors' searches
+    return GridSpec(
+        seeds=[31],
+        learners=[
+            lambda: LogisticRegression(tuned=False),
+            lambda: LogisticRegression(tuned=True),
+        ],
+        interventions=figure2_shaped_grid().interventions,
+    )
+
+
+class TestStackedEngineCalls:
+    @pytest.fixture(autouse=True)
+    def aggregate(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        telemetry.reset_for_tests()
+        telemetry.configure(aggregate=True)
+        yield
+        telemetry.reset_for_tests()
+
+    def engine_calls(self, dataset, grid):
+        before = telemetry.aggregate_state()
+        results = run_grid(dataset, grid, executor=SerialExecutor())
+        return results, telemetry.aggregate_delta(before)["learn.sgd_fit"]["count"]
+
+    def test_figure45_pass_is_three_calls(self):
+        adult = load_dataset("adult", n=1200, seed=0)
+        grid = figure45_shaped_grid()
+        results, calls = self.engine_calls(adult, grid)
+        # one stacked fit of the three pre-processors per handler's group
+        assert calls == 3
+        assert [r.to_json() for r in results] == [
+            r.to_json() for r in run_each_cell(adult, grid)
+        ]
+
+    def test_figure2_lr_pass_is_nine_calls(self, german):
+        grid = figure2_shaped_lr_grid()
+        results, calls = self.engine_calls(german, grid)
+        # untuned: one fit of the 4 pre-processors; tuned: one over-folds
+        # fit and one refit per pre-processor's search
+        assert calls == 1 + 4 * 2
+        assert [r.to_json() for r in results] == [
+            r.to_json() for r in run_each_cell(german, grid)
+        ]

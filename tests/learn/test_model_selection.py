@@ -323,12 +323,16 @@ class TestGridSearchNJobs:
         assert all(r["mean_score"] > offset - 1e-9 for r in search.cv_results_)
 
     def test_n_jobs_on_non_tree_estimator(self):
-        X, y = _data(n=120)
-        grid = {"alpha": [0.0001, 0.01]}
+        # 121 rows: the three folds train on 80, 81 and 81 rows, so the
+        # stacked SGD folds are ragged, and the weights are fractional
+        X, y = _data(n=121)
+        weights = np.random.default_rng(2).uniform(0.1, 2.5, len(y))
+        grid = {"alpha": [0.0001, 0.01], "penalty": ["l2", "elasticnet"]}
         serial = GridSearchCV(
             SGDClassifier(random_state=0), grid, cv=3, random_state=0
-        ).fit(X, y)
-        fanned = GridSearchCV(
-            SGDClassifier(random_state=0), grid, cv=3, random_state=0, n_jobs=2
-        ).fit(X, y)
-        assert serial.cv_results_ == fanned.cv_results_
+        ).fit(X, y, sample_weight=weights)
+        for jobs in (2, 3, 4):
+            fanned = GridSearchCV(
+                SGDClassifier(random_state=0), grid, cv=3, random_state=0, n_jobs=jobs
+            ).fit(X, y, sample_weight=weights)
+            assert serial.cv_results_ == fanned.cv_results_

@@ -228,9 +228,16 @@ class TestObservability:
         X, y = germancredit(300)
         classes = np.arange(len(y)) % 3
         SGDClassifier(**BASE).fit_candidates(CANDIDATES[:5], X, classes)
+        # three slices: two binary, one 3-class -- rows add up per slice
+        SGDClassifier(**BASE).fit_slices(
+            CANDIDATES[:2], [(X, y, None), (X[:200], y[:200], None), (X, classes, None)]
+        )
         records = []
         for name in os.listdir(tmp_path):
             with open(os.path.join(tmp_path, name)) as handle:
                 records.extend(json.loads(line) for line in handle if line.strip())
-        (span,) = [r for r in records if r["name"] == "learn.sgd_fit"]
-        assert span["attrs"] == {"rows": 15, "samples": len(y), "candidates": 5}
+        spans = [r for r in records if r["name"] == "learn.sgd_fit"]
+        assert [span["attrs"] for span in spans] == [
+            {"rows": 15, "samples": len(y), "candidates": 5, "slices": 1},
+            {"rows": 10, "samples": 2 * len(y) + 200, "candidates": 2, "slices": 3},
+        ]
